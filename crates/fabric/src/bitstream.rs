@@ -16,7 +16,7 @@
 //! 4      2     format version (1)
 //! 6      1     device kind (0/1/2 = EPXA1/4/10)
 //! 7      1     name length N
-//! 8      N     core name (UTF-8)
+//! 8      N     core name (UTF-8, cut to ≤ 255 bytes at a char boundary)
 //! 8+N    4     required logic elements
 //! 12+N   4     required memory bits
 //! 16+N   8     core clock in Hz
@@ -83,17 +83,60 @@ impl fmt::Display for ParseBitstreamError {
 
 impl std::error::Error for ParseBitstreamError {}
 
-/// CRC-32 (IEEE 802.3, reflected, init `0xFFFF_FFFF`, final xor) computed
-/// bitwise — small and dependency-free; the loader is not throughput
-/// critical.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Lookup tables for slicing-by-8 CRC-32: `CRC_TABLES[0][b]` is the CRC
+/// register update for byte `b`, and `CRC_TABLES[k][b]` is that update
+/// followed by `k` zero bytes, so eight tables fold eight input bytes in
+/// one step. Built at compile time.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected, init `0xFFFF_FFFF`, final xor).
+///
+/// Table-driven, slicing-by-8: every `FPGA_LOAD` checks the whole
+/// container, so the CRC runs over every byte of every bitstream a
+/// system loads.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -169,13 +212,29 @@ impl Bitstream {
 
     /// Total encoded size in bits (drives configuration-load timing).
     pub fn size_bits(&self) -> u64 {
-        self.to_bytes().len() as u64 * 8
+        self.encoded_len() as u64 * 8
+    }
+
+    /// The name as stored: at most 255 bytes, cut at a character
+    /// boundary so the stored bytes stay valid UTF-8.
+    fn encoded_name(&self) -> &[u8] {
+        let mut end = self.name.len().min(255);
+        while !self.name.is_char_boundary(end) {
+            end -= 1;
+        }
+        &self.name.as_bytes()[..end]
+    }
+
+    /// Length of [`Bitstream::to_bytes`]: header, name, resources,
+    /// clock, payload length, payload and CRC.
+    fn encoded_len(&self) -> usize {
+        8 + self.encoded_name().len() + 20 + self.payload.len() + 4
     }
 
     /// Serialises to the binary container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let name = self.name.as_bytes();
-        let mut out = Vec::with_capacity(32 + name.len() + self.payload.len());
+        let name = self.encoded_name();
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(match self.device {
@@ -183,8 +242,8 @@ impl Bitstream {
             DeviceKind::Epxa4 => 1,
             DeviceKind::Epxa10 => 2,
         });
-        out.push(u8::try_from(name.len().min(255)).expect("clamped"));
-        out.extend_from_slice(&name[..name.len().min(255)]);
+        out.push(u8::try_from(name.len()).expect("encoded name is at most 255 bytes"));
+        out.extend_from_slice(name);
         out.extend_from_slice(&self.resources.logic_elements.to_le_bytes());
         out.extend_from_slice(&self.resources.memory_bits.to_le_bytes());
         out.extend_from_slice(&self.core_clock.hz().to_le_bytes());
@@ -196,6 +255,7 @@ impl Bitstream {
         out.extend_from_slice(&self.payload);
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
 
@@ -331,6 +391,7 @@ impl BitstreamBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Bitstream {
         Bitstream::builder("adpcm")
@@ -341,12 +402,47 @@ mod tests {
             .build()
     }
 
+    /// Bit-at-a-time CRC-32, the definition [`crc32`] must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_at_every_chunk_remainder() {
+        let data = Bitstream::builder("x")
+            .synthetic_payload(64)
+            .build()
+            .payload;
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_bitwise(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
     }
 
     #[test]
@@ -428,6 +524,26 @@ mod tests {
     fn size_bits_counts_container() {
         let bs = Bitstream::builder("x").synthetic_payload(10).build();
         assert_eq!(bs.size_bits(), bs.to_bytes().len() as u64 * 8);
+    }
+
+    #[test]
+    fn long_non_ascii_name_cut_at_char_boundary() {
+        // 2-, 3- and 4-byte characters behind 0-3 ASCII bytes put the
+        // 255-byte limit at every offset inside a character.
+        for ch in ["é", "€", "𝄞"] {
+            for lead in 0..4 {
+                let name = "a".repeat(lead) + &ch.repeat(200);
+                let bs = Bitstream::builder(name.clone())
+                    .synthetic_payload(10)
+                    .build();
+                let bytes = bs.to_bytes();
+                let back = Bitstream::from_bytes(&bytes).unwrap();
+                assert!(name.starts_with(back.name()));
+                assert!(back.name().len() > 255 - ch.len(), "{lead} + {ch}");
+                assert_eq!(bs.size_bits(), bytes.len() as u64 * 8);
+                assert_eq!(back.to_bytes(), bytes);
+            }
+        }
     }
 
     #[test]

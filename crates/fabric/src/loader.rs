@@ -169,9 +169,11 @@ impl ConfigController {
                 available: self.device.pld.to_string(),
             });
         }
-        let cycles = bs
-            .size_bits()
-            .div_ceil(u64::from(self.device.config_width_bits));
+        // `from_bytes` accepts only a container of exactly its encoded
+        // length, so the input length is the size to shift in.
+        let size_bits = bytes.len() as u64 * 8;
+        debug_assert_eq!(size_bits, bs.size_bits());
+        let cycles = size_bits.div_ceil(u64::from(self.device.config_width_bits));
         let load_time = self.device.config_freq.cycles(cycles);
         let name = bs.name().to_owned();
         self.current = Some(bs);

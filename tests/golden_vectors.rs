@@ -192,3 +192,32 @@ fn idea_hw_encrypt_decrypt_round_trips() {
         assert_eq!(back, pt, "overlap={overlap}");
     }
 }
+
+/// `FPGA_LOAD` charges configuration cycles for the container's size.
+/// The serving bitstreams' load times are pinned to the picosecond, so
+/// any change to how that size is found must leave modeled time alone.
+/// EPXA1 and EPXA4 share the configuration interface (8 bits at 33 MHz).
+#[test]
+fn configuration_load_time_is_pinned() {
+    use vcop_bench::serving::AppKind;
+    use vcop_fabric::loader::ConfigController;
+    use vcop_fabric::DeviceProfile;
+
+    for device in [DeviceProfile::epxa1(), DeviceProfile::epxa4()] {
+        for (kind, ps) in [
+            (AppKind::Idea, 2_979_997_020),
+            (AppKind::Adpcm, 1_490_756_085),
+        ] {
+            let loaded = ConfigController::new(device)
+                .load(&kind.bitstream(&device))
+                .unwrap();
+            assert_eq!(
+                loaded.load_time.as_ps(),
+                ps,
+                "{:?} {}",
+                device.kind,
+                kind.name()
+            );
+        }
+    }
+}

@@ -6,6 +6,18 @@
 //! (one input byte holds two codes, each yielding a two-byte sample).
 //! The encoder is implemented too, both to generate realistic inputs and
 //! to property-test the decoder against a round trip.
+//!
+//! ## The fused step-index table
+//!
+//! Each sample ends by moving the step index by `INDEX_TABLE[code]` and
+//! clamping it to `0..=88`. That add-and-clamp sits on the
+//! sample-to-sample dependency chain, so both kernels instead read the
+//! next index from `NEXT_INDEX`, built at compile time from the same
+//! two rules. `INDEX_TABLE` ignores the sign bit, so the table is indexed
+//! by the code's magnitude (`code & 7`). The kernels still charge the
+//! add, compare and clamp of the reference C (`ops.alu(3)` in the
+//! decoder, inside `ops.alu(5)` in the encoder): the charges model the
+//! ARM baseline, not the host code.
 
 use crate::counter::OpCounter;
 
@@ -37,8 +49,32 @@ impl AdpcmState {
     }
 }
 
-fn clamp_index(i: i32) -> i32 {
-    i.clamp(0, 88)
+/// `NEXT_INDEX[index][code & 7]` is `index + INDEX_TABLE[code]` clamped
+/// to `0..=88`, the step index after decoding or encoding `code`.
+const NEXT_INDEX: [[u8; 8]; 89] = {
+    let mut table = [[0u8; 8]; 89];
+    let mut index = 0;
+    while index < 89 {
+        let mut magnitude = 0;
+        while magnitude < 8 {
+            let next = index as i32 + INDEX_TABLE[magnitude] as i32;
+            table[index][magnitude] = if next < 0 {
+                0
+            } else if next > 88 {
+                88
+            } else {
+                next as u8
+            };
+            magnitude += 1;
+        }
+        index += 1;
+    }
+    table
+};
+
+/// The step index that follows `index` after `code`.
+fn next_index(index: i32, code: u8) -> i32 {
+    i32::from(NEXT_INDEX[index as usize][usize::from(code & 7)])
 }
 
 fn clamp_sample(s: i32) -> i32 {
@@ -47,11 +83,16 @@ fn clamp_sample(s: i32) -> i32 {
 
 /// Decodes one 4-bit `code`, updating `state` and charging `ops`.
 ///
+/// Bits of `code` above the low nibble are ignored, as [`decode`] does
+/// when it splits a byte into two codes.
+///
 /// This is the exact IMA reference computation; the hardware FSM in
 /// [`crate::adpcm::hw`] calls the same function so software and
 /// coprocessor outputs are bit-identical.
+// Without the hint, `decode` calls it once per nibble, out of line.
+#[inline]
 pub fn decode_nibble<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C) -> i16 {
-    debug_assert!(code < 16);
+    let code = code & 0x0F;
     let step = STEP_TABLE[state.index as usize];
     ops.load(2); // step table + index table
                  // diff = step/8 + step/4·b0 + step/2·b1 + step·b2 (shift-add form).
@@ -79,7 +120,7 @@ pub fn decode_nibble<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C
     ops.branch(1);
     state.predictor = clamp_sample(state.predictor);
     ops.alu(2);
-    state.index = clamp_index(state.index + i32::from(INDEX_TABLE[code as usize]));
+    state.index = next_index(state.index, code);
     ops.alu(3);
     ops.store(1); // output sample
     state.predictor as i16
@@ -121,7 +162,7 @@ pub fn encode_sample<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mu
     ops.alu(1);
     ops.branch(1);
     state.predictor = clamp_sample(state.predictor);
-    state.index = clamp_index(state.index + i32::from(INDEX_TABLE[code as usize]));
+    state.index = next_index(state.index, code);
     ops.alu(5);
     ops.store(1);
     code
@@ -132,13 +173,13 @@ pub fn encode_sample<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mu
 /// (= 4× the bytes, as the paper states).
 pub fn decode<C: OpCounter>(input: &[u8], ops: &mut C) -> Vec<i16> {
     let mut state = AdpcmState::new();
-    let mut out = Vec::with_capacity(input.len() * 2);
+    let mut out = vec![0; input.len() * 2];
     ops.call(1);
-    for &byte in input {
+    for (&byte, pair) in input.iter().zip(out.chunks_exact_mut(2)) {
         ops.load(1);
         ops.branch(1);
-        out.push(decode_nibble(&mut state, byte & 0x0F, ops));
-        out.push(decode_nibble(&mut state, byte >> 4, ops));
+        pair[0] = decode_nibble(&mut state, byte & 0x0F, ops);
+        pair[1] = decode_nibble(&mut state, byte >> 4, ops);
     }
     out
 }
@@ -203,6 +244,202 @@ pub fn synthetic_pcm(n: usize) -> Vec<i16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::OpTally;
+    use proptest::prelude::*;
+
+    /// The decoder before the fused index table: the add and clamp of the
+    /// reference C. [`decode_nibble`] must match it in output, state and
+    /// every charged operation.
+    fn decode_nibble_clamped<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C) -> i16 {
+        let step = STEP_TABLE[state.index as usize];
+        ops.load(2);
+        let mut diff = step >> 3;
+        ops.alu(1);
+        if code & 1 != 0 {
+            diff += step >> 2;
+            ops.alu(2);
+        }
+        if code & 2 != 0 {
+            diff += step >> 1;
+            ops.alu(2);
+        }
+        if code & 4 != 0 {
+            diff += step;
+            ops.alu(1);
+        }
+        ops.branch(3);
+        if code & 8 != 0 {
+            state.predictor -= diff;
+        } else {
+            state.predictor += diff;
+        }
+        ops.alu(1);
+        ops.branch(1);
+        state.predictor = clamp_sample(state.predictor);
+        ops.alu(2);
+        state.index = (state.index + i32::from(INDEX_TABLE[code as usize])).clamp(0, 88);
+        ops.alu(3);
+        ops.store(1);
+        state.predictor as i16
+    }
+
+    /// The encoder before the fused index table (see
+    /// [`decode_nibble_clamped`]).
+    fn encode_sample_clamped<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mut C) -> u8 {
+        let step = STEP_TABLE[state.index as usize];
+        ops.load(2);
+        let mut diff = i32::from(sample) - state.predictor;
+        ops.alu(1);
+        let mut code: u8 = 0;
+        if diff < 0 {
+            code = 8;
+            diff = -diff;
+            ops.alu(1);
+        }
+        ops.branch(1);
+        let mut tempstep = step;
+        let mut vpdiff = step >> 3;
+        ops.alu(1);
+        for bit in [4u8, 2, 1] {
+            if diff >= tempstep {
+                code |= bit;
+                diff -= tempstep;
+                vpdiff += tempstep;
+                ops.alu(3);
+            }
+            tempstep >>= 1;
+            ops.alu(1);
+            ops.branch(1);
+        }
+        if code & 8 != 0 {
+            state.predictor -= vpdiff;
+        } else {
+            state.predictor += vpdiff;
+        }
+        ops.alu(1);
+        ops.branch(1);
+        state.predictor = clamp_sample(state.predictor);
+        state.index = (state.index + i32::from(INDEX_TABLE[code as usize])).clamp(0, 88);
+        ops.alu(5);
+        ops.store(1);
+        code
+    }
+
+    /// Predictors at both rails, around zero and a few interior values.
+    const PREDICTORS: [i32; 8] = [-32768, -20000, -1, 0, 1, 777, 20000, 32767];
+
+    fn states() -> impl Iterator<Item = AdpcmState> {
+        (0..89).flat_map(|index| {
+            PREDICTORS
+                .iter()
+                .map(move |&predictor| AdpcmState { predictor, index })
+        })
+    }
+
+    #[test]
+    fn decode_nibble_matches_clamped_reference_everywhere() {
+        for start in states() {
+            for code in 0..16u8 {
+                let (mut fused, mut clamped) = (start, start);
+                let (mut ops, mut ref_ops) = (OpTally::default(), OpTally::default());
+                let out = decode_nibble(&mut fused, code, &mut ops);
+                let expect = decode_nibble_clamped(&mut clamped, code, &mut ref_ops);
+                assert_eq!(
+                    (out, fused, ops),
+                    (expect, clamped, ref_ops),
+                    "{start:?} code {code}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encode_sample_matches_clamped_reference_everywhere() {
+        for start in states() {
+            let step = STEP_TABLE[start.index as usize];
+            // Samples on and either side of each decision threshold of
+            // the successive approximation, in both signs.
+            let samples = (-9..=9).flat_map(|k| {
+                let centre = start.predictor + k * step / 4;
+                [centre - 1, centre, centre + 1]
+            });
+            for sample in samples.chain([-32768, 32767]) {
+                let sample = clamp_sample(sample) as i16;
+                let (mut fused, mut clamped) = (start, start);
+                let (mut ops, mut ref_ops) = (OpTally::default(), OpTally::default());
+                let code = encode_sample(&mut fused, sample, &mut ops);
+                let expect = encode_sample_clamped(&mut clamped, sample, &mut ref_ops);
+                assert_eq!(
+                    (code, fused, ops),
+                    (expect, clamped, ref_ops),
+                    "{start:?} sample {sample}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_nibble_ignores_bits_above_the_nibble() {
+        for start in states() {
+            for code in 0..16u8 {
+                for high in [0x10, 0x80, 0xF0] {
+                    let (mut a, mut b) = (start, start);
+                    let out = decode_nibble(&mut a, code | high, &mut ());
+                    assert_eq!(
+                        out,
+                        decode_nibble(&mut b, code, &mut ()),
+                        "{start:?} {code}"
+                    );
+                    assert_eq!(a, b);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn buffers_match_clamped_reference(
+            pcm in proptest::collection::vec(any::<i16>(), 0..4096),
+            coded in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            // `encode` and `decode` around the reference nibble kernels,
+            // with the same per-buffer and per-byte charges.
+            let mut ref_ops = OpTally::default();
+            ref_ops.call(1);
+            let mut state = AdpcmState::new();
+            let mut expect_coded = Vec::new();
+            for pair in pcm.chunks(2) {
+                let lo = encode_sample_clamped(&mut state, pair[0], &mut ref_ops);
+                let hi = match pair.get(1) {
+                    Some(&s) => {
+                        ref_ops.alu(2);
+                        ref_ops.store(1);
+                        ref_ops.branch(1);
+                        encode_sample_clamped(&mut state, s, &mut ref_ops)
+                    }
+                    None => 0,
+                };
+                expect_coded.push(lo | (hi << 4));
+            }
+            let mut ops = OpTally::default();
+            prop_assert_eq!(encode(&pcm, &mut ops), expect_coded);
+            prop_assert_eq!(ops, ref_ops);
+
+            let mut ref_ops = OpTally::default();
+            ref_ops.call(1);
+            let mut state = AdpcmState::new();
+            let mut expect_pcm = Vec::new();
+            for &byte in &coded {
+                ref_ops.load(1);
+                ref_ops.branch(1);
+                expect_pcm.push(decode_nibble_clamped(&mut state, byte & 0x0F, &mut ref_ops));
+                expect_pcm.push(decode_nibble_clamped(&mut state, byte >> 4, &mut ref_ops));
+            }
+            let mut ops = OpTally::default();
+            prop_assert_eq!(decode(&coded, &mut ops), expect_pcm);
+            prop_assert_eq!(ops, ref_ops);
+        }
+    }
 
     #[test]
     fn output_is_four_times_input_bytes() {

@@ -86,6 +86,47 @@ impl OpCounter for CycleCounter {
     }
 }
 
+/// Counts each operation category on its own, so tests can check that a
+/// rewritten kernel charges exactly what its reference charges — a
+/// [`CycleCounter`] sum could hide a charge moved between categories
+/// of equal cost.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct OpTally {
+    pub alu: u64,
+    pub mul: u64,
+    pub div: u64,
+    pub load: u64,
+    pub store: u64,
+    pub branch: u64,
+    pub call: u64,
+}
+
+#[cfg(test)]
+impl OpCounter for OpTally {
+    fn alu(&mut self, n: u64) {
+        self.alu += n;
+    }
+    fn mul(&mut self, n: u64) {
+        self.mul += n;
+    }
+    fn div(&mut self, n: u64) {
+        self.div += n;
+    }
+    fn load(&mut self, n: u64) {
+        self.load += n;
+    }
+    fn store(&mut self, n: u64) {
+        self.store += n;
+    }
+    fn branch(&mut self, n: u64) {
+        self.branch += n;
+    }
+    fn call(&mut self, n: u64) {
+        self.call += n;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,5 +152,22 @@ mod tests {
         let mut cc = CycleCounter::new(CostTable::unit());
         charge(&mut cc);
         assert_eq!(cc.cycles(), 3 + 1 + 2 + 1 + 1 + 1 + 1);
+    }
+
+    #[test]
+    fn tally_counts_each_category() {
+        let mut t = OpTally::default();
+        charge(&mut t);
+        charge(&mut t);
+        let expect = OpTally {
+            alu: 6,
+            mul: 2,
+            div: 2,
+            load: 4,
+            store: 2,
+            branch: 2,
+            call: 2,
+        };
+        assert_eq!(t, expect);
     }
 }

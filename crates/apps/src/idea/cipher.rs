@@ -10,6 +10,21 @@
 //! Every arithmetic routine takes an [`OpCounter`] so the very same code
 //! serves as the instrumented ARM software baseline and as the functional
 //! model inside the hardware core.
+//!
+//! ## Lanes
+//!
+//! The rounds are written once, over `N` blocks held side by side in
+//! structure-of-arrays form: word `w` of block `l` is `x[w][l]`. Every
+//! operation of a round then runs across the lanes in a loop with no
+//! dependency between iterations, which the compiler turns into vector
+//! code; the multiply mod 2¹⁶ + 1 is a branch-free select for the same
+//! reason. [`crypt_buffer`] encrypts 16 blocks at a time and the
+//! remaining blocks one at a time; [`crypt_block`] is the one-lane case.
+//!
+//! An IDEA round performs the same operations whatever the data, so the
+//! op tally of a round is a constant. Each group of operations is
+//! therefore charged once, `N` times over, which gives exactly the
+//! per-category counts of `N` blocks charged one at a time.
 
 use crate::counter::OpCounter;
 
@@ -20,28 +35,37 @@ pub const ROUNDS: usize = 8;
 /// Block size in bytes.
 pub const BLOCK_BYTES: usize = 8;
 
+/// Blocks [`crypt_buffer`] encrypts side by side.
+const LANES: usize = 16;
+
 /// IDEA multiplication: a ⊙ b in GF(2^16 + 1) with 0 representing 2^16.
 pub fn mul<C: OpCounter>(a: u16, b: u16, ops: &mut C) -> u16 {
-    ops.mul(1);
-    ops.branch(2);
-    ops.alu(3);
-    ops.div(1);
+    charge_mul(1, ops);
+    mul_mod(a, b)
+}
+
+/// Charges `n` multiplies mod 2^16 + 1 as the naive modular multiply of
+/// the software reference performs them.
+fn charge_mul<C: OpCounter>(n: u64, ops: &mut C) {
+    ops.mul(n);
+    ops.branch(2 * n);
+    ops.alu(3 * n);
+    ops.div(n);
+}
+
+/// The value of [`mul`], uncharged and branch-free.
+fn mul_mod(a: u16, b: u16) -> u16 {
     // Division-free reduction: 2^16 ≡ −1 (mod 2^16 + 1), so the product's
-    // halves reduce as `lo − hi` (borrow folded in branchlessly), and a
-    // zero operand (representing 2^16) turns into a negation. The op
-    // tally above still models the naive modular multiply of the
-    // software reference.
+    // halves reduce as `lo − hi`, plus one when that borrows.
     let p = u32::from(a) * u32::from(b);
-    if p != 0 {
-        let lo = p & 0xFFFF;
-        let hi = p >> 16;
-        (lo.wrapping_sub(hi).wrapping_add(u32::from(lo < hi)) & 0xFFFF) as u16
+    let (lo, hi) = (p as u16, (p >> 16) as u16);
+    if p == 0 {
+        // 65537 is prime, so p == 0 means a or b is 0, the encoding of
+        // 2^16. With y the other operand, 2^16 · y ≡ −y (mod 2^16 + 1),
+        // which is 1 − y mod 2^16, i.e. 1 − a − b.
+        1u16.wrapping_sub(a).wrapping_sub(b)
     } else {
-        // 65537 is prime, so p == 0 means a or b was the zero encoding.
-        (0x1_0001u32
-            .wrapping_sub(u32::from(a))
-            .wrapping_sub(u32::from(b))
-            & 0xFFFF) as u16
+        lo.wrapping_sub(hi).wrapping_add(u16::from(lo < hi))
     }
 }
 
@@ -187,53 +211,73 @@ pub fn invert_subkeys(ek: &[u16; SUBKEYS]) -> [u16; SUBKEYS] {
 /// Encrypts (or, with decryption subkeys, decrypts) one 64-bit block
 /// given as four big-endian words.
 pub fn crypt_block<C: OpCounter>(x: [u16; 4], keys: &[u16; SUBKEYS], ops: &mut C) -> [u16; 4] {
-    ops.call(1);
-    let [mut x1, mut x2, mut x3, mut x4] = x;
-    let mut z = keys.iter();
-    let mut next = |ops: &mut C| -> u16 {
-        ops.load(1);
-        *z.next().expect("52 subkeys")
-    };
-    for _ in 0..ROUNDS {
-        ops.branch(1);
-        x1 = mul(x1, next(ops), ops);
-        x2 = add(x2, next(ops), ops);
-        x3 = add(x3, next(ops), ops);
-        x4 = mul(x4, next(ops), ops);
-        let mut t2 = x1 ^ x3;
-        ops.alu(1);
-        t2 = mul(t2, next(ops), ops);
-        let mut t1 = add(t2, x2 ^ x4, ops);
-        ops.alu(1);
-        t1 = mul(t1, next(ops), ops);
-        t2 = add(t1, t2, ops);
-        x1 ^= t1;
-        x4 ^= t2;
-        t2 ^= x2;
-        x2 = x3 ^ t1;
-        x3 = t2;
-        ops.alu(4);
-    }
-    let y1 = mul(x1, next(ops), ops);
-    let y2 = add(x3, next(ops), ops); // x2/x3 swap undone
-    let y3 = add(x2, next(ops), ops);
-    let y4 = mul(x4, next(ops), ops);
-    ops.store(4);
-    [y1, y2, y3, y4]
+    crypt_lanes(x.map(|w| [w]), keys, ops).map(|[w]| w)
 }
 
-fn block_from_bytes(b: &[u8]) -> [u16; 4] {
+/// Encrypts `N` blocks side by side: word `w` of block `l` is `x[w][l]`.
+/// Charges exactly what `N` calls of [`crypt_block`] would.
+fn crypt_lanes<const N: usize, C: OpCounter>(
+    x: [[u16; N]; 4],
+    keys: &[u16; SUBKEYS],
+    ops: &mut C,
+) -> [[u16; N]; 4] {
+    let n = N as u64;
+    ops.call(n);
+    let [mut x1, mut x2, mut x3, mut x4] = x;
+    let (round_keys, out_keys) = keys.split_at(6 * ROUNDS);
+    for k in round_keys.chunks_exact(6) {
+        ops.branch(n);
+        ops.load(6 * n); // subkeys
+        charge_mul(4 * n, ops);
+        ops.alu(4 * n); // adds
+        ops.alu(6 * n); // xors
+        for l in 0..N {
+            let a = mul_mod(x1[l], k[0]);
+            let b = x2[l].wrapping_add(k[1]);
+            let c = x3[l].wrapping_add(k[2]);
+            let d = mul_mod(x4[l], k[3]);
+            let t2 = mul_mod(a ^ c, k[4]);
+            let t1 = mul_mod(t2.wrapping_add(b ^ d), k[5]);
+            let t2 = t1.wrapping_add(t2);
+            x1[l] = a ^ t1;
+            x2[l] = c ^ t1;
+            x3[l] = b ^ t2;
+            x4[l] = d ^ t2;
+        }
+    }
+    ops.load(4 * n); // subkeys
+    charge_mul(2 * n, ops);
+    ops.alu(2 * n); // adds
+    ops.store(4 * n);
+    // The last round's x2/x3 swap is undone.
     [
-        u16::from_be_bytes([b[0], b[1]]),
-        u16::from_be_bytes([b[2], b[3]]),
-        u16::from_be_bytes([b[4], b[5]]),
-        u16::from_be_bytes([b[6], b[7]]),
+        x1.map(|w| mul_mod(w, out_keys[0])),
+        x3.map(|w| w.wrapping_add(out_keys[1])),
+        x2.map(|w| w.wrapping_add(out_keys[2])),
+        x4.map(|w| mul_mod(w, out_keys[3])),
     ]
 }
 
-fn block_to_bytes(x: [u16; 4], out: &mut [u8]) {
-    for (i, w) in x.iter().enumerate() {
-        out[2 * i..2 * i + 2].copy_from_slice(&w.to_be_bytes());
+/// Encrypts the `N` blocks of `src` into `dst`, charging the four word
+/// loads of each block as well as its encryption.
+fn crypt_chunk<const N: usize, C: OpCounter>(
+    src: &[u8],
+    dst: &mut [u8],
+    keys: &[u16; SUBKEYS],
+    ops: &mut C,
+) {
+    ops.load(4 * N as u64);
+    let mut x = [[0u16; N]; 4];
+    for (l, block) in src.chunks_exact(BLOCK_BYTES).enumerate() {
+        for (lane, word) in x.iter_mut().zip(block.chunks_exact(2)) {
+            lane[l] = u16::from_be_bytes([word[0], word[1]]);
+        }
+    }
+    let y = crypt_lanes(x, keys, ops);
+    for (l, block) in dst.chunks_exact_mut(BLOCK_BYTES).enumerate() {
+        for (lane, word) in y.iter().zip(block.chunks_exact_mut(2)) {
+            word.copy_from_slice(&lane[l].to_be_bytes());
+        }
     }
 }
 
@@ -248,13 +292,14 @@ pub fn crypt_buffer<C: OpCounter>(data: &[u8], keys: &[u16; SUBKEYS], ops: &mut 
         "IDEA operates on whole 8-byte blocks"
     );
     let mut out = vec![0u8; data.len()];
-    for (chunk, dst) in data
-        .chunks_exact(BLOCK_BYTES)
-        .zip(out.chunks_exact_mut(BLOCK_BYTES))
-    {
-        ops.load(4);
-        let y = crypt_block(block_from_bytes(chunk), keys, ops);
-        block_to_bytes(y, dst);
+    let mut src = data.chunks_exact(LANES * BLOCK_BYTES);
+    let mut dst = out.chunks_exact_mut(LANES * BLOCK_BYTES);
+    for (s, d) in (&mut src).zip(&mut dst) {
+        crypt_chunk::<LANES, C>(s, d, keys, ops);
+    }
+    let rest = src.remainder().chunks_exact(BLOCK_BYTES);
+    for (s, d) in rest.zip(dst.into_remainder().chunks_exact_mut(BLOCK_BYTES)) {
+        crypt_chunk::<1, C>(s, d, keys, ops);
     }
     out
 }
@@ -305,8 +350,120 @@ pub fn synthetic_plaintext(len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::OpTally;
+    use proptest::prelude::*;
 
     const KEY: IdeaKey = IdeaKey([1, 2, 3, 4, 5, 6, 7, 8]);
+
+    /// [`mul`] as a branch on the zero encoding, before the lanes.
+    fn mul_branchy<C: OpCounter>(a: u16, b: u16, ops: &mut C) -> u16 {
+        ops.mul(1);
+        ops.branch(2);
+        ops.alu(3);
+        ops.div(1);
+        let p = u32::from(a) * u32::from(b);
+        if p != 0 {
+            let lo = p & 0xFFFF;
+            let hi = p >> 16;
+            (lo.wrapping_sub(hi).wrapping_add(u32::from(lo < hi)) & 0xFFFF) as u16
+        } else {
+            (0x1_0001u32
+                .wrapping_sub(u32::from(a))
+                .wrapping_sub(u32::from(b))
+                & 0xFFFF) as u16
+        }
+    }
+
+    /// One block at a time, each operation charged where it happens: the
+    /// reference [`crypt_buffer`] must match in output and in every
+    /// charged operation.
+    fn crypt_buffer_per_block<C: OpCounter>(
+        data: &[u8],
+        keys: &[u16; SUBKEYS],
+        ops: &mut C,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len());
+        for chunk in data.chunks_exact(BLOCK_BYTES) {
+            ops.load(4);
+            ops.call(1);
+            let w = |i: usize| u16::from_be_bytes([chunk[2 * i], chunk[2 * i + 1]]);
+            let [mut x1, mut x2, mut x3, mut x4] = [w(0), w(1), w(2), w(3)];
+            let mut z = keys.iter();
+            let mut next = |ops: &mut C| -> u16 {
+                ops.load(1);
+                *z.next().expect("52 subkeys")
+            };
+            for _ in 0..ROUNDS {
+                ops.branch(1);
+                x1 = mul_branchy(x1, next(ops), ops);
+                x2 = add(x2, next(ops), ops);
+                x3 = add(x3, next(ops), ops);
+                x4 = mul_branchy(x4, next(ops), ops);
+                let mut t2 = x1 ^ x3;
+                ops.alu(1);
+                t2 = mul_branchy(t2, next(ops), ops);
+                let mut t1 = add(t2, x2 ^ x4, ops);
+                ops.alu(1);
+                t1 = mul_branchy(t1, next(ops), ops);
+                t2 = add(t1, t2, ops);
+                x1 ^= t1;
+                x4 ^= t2;
+                t2 ^= x2;
+                x2 = x3 ^ t1;
+                x3 = t2;
+                ops.alu(4);
+            }
+            let y1 = mul_branchy(x1, next(ops), ops);
+            let y2 = add(x3, next(ops), ops);
+            let y3 = add(x2, next(ops), ops);
+            let y4 = mul_branchy(x4, next(ops), ops);
+            ops.store(4);
+            for y in [y1, y2, y3, y4] {
+                out.extend_from_slice(&y.to_be_bytes());
+            }
+        }
+        out
+    }
+
+    /// Asserts `crypt_buffer` equals the per-block reference on `data`.
+    fn assert_matches_per_block(data: &[u8], keys: &[u16; SUBKEYS]) {
+        let (mut ops, mut ref_ops) = (OpTally::default(), OpTally::default());
+        let out = crypt_buffer(data, keys, &mut ops);
+        assert_eq!(out, crypt_buffer_per_block(data, keys, &mut ref_ops));
+        assert_eq!(ops, ref_ops, "{} blocks", data.len() / BLOCK_BYTES);
+    }
+
+    #[test]
+    fn crypt_buffer_matches_per_block_reference_at_every_remainder() {
+        let ek = expand_key(KEY);
+        let data = synthetic_plaintext(33 * BLOCK_BYTES);
+        for blocks in 0..=33 {
+            assert_matches_per_block(&data[..blocks * BLOCK_BYTES], &ek);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crypt_buffer_matches_per_block_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            key in any::<[u16; 8]>(),
+            key_kind in 0u8..3,
+        ) {
+            // All-zero and all-0xFFFF keys put the zero encoding of 2^16
+            // (and its neighbour) into every multiply.
+            let key = match key_kind {
+                0 => [0; 8],
+                1 => [0xFFFF; 8],
+                _ => key,
+            };
+            let data = &data[..data.len() / BLOCK_BYTES * BLOCK_BYTES];
+            let ek = expand_key(IdeaKey(key));
+            let (mut ops, mut ref_ops) = (OpTally::default(), OpTally::default());
+            let out = crypt_buffer(data, &ek, &mut ops);
+            prop_assert_eq!(out, crypt_buffer_per_block(data, &ek, &mut ref_ops));
+            prop_assert_eq!(ops, ref_ops);
+        }
+    }
 
     #[test]
     fn classic_test_vector() {

@@ -221,3 +221,38 @@ fn configuration_load_time_is_pinned() {
         }
     }
 }
+
+/// The software kernels pinned to values taken from an earlier,
+/// independently written version of them. The tests above compare each
+/// hardware FSM with the software codec, but both sides call the same
+/// kernel, so a bug the two share would pass them; it would not pass
+/// these pins. Outputs are pinned by CRC-32, charged time to the
+/// picosecond.
+#[test]
+fn reference_kernels_are_pinned() {
+    use vcop_fabric::bitstream::crc32;
+
+    let fig9_key = idea::IdeaKey([1, 2, 3, 4, 5, 6, 7, 8]);
+    let coded = adpcm_codec::encode(&adpcm_codec::synthetic_pcm(16 * 1024), &mut ());
+    let decoded = adpcm_codec::samples_to_bytes(&adpcm_codec::decode(&coded, &mut ()));
+    let ct = idea::crypt_buffer(
+        &idea::synthetic_plaintext(32 * 1024),
+        &idea::expand_key(fig9_key),
+        &mut (),
+    );
+    assert_eq!(crc32(&coded), 0x2e7c_04c8, "adpcm encode");
+    assert_eq!(crc32(&decoded), 0xa7e6_39d2, "adpcm decode");
+    assert_eq!(crc32(&ct), 0xfc7d_3166, "IDEA encrypt");
+
+    assert_eq!(timing::adpcm_raw_cycles_per_byte(), 70);
+    assert_eq!(timing::idea_raw_cycles_per_block(), 1412);
+
+    // The software baselines of the Fig. 8 and Fig. 9 32 KB points.
+    let fig8_input = adpcm_codec::encode(&adpcm_codec::synthetic_pcm(64 * 1024), &mut ());
+    let fig9_input = idea::synthetic_plaintext(32 * 1024);
+    assert_eq!(timing::adpcm_sw(&fig8_input).1.as_ps(), 68_875_487_898);
+    assert_eq!(
+        timing::idea_sw(&fig9_input, fig9_key).1.as_ps(),
+        208_136_980_254
+    );
+}

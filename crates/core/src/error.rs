@@ -32,9 +32,9 @@ pub enum Error {
     },
     /// The recovery watchdog saw the coprocessor make no progress —
     /// no translation, fault, page arrival or completion — for its
-    /// whole no-progress window (e.g. a demand page lost to an injected
-    /// DMA timeout). The platform resets the fabric and retries, or
-    /// falls back to software.
+    /// whole no-progress window with no miss latched in `SR.fault`, or a
+    /// demand page's transfer spent its retry budget. The platform
+    /// resets the fabric and retries, or falls back to software.
     Watchdog {
         /// Edges the coprocessor sat without progress before the
         /// watchdog fired.

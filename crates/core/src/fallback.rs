@@ -34,8 +34,10 @@ pub struct RecoveryPolicy {
     /// before the fabric is declared dead.
     pub max_load_attempts: u32,
     /// Edges the coprocessor may sit without progress — no translation,
-    /// fault, page arrival or completion — before the watchdog resets
-    /// the fabric. `None` disarms the watchdog.
+    /// fault, page arrival or completion — before the watchdog acts: it
+    /// serves a miss latched in `SR.fault` (its interrupt was lost) in
+    /// place, and otherwise resets the fabric. `None` disarms the
+    /// watchdog.
     pub watchdog_edges: Option<u64>,
     /// Base backoff charged between hardware attempts, scaled linearly
     /// with the attempt number.

@@ -26,8 +26,9 @@
 //!
 //! With [`MultiSystemBuilder::faults`] the shared platform injects
 //! deterministic DMA and bus faults, which a [`FaultPlan::target`] can
-//! confine to one tenant's address space. A tenant whose transfers keep
-//! failing is *aborted and degraded*: its fabric state is torn down
+//! confine to one tenant's address space. The VIM re-submits a lost or
+//! corrupt transfer within its retry budget; a tenant whose transfers
+//! keep failing past it is *aborted and degraded*: its fabric state is torn down
 //! (co-tenants' chained work is rescued, their frames untouched), its
 //! interrupted request is completed by the tenant's registered
 //! [`SoftwareFallback`], and its remaining
@@ -754,8 +755,9 @@ impl MultiSystem {
                 if !parked {
                     break; // every queue drained
                 }
-                // Recovery: a parked tenant whose demand transfer was
-                // lost to an injected fault will never see a completion
+                // Recovery: a parked tenant whose demand transfer spent
+                // its retry budget (the VIM re-submits lost and corrupt
+                // transfers until then) will never see a completion
                 // interrupt — abort its hardware state and degrade it.
                 if self.recovery.is_some() {
                     let lost: Vec<usize> = (0..self.tenants.len())
@@ -877,7 +879,7 @@ impl MultiSystem {
     /// transfers), completes its interrupted request with the registered
     /// software fallback, and marks it degraded so the rest of its queue
     /// is served in software too. `cause` is the error that condemned
-    /// the tenant (None when its demand transfer was silently lost).
+    /// the tenant (None when its demand transfer was lost for good).
     ///
     /// # Errors
     ///
@@ -1257,6 +1259,8 @@ fn route_demand_ready(tenants: &mut [Tenant], vim: &mut Vim, ready: Vec<DemandRe
         };
         if let TenantState::Parked { t_fault, svc_cpu } = t.state {
             let irq = vim.cost().dma_completion_time() + vim.cost().resume_time();
+            // Tenant reports have no recovery layer: the deadlines of
+            // lost attempts (`r.recovered`) stay in the DMA wait.
             let wait_dp = r.at.saturating_sub(t_fault + svc_cpu);
             vim.credit_demand_stall(wait_dp, irq);
             t.state = TenantState::Resumable {

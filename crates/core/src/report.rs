@@ -17,8 +17,8 @@ use vcop_sim::time::SimTime;
 pub struct ExecutionReport {
     /// Wall-clock duration of the operation (syscalls, coprocessor run
     /// with its stalls, and end-of-operation service). Equal to
-    /// `hw + sw_dp + sw_imu` unless overlapped prefetch hid some CPU
-    /// work under hardware execution.
+    /// `hw + sw_dp + sw_imu + recovery_time` unless overlapped prefetch
+    /// hid some CPU work under hardware execution.
     pub wall: SimTime,
     /// Time spent in the coprocessor and the IMU (computation, memory
     /// accesses and address translations) — the figures' `HW` component.
@@ -68,12 +68,21 @@ pub struct ExecutionReport {
     /// Faults the injector fired during the successful attempt and all
     /// failed ones.
     pub injected_faults: u64,
-    /// Page transfers redone after an injected corruption.
+    /// Page transfers redone after an injected corruption or timeout.
     pub transfer_retries: u64,
+    /// Translation misses whose interrupt was lost, found latched in
+    /// `SR.fault` by the watchdog's status poll and served in place.
+    pub lost_irqs_polled: u64,
+    /// DMA transfers re-submitted after their deadline expired (a lost
+    /// descriptor), within the transfer retry budget.
+    pub lost_transfers_resubmitted: u64,
     /// Times the watchdog reset the fabric before this result.
     pub watchdog_resets: u64,
-    /// Wall time consumed by failed hardware attempts, fabric resets
-    /// and retry backoff (already included in `wall`).
+    /// Wall time spent recovering (already included in `wall`): failed
+    /// hardware attempts, fabric resets and retry backoff, plus the
+    /// time recovered in place — the detection window of a lost
+    /// interrupt and the deadlines of lost transfers the coprocessor
+    /// waited on.
     pub recovery_time: SimTime,
     /// The result was computed by the registered software fallback
     /// after hardware recovery was exhausted. The bytes delivered to
@@ -161,10 +170,13 @@ impl fmt::Display for ExecutionReport {
             writeln!(
                 f,
                 "recovery: {} attempt(s), {} injected fault(s), {} retry(ies), \
+                 {} polled IRQ(s), {} re-submitted transfer(s), \
                  {} watchdog reset(s), {} lost to recovery{}",
                 self.execute_attempts,
                 self.injected_faults,
                 self.transfer_retries,
+                self.lost_irqs_polled,
+                self.lost_transfers_resubmitted,
                 self.watchdog_resets,
                 self.recovery_time,
                 if self.fallback_taken {

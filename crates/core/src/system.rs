@@ -16,8 +16,11 @@
 //! deterministic hardware faults (corrupted or lost DMA transfers, bus
 //! stalls, dropped or delayed interrupts, TLB parity upsets, failed
 //! configuration passes), and a [`RecoveryPolicy`] governs how
-//! `FPGA_EXECUTE` recovers: bounded retries with fabric resets and
-//! backoff, a no-progress watchdog, and finally a transparent
+//! `FPGA_EXECUTE` recovers: lost work recovered in place (a lost
+//! transfer re-submitted at its deadline, a miss whose interrupt was
+//! dropped found by the no-progress watchdog's status-register poll),
+//! bounded retries with fabric resets and backoff, and finally a
+//! transparent
 //! [`SoftwareFallback`] that serves the request
 //! in software so the application still receives correct bytes.
 
@@ -552,10 +555,13 @@ impl System {
     ///
     /// With a [`RecoveryPolicy`] armed (implied by
     /// [`SystemBuilder::faults`]) the service additionally recovers from
-    /// hardware faults: a failed attempt — a lost page transfer, a
-    /// parity upset on dirty data, or the no-progress watchdog firing —
-    /// resets and reprograms the fabric, charges backoff, and retries
-    /// up to the attempt budget. If hardware never succeeds and a
+    /// hardware faults. A miss whose interrupt was dropped is served in
+    /// place when the no-progress watchdog polls `SR.fault`, and the VIM
+    /// re-submits lost transfers within its retry budget. A failed
+    /// attempt — a page transfer past that budget, a parity upset on
+    /// dirty data, or the watchdog firing with nothing latched — resets
+    /// and reprograms the fabric, charges backoff, and retries up to the
+    /// attempt budget. If hardware never succeeds and a
     /// [`SoftwareFallback`] is registered, the
     /// request is served in software over the same mapped objects and
     /// the report's `fallback_taken` flag is set; the bytes returned by
@@ -578,7 +584,7 @@ impl System {
         };
 
         let fired0 = self.vim.fault_injector().total_fired();
-        let retries0 = self.vim.counters().get("transfer_retry");
+        let tally0 = RecoveryTally::read(&self.vim);
         let mut recovery_time = SimTime::ZERO;
         let mut resets = 0u64;
         let mut last_err: Option<Error> = None;
@@ -591,9 +597,12 @@ impl System {
                 Ok(mut report) => {
                     report.execute_attempts = attempts;
                     report.injected_faults = self.vim.fault_injector().total_fired() - fired0;
-                    report.transfer_retries = self.vim.counters().get("transfer_retry") - retries0;
+                    RecoveryTally::read(&self.vim).since(tally0, &mut report);
                     report.watchdog_resets = resets;
-                    report.recovery_time = recovery_time;
+                    // Time recovered in place is already inside the
+                    // attempt's wall; failed attempts, resets and
+                    // backoff come on top.
+                    report.recovery_time += recovery_time;
                     report.wall += recovery_time;
                     return Ok(report);
                 }
@@ -627,7 +636,7 @@ impl System {
             resets,
             recovery_time,
             fired0,
-            retries0,
+            tally0,
             last_err,
         )
     }
@@ -692,7 +701,7 @@ impl System {
         resets: u64,
         recovery_time: SimTime,
         fired0: u64,
-        retries0: u64,
+        tally0: RecoveryTally,
         last_err: Option<Error>,
     ) -> Result<ExecutionReport, Error> {
         let Some(fallback) = self.fallback.take() else {
@@ -704,17 +713,71 @@ impl System {
         let result = fallback.run(&mut io, params);
         self.fallback = Some(fallback);
         let cpu = result.map_err(|reason| Error::FallbackFailed { reason })?;
-        Ok(ExecutionReport {
+        let mut report = ExecutionReport {
             wall: recovery_time + cpu,
             execute_attempts: attempts,
             injected_faults: self.vim.fault_injector().total_fired() - fired0,
-            transfer_retries: self.vim.counters().get("transfer_retry") - retries0,
             watchdog_resets: resets,
             recovery_time,
             fallback_taken: true,
             counters: self.vim.counters().clone(),
             ..Default::default()
-        })
+        };
+        RecoveryTally::read(&self.vim).since(tally0, &mut report);
+        Ok(report)
+    }
+
+    /// Services the translation miss latched in the IMU: the *Page
+    /// Fault* request, entered at `t_service` for a miss raised at
+    /// `t_fault`. The two differ only when the interrupt was lost and
+    /// the watchdog's status poll found the miss; that detection window
+    /// is recovery time. `via_irq` asserts the PLD interrupt line
+    /// around the handler; `irq_delay` is an injected late delivery.
+    ///
+    /// Returns the resume instant of a synchronous service (the caller
+    /// advances both clock domains past it), or `None` when the demand
+    /// page is on the DMA engine and `stalls.demand_start` now records
+    /// the pending stall.
+    fn service_miss(
+        &mut self,
+        t_fault: SimTime,
+        t_service: SimTime,
+        irq_delay: SimTime,
+        via_irq: bool,
+        stalls: &mut Stalls,
+    ) -> Result<Option<SimTime>, Error> {
+        if via_irq {
+            self.irq.raise(self.pld_irq);
+        }
+        let svc = self.vim.service_fault(&mut self.imu, &mut self.dpram);
+        if via_irq {
+            self.irq.acknowledge(self.pld_irq);
+        }
+        let svc = svc?;
+        let window = t_service.saturating_sub(t_fault);
+        stalls.recovered += window;
+        if svc.pending {
+            // Overlapped paging: the demand movement is on the DMA
+            // engine; the coprocessor stays stalled until its completion
+            // interrupt.
+            stalls.demand_start = Some((t_fault, window + svc.times.total() + irq_delay));
+            return Ok(None);
+        }
+        let mut svc_total = svc.times.total() + irq_delay;
+        // A parity upset can strike a valid TLB entry while the handler
+        // has the IMU open; service it on the spot (a clean page is
+        // reloaded, a dirty one is unrecoverable).
+        if self.maybe_parity_upset() {
+            self.irq.raise(self.pld_irq);
+            let parity = self.vim.service_fault(&mut self.imu, &mut self.dpram);
+            self.irq.acknowledge(self.pld_irq);
+            svc_total += parity?.times.total();
+        }
+        let resume_at = t_service + svc_total;
+        let stall = resume_at.saturating_sub(t_fault);
+        stalls.fault_latency.record(stall);
+        stalls.fault_stall += stall;
+        Ok(Some(resume_at))
     }
 
     /// One hardware attempt of `FPGA_EXECUTE` — the fault-oblivious
@@ -783,17 +846,15 @@ impl System {
         let mut sched = EdgeScheduler::new();
         let imu_clk = sched.add_clock(ClockDomain::new(self.imu_freq));
         let cp_clk = sched.add_clock(ClockDomain::new(self.cp_freq));
-        let mut fault_stall = SimTime::ZERO;
+        let mut stalls = Stalls::default();
         let mut t_done = None;
         let mut cp_cycles = 0u64;
         let mut edges = 0u64;
-        // Overlapped paging: fault time and CPU service time of the
-        // demand transfer the coprocessor is currently stalled on.
-        let mut demand_start: Option<(SimTime, SimTime)> = None;
-        let mut fault_latency = LatencyHistogram::new();
+        // When the last translation-fault interrupt was dropped.
+        let mut irq_dropped_at: Option<SimTime> = None;
         // Watchdog bookkeeping: the edge count at the last observable
         // progress (a translation, a fault, a page movement).
-        let mut progress_marker = (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut progress_marker = (0u64, 0u64, 0u64);
         let mut progress_edges = 0u64;
 
         while edges < self.edge_budget {
@@ -801,20 +862,41 @@ impl System {
                 let marker = (
                     self.imu.tlb().hits(),
                     self.imu.tlb().misses(),
-                    self.vim.counters().get("fault"),
-                    self.vim.counters().get("page_load"),
-                    self.vim.counters().get("page_writeback"),
+                    self.vim.progress_epoch(),
                 );
                 if marker != progress_marker {
                     progress_marker = marker;
                     progress_edges = edges;
                 }
-                // A demand transfer lost to an injected DMA timeout can
+                // A demand transfer whose retry budget is spent can
                 // never complete; fail fast instead of sitting out the
                 // whole no-progress window.
-                let demand_dead = demand_start.is_some() && self.vim.demand_lost();
+                let demand_dead =
+                    stalls.demand_start.is_some() && self.vim.demand_lost_for(self.vim.asid());
                 if demand_dead || edges.saturating_sub(progress_edges) > limit {
                     let now = sched.clock(imu_clk).next_edge();
+                    // Before resetting, read the status register: a
+                    // miss latched in SR.fault lost its interrupt and is
+                    // served in place, as if the IRQ had arrived late.
+                    if !demand_dead
+                        && stalls.demand_start.is_none()
+                        && self.vim.poll_lost_fault(&self.imu)
+                    {
+                        let t_fault = irq_dropped_at.take().unwrap_or(now);
+                        match self.service_miss(t_fault, now, SimTime::ZERO, false, &mut stalls) {
+                            Ok(Some(resume_at)) => {
+                                sched.clock_mut(imu_clk).fast_forward_past(resume_at);
+                                sched.clock_mut(cp_clk).fast_forward_past(resume_at);
+                            }
+                            Ok(None) => {}
+                            Err(e) => {
+                                self.sched.wake(self.caller, now);
+                                *elapsed = setup + now;
+                                return Err(e);
+                            }
+                        }
+                        continue;
+                    }
                     self.sched.wake(self.caller, now);
                     *elapsed = setup + now;
                     return Err(Error::Watchdog {
@@ -832,7 +914,7 @@ impl System {
             // param-done, pipelining, a blocked pair, budget proximity —
             // drops back to the generic event loop below.
             if self.kernel == Kernel::EventDriven
-                && demand_start.is_none()
+                && stalls.demand_start.is_none()
                 && !self.vim.overlap_active()
             {
                 let (imu_clock, cp_clock) = sched.pair_mut(imu_clk, cp_clk);
@@ -931,7 +1013,7 @@ impl System {
             // below instead, and an all-blocked state falls back to
             // stepping so DMA progress and the hang budget behave
             // exactly as in stepped mode.
-            if self.kernel == Kernel::EventDriven && demand_start.is_none() {
+            if self.kernel == Kernel::EventDriven && stalls.demand_start.is_none() {
                 let cp = self.coprocessor.as_ref().expect("checked above");
                 let imu_clock = sched.clock(imu_clk);
                 let cp_clock = sched.clock(cp_clk);
@@ -983,16 +1065,19 @@ impl System {
             // charge the stall, skip both domains past the resume
             // point, and let the IMU retry the faulted translation.
             if let Some(ready) = self.vim.advance_dma(&mut self.imu, &mut self.dpram, t) {
-                let (t_fault, svc_cpu) = demand_start.take().expect("demand fault recorded");
+                let (t_fault, svc_cpu) = stalls.demand_start.take().expect("demand fault recorded");
                 let irq = self.vim.cost().dma_completion_time() + self.vim.cost().resume_time();
                 let resume_at = ready.at + irq;
                 // The DP share of the stall is the tail of the DMA wait
-                // not already covered by the synchronous service time.
-                let wait_dp = ready.at.saturating_sub(t_fault + svc_cpu);
-                self.vim.credit_demand_stall(wait_dp, irq);
+                // not already covered by the synchronous service time,
+                // less the deadlines of lost attempts (recovery time).
+                let wait = ready.at.saturating_sub(t_fault + svc_cpu);
+                let recovered = ready.recovered.min(wait);
+                stalls.recovered += recovered;
+                self.vim.credit_demand_stall(wait - recovered, irq);
                 let stall = resume_at.saturating_sub(t_fault);
-                fault_latency.record(stall);
-                fault_stall += stall;
+                stalls.fault_latency.record(stall);
+                stalls.fault_stall += stall;
                 sched.clock_mut(imu_clk).fast_forward_past(resume_at);
                 sched.clock_mut(cp_clk).fast_forward_past(resume_at);
                 self.imu.resume();
@@ -1007,15 +1092,16 @@ impl System {
                 match event {
                     Some(ImuEvent::Fault) => {
                         let asid_tag = self.vim.asid().0;
-                        // An injected IRQ drop loses the fault interrupt
-                        // entirely: nothing services the fault, the
-                        // coprocessor stays stalled, and only the
-                        // recovery watchdog gets the system back.
+                        // An injected IRQ drop loses the fault interrupt:
+                        // the miss stays latched in SR.fault and the
+                        // coprocessor stays stalled until the watchdog
+                        // polls the status register.
                         if self
                             .vim
                             .fault_injector_mut()
                             .roll_tagged(FaultSite::IrqDrop, asid_tag)
                         {
+                            irq_dropped_at = Some(t);
                             continue;
                         }
                         // A delayed IRQ postpones handler entry by a
@@ -1033,47 +1119,17 @@ impl System {
                         } else {
                             SimTime::ZERO
                         };
-                        self.irq.raise(self.pld_irq);
-                        let svc = match self.vim.service_fault(&mut self.imu, &mut self.dpram) {
-                            Ok(svc) => svc,
+                        match self.service_miss(t, t, irq_delay, true, &mut stalls) {
+                            Ok(Some(resume_at)) => {
+                                sched.clock_mut(imu_clk).fast_forward_past(resume_at);
+                                sched.clock_mut(cp_clk).fast_forward_past(resume_at);
+                            }
+                            Ok(None) => {}
                             Err(e) => {
-                                self.irq.acknowledge(self.pld_irq);
                                 self.sched.wake(self.caller, t);
                                 *elapsed = setup + t;
-                                return Err(e.into());
+                                return Err(e);
                             }
-                        };
-                        self.irq.acknowledge(self.pld_irq);
-                        if svc.pending {
-                            // Overlapped paging: the demand movement is
-                            // on the DMA engine; the coprocessor stays
-                            // stalled until its completion interrupt.
-                            demand_start = Some((t, svc.times.total() + irq_delay));
-                        } else {
-                            let mut svc_total = svc.times.total() + irq_delay;
-                            // A parity upset can strike a valid TLB
-                            // entry while the handler has the IMU open;
-                            // service it on the spot (a clean page is
-                            // reloaded, a dirty one is unrecoverable).
-                            if self.maybe_parity_upset() {
-                                self.irq.raise(self.pld_irq);
-                                match self.vim.service_fault(&mut self.imu, &mut self.dpram) {
-                                    Ok(p) => svc_total += p.times.total(),
-                                    Err(e) => {
-                                        self.irq.acknowledge(self.pld_irq);
-                                        self.sched.wake(self.caller, t);
-                                        *elapsed = setup + t;
-                                        return Err(e.into());
-                                    }
-                                }
-                                self.irq.acknowledge(self.pld_irq);
-                            }
-                            let resume_at = t + svc_total;
-                            let stall = resume_at.saturating_sub(t);
-                            fault_latency.record(stall);
-                            fault_stall += stall;
-                            sched.clock_mut(imu_clk).fast_forward_past(resume_at);
-                            sched.clock_mut(cp_clk).fast_forward_past(resume_at);
                         }
                     }
                     Some(ImuEvent::Done) => {
@@ -1112,7 +1168,7 @@ impl System {
 
         let report = ExecutionReport {
             wall: setup + t_done + done_svc.total(),
-            hw: t_done.saturating_sub(fault_stall),
+            hw: t_done.saturating_sub(stalls.fault_stall),
             sw_dp: self.vim.times().get("sw_dp").saturating_sub(dp0),
             sw_imu: self.vim.times().get("sw_imu").saturating_sub(imu_t0),
             setup,
@@ -1127,12 +1183,55 @@ impl System {
             tlb_misses: self.imu.tlb().misses() - miss0,
             cp_cycles,
             imu_edges: self.imu.edges() - imu_edges0,
-            fault_latency,
+            fault_latency: stalls.fault_latency,
+            recovery_time: stalls.recovered,
             counters: self.vim.counters().clone(),
             ..Default::default()
         };
         *elapsed = report.wall;
         Ok(report)
+    }
+}
+
+/// Coprocessor stall bookkeeping of one hardware attempt.
+#[derive(Debug, Default)]
+struct Stalls {
+    /// Summed coprocessor stall over all serviced misses.
+    fault_stall: SimTime,
+    /// Per-miss stall distribution.
+    fault_latency: LatencyHistogram,
+    /// Overlapped paging: fault time and CPU service time of the demand
+    /// transfer the coprocessor is currently stalled on.
+    demand_start: Option<(SimTime, SimTime)>,
+    /// Stall time recovered in place: lost-interrupt detection windows
+    /// and lost-transfer deadlines.
+    recovered: SimTime,
+}
+
+/// The VIM's recovery counters at one instant; a report carries their
+/// growth over its `FPGA_EXECUTE`.
+#[derive(Debug, Clone, Copy)]
+struct RecoveryTally {
+    retries: u64,
+    polls: u64,
+    resubmits: u64,
+}
+
+impl RecoveryTally {
+    fn read(vim: &Vim) -> Self {
+        let c = vim.counters();
+        RecoveryTally {
+            retries: c.get("transfer_retry"),
+            polls: c.get("irq_poll"),
+            resubmits: c.get("timeout_resubmit"),
+        }
+    }
+
+    /// Writes the growth since `before` into `report`.
+    fn since(self, before: RecoveryTally, report: &mut ExecutionReport) {
+        report.transfer_retries = self.retries - before.retries;
+        report.lost_irqs_polled = self.polls - before.polls;
+        report.lost_transfers_resubmitted = self.resubmits - before.resubmits;
     }
 }
 

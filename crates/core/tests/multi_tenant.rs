@@ -388,6 +388,35 @@ fn adpcm_fallback() -> FallbackFn {
 }
 
 #[test]
+fn lost_transfer_is_resubmitted_without_degrading_the_tenant() {
+    // The adpcm tenant's first DMA submission (its first demand page)
+    // is silently lost. The VIM re-submits it at the transfer's
+    // deadline, so the parked tenant is woken by the re-submission's
+    // completion instead of being aborted and degraded.
+    let plan = FaultPlan::new(3).once(FaultSite::DmaTimeout, 1).target(1);
+    let (mut sys, adpcm, idea) = mixed_system_with(SchedulerKind::RoundRobin, false, Some(plan));
+    sys.set_software_fallback(adpcm, Box::new(adpcm_fallback()));
+    let (areq, aexp) = adpcm_request(2048, 0);
+    let (ireq, iexp) = idea_request(2048, 0);
+    sys.submit(adpcm, areq);
+    sys.submit(idea, ireq);
+    let report = sys.run().expect("run completes");
+
+    assert_eq!(sys.fault_injector().fired(FaultSite::DmaTimeout), 1);
+    assert_eq!(sys.vim().counters().get("timeout_resubmit"), 1);
+    assert!(!sys.is_degraded(adpcm));
+    assert_eq!(report.fallbacks, 0, "served on hardware");
+    for t in &report.tenants {
+        assert_eq!(t.stats.aborts, 0, "{} was aborted", t.name);
+    }
+    assert_eq!(output_bytes(&mut sys, adpcm), vec![aexp]);
+    let out_i = output_bytes(&mut sys, idea);
+    let (_, solo_i) = run_interleaved(&[], &[2048], &[], SchedulerKind::RoundRobin);
+    assert_eq!(out_i, solo_i, "co-tenant diverged from its solo run");
+    assert_eq!(out_i, vec![iexp]);
+}
+
+#[test]
 fn corrupted_transfers_during_cross_asid_steals_retry_clean() {
     // Six small tenants squeezed into 16 shared frames steal pages
     // from each other constantly; a twentieth of all transfers arrives

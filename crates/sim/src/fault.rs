@@ -37,14 +37,15 @@ pub enum FaultSite {
     /// the completion handler, e.g. via a CRC mismatch) and must be
     /// re-transferred.
     DmaCorrupt,
-    /// A DMA transfer is silently lost: it never completes and no
-    /// completion interrupt will ever arrive. Only a watchdog notices.
+    /// A DMA transfer is silently lost: its descriptor is dropped, no
+    /// data arrives and no completion interrupt fires. The driver's
+    /// deadline notices when the transfer would have completed.
     DmaTimeout,
     /// The bus arbiter starves a transfer for a while; the transfer
     /// still completes, late.
     BusStall,
-    /// A completion interrupt is dropped on the floor. The transfer's
-    /// data arrived, but nobody is told.
+    /// A translation-fault interrupt is dropped on the floor: the miss
+    /// stays latched in the IMU status register, but nobody is told.
     IrqDrop,
     /// A completion interrupt is delivered late.
     IrqDelay,

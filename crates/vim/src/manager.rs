@@ -128,6 +128,10 @@ pub struct DemandReady {
     /// Address space whose stalled coprocessor can now resume (the
     /// multi-tenant engine routes the wake-up by this).
     pub asid: Asid,
+    /// Deadlines of timed-out attempts the page sat out before its
+    /// re-submission arrived: time the platform charges to recovery
+    /// rather than to data movement.
+    pub recovered: SimTime,
 }
 
 /// The load that takes over an `Evicting` frame once its write-back
@@ -163,12 +167,19 @@ struct InFlight {
     obj: ObjectId,
     vpage: u32,
     kind: InFlightKind,
-    /// Times this transfer was re-submitted after an injected corruption.
+    /// Times this transfer was re-submitted after a corrupt completion
+    /// or a timeout.
     attempts: u32,
-    /// The transfer was dropped from the engine (injected timeout, or
-    /// retries exhausted): it will never complete. Only a watchdog at a
-    /// higher layer notices; the entry keeps its frame pinned until the
-    /// execution is torn down or the tenant aborted.
+    /// The descriptor was dropped by an injected timeout: no data
+    /// arrives, and the engine retiring the transfer when it would have
+    /// completed stands for the driver's deadline expiring.
+    timed_out: bool,
+    /// Bus time of the timed-out attempts so far (see
+    /// [`DemandReady::recovered`]).
+    recovered: SimTime,
+    /// The retry budget is spent: the transfer will never complete. Only
+    /// a watchdog at a higher layer notices; the entry keeps its frame
+    /// pinned until the execution is torn down or the tenant aborted.
     lost: bool,
 }
 
@@ -214,6 +225,9 @@ pub struct Vim {
     /// A synchronous transfer exhausted its retries; surfaced as
     /// [`VimError::TransferFault`] by the service that triggered it.
     transfer_failure: Option<(ObjectId, u32)>,
+    /// Bumped on every fault service, page load and page write-back:
+    /// the platform watchdog's cheap "made progress" marker.
+    progress_epoch: u64,
 }
 
 impl Vim {
@@ -251,6 +265,7 @@ impl Vim {
             faults: FaultInjector::disabled(),
             max_transfer_retries: 3,
             transfer_failure: None,
+            progress_epoch: 0,
         }
     }
 
@@ -384,29 +399,35 @@ impl Vim {
     }
 
     /// Bounds how often one page transfer is retried after an injected
-    /// corruption before the fault escalates (default 3).
+    /// corruption or timeout before the fault escalates (default 3).
     pub fn set_max_transfer_retries(&mut self, retries: u32) {
         self.max_transfer_retries = retries;
     }
 
-    /// Whether a page the coprocessor is (or will be) stalled on can no
-    /// longer arrive: its transfer was dropped by an injected timeout or
-    /// exhausted its retry budget. The platform's watchdog polls this to
-    /// fail fast instead of idling out the edge budget.
-    pub fn demand_lost(&self) -> bool {
-        self.in_flight.iter().any(|f| {
-            f.lost
-                && match f.kind {
-                    InFlightKind::Load { demand } => demand,
-                    InFlightKind::Writeback { then_load } => {
-                        matches!(then_load, Some(c) if c.demand)
-                    }
-                }
-        })
+    /// Changes whenever the manager serviced a fault or moved a page in
+    /// or out; the platform's no-progress watchdog compares it between
+    /// loop iterations.
+    pub fn progress_epoch(&self) -> u64 {
+        self.progress_epoch
     }
 
-    /// Like [`Vim::demand_lost`], restricted to pages owned by `asid`
-    /// (per-tenant watchdogs in the multi-tenant engine).
+    /// The watchdog's last look before it resets the fabric: reads the
+    /// IMU status register and reports whether a translation miss is
+    /// latched in `SR.fault` — a miss whose interrupt was lost, which
+    /// [`Vim::service_fault`] can still serve in place. Counted as
+    /// `irq_poll` when it finds one.
+    pub fn poll_lost_fault(&mut self, imu: &Imu) -> bool {
+        let latched = imu.status().fault;
+        if latched {
+            self.counters.incr("irq_poll");
+        }
+        latched
+    }
+
+    /// Whether a page tenant `asid`'s coprocessor is (or will be)
+    /// stalled on can no longer arrive: its transfer exhausted its retry
+    /// budget. The platform's watchdogs poll this to fail fast instead
+    /// of idling out the edge budget.
     pub fn demand_lost_for(&self, asid: Asid) -> bool {
         self.in_flight.iter().any(|f| {
             f.lost
@@ -733,6 +754,7 @@ impl Vim {
             .write_slice(Port::Cpu, frame.0 * self.config.page_bytes, &slice)
             .expect("frame address in range");
         self.counters.incr("page_load");
+        self.progress_epoch += 1;
         Some((user_addr, bytes))
     }
 
@@ -762,6 +784,7 @@ impl Vim {
             .expect("frame address in range");
         o.data_mut()[start..end].copy_from_slice(&buf);
         self.counters.incr("page_writeback");
+        self.progress_epoch += 1;
         (user_addr, bytes)
     }
 
@@ -991,6 +1014,8 @@ impl Vim {
             vpage,
             kind: InFlightKind::Load { demand },
             attempts: 0,
+            timed_out: false,
+            recovered: SimTime::ZERO,
             lost: false,
         });
         self.counters.incr("dma_transfer");
@@ -1028,6 +1053,8 @@ impl Vim {
             vpage: resident.vpage,
             kind: InFlightKind::Writeback { then_load },
             attempts: 0,
+            timed_out: false,
+            recovered: SimTime::ZERO,
             lost: false,
         });
         self.counters.incr("dma_transfer");
@@ -1035,23 +1062,19 @@ impl Vim {
     }
 
     /// Rolls the injected-fault sites that afflict a freshly submitted
-    /// asynchronous transfer: a timeout silently drops it from the
-    /// engine (marking the tracked entry lost), a bus stall stretches
-    /// it. Must be called with the transfer already pushed onto
-    /// `in_flight`.
+    /// asynchronous transfer: a timeout drops its descriptor (the
+    /// tracked entry is marked timed out and its engine completion
+    /// becomes the deadline), a bus stall stretches it. Must be called
+    /// with the transfer already pushed onto `in_flight`.
     fn inject_submit_faults(&mut self, ticket: TransferId, asid: Asid) {
         if !self.faults.is_enabled() {
             return;
         }
         if self.faults.roll_tagged(FaultSite::DmaTimeout, asid.0) {
-            self.dma
-                .as_mut()
-                .expect("overlap engine")
-                .drop_transfer(ticket);
             if let Some(f) = self.in_flight.iter_mut().find(|f| f.ticket == ticket) {
-                f.lost = true;
+                f.timed_out = true;
             }
-            self.counters.incr("dma_lost");
+            self.counters.incr("dma_timeout");
         } else if self.faults.roll_tagged(FaultSite::BusStall, asid.0) {
             let cycles = self.faults.bus_stall_cycles();
             self.dma
@@ -1172,7 +1195,12 @@ impl Vim {
         let pending = std::mem::take(&mut self.deferred_demand);
         for (asid, obj, vpage) in pending {
             if let Some(frame) = self.frames.frame_of(asid, obj, vpage) {
-                ready.push(DemandReady { at: t, frame, asid });
+                ready.push(DemandReady {
+                    at: t,
+                    frame,
+                    asid,
+                    recovered: SimTime::ZERO,
+                });
                 continue;
             }
             if self.mark_inbound_demand(asid, obj, vpage) {
@@ -1193,12 +1221,14 @@ impl Vim {
     }
 
     /// Requeues the transfer at `in_flight[idx]` after its completion
-    /// arrived corrupt: the data is re-staged and a fresh engine
-    /// transfer submitted with the same geometry, charged as completion
-    /// interrupt + descriptor setup. With the retry budget spent the
+    /// arrived corrupt or its deadline expired: the data is re-staged
+    /// and a fresh engine transfer submitted with the same geometry,
+    /// charged as completion interrupt + descriptor setup. The
+    /// re-submission rolls the submit-time fault sites again, so it can
+    /// itself time out or stall. With the retry budget spent the
     /// transfer is abandoned instead — its frame stays pinned and the
     /// entry is marked lost, which a demand-side watchdog will notice.
-    fn retry_corrupt_completion(&mut self, idx: usize, dpram: &mut DualPortRam) {
+    fn retry_completion(&mut self, idx: usize, dpram: &mut DualPortRam) {
         let e = self.in_flight[idx];
         if e.attempts >= self.max_transfer_retries {
             self.in_flight[idx].lost = true;
@@ -1228,11 +1258,16 @@ impl Vim {
         let f = &mut self.in_flight[idx];
         f.ticket = ticket;
         f.attempts += 1;
+        f.timed_out = false;
         self.times.add(
             "sw_imu",
             self.cost.dma_completion_time() + self.cost.dma_setup_time(),
         );
         self.counters.incr("transfer_retry");
+        if e.timed_out {
+            self.counters.incr("timeout_resubmit");
+        }
+        self.inject_submit_faults(ticket, e.asid);
     }
 
     /// Applies one engine completion at bus-edge time `t`.
@@ -1249,6 +1284,15 @@ impl Vim {
             .iter()
             .position(|f| f.ticket == completion.id)
             .expect("completion for a tracked transfer");
+        if self.in_flight[idx].timed_out {
+            // The dropped descriptor's deadline: the driver re-submits
+            // the transfer (or, with the retry budget spent, abandons it
+            // as lost). The coprocessor's wait so far is recovery time.
+            let deadline = self.bus_time(completion.bus_cycles);
+            self.in_flight[idx].recovered += deadline;
+            self.retry_completion(idx, dpram);
+            return;
+        }
         if self
             .faults
             .roll_tagged(FaultSite::DmaCorrupt, self.in_flight[idx].asid.0)
@@ -1256,7 +1300,7 @@ impl Vim {
             // The payload arrived corrupt: the completion handler's CRC
             // check rejects it and the transfer is re-queued (or, with
             // the retry budget spent, abandoned as lost).
-            self.retry_corrupt_completion(idx, dpram);
+            self.retry_completion(idx, dpram);
             return;
         }
         let entry = self.in_flight.remove(idx);
@@ -1287,6 +1331,7 @@ impl Vim {
                         at: t,
                         frame: entry.frame,
                         asid: entry.asid,
+                        recovered: entry.recovered,
                     });
                 } else {
                     // Fully hidden under coprocessor execution: the bus
@@ -1315,6 +1360,11 @@ impl Vim {
                             dpram,
                             &mut out,
                         );
+                        // A timed-out write-back delayed the chained
+                        // page too.
+                        if let Some(load) = self.in_flight.last_mut() {
+                            load.recovered += entry.recovered;
+                        }
                         self.times.add("sw_imu", out.imu);
                         if !chain.demand {
                             self.times
@@ -1471,6 +1521,7 @@ impl Vim {
             ..Default::default()
         };
         self.counters.incr("fault");
+        self.progress_epoch += 1;
         self.reap_param_frame(imu);
 
         let cause = imu.fault_cause().expect("fault status implies cause");
@@ -2322,6 +2373,76 @@ mod tests {
             "speculation never pays a write-back"
         );
         assert_eq!(rig.vim.pinned_frames(), 0);
+    }
+
+    /// Services one overlapped demand fault with `plan` armed and pumps
+    /// the engine until the page arrives. Returns the rig, the arrival
+    /// and the word the coprocessor then reads.
+    fn overlap_demand_under(plan: vcop_sim::fault::FaultPlan) -> (Rig, DemandReady, u32) {
+        let mut rig = Rig::new(overlap_config());
+        rig.vim.set_fault_injector(FaultInjector::new(plan));
+        rig.map(0, patterned(2 * PAGE, 9), Direction::In);
+        rig.vim
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .unwrap();
+        rig.start();
+        rig.port.issue_read(ObjectId(0), 600);
+        rig.step_until_fault(16);
+        let svc = rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
+        assert!(svc.pending);
+        let ready = rig.pump_dma_until_ready(100_000);
+        rig.imu.resume();
+        let got = rig.step_until_complete(16);
+        (rig, ready, got)
+    }
+
+    #[test]
+    fn timed_out_load_is_resubmitted_at_its_deadline() {
+        let plan = vcop_sim::fault::FaultPlan::new(1);
+        let (_, clean, want) = overlap_demand_under(plan.clone());
+        let (rig, late, got) = overlap_demand_under(plan.once(FaultSite::DmaTimeout, 1));
+
+        assert_eq!(got, want, "the re-submitted page carries the right data");
+        assert_eq!(rig.vim.counters().get("timeout_resubmit"), 1);
+        assert_eq!(rig.vim.counters().get("transfer_retry"), 1);
+        assert_eq!(rig.vim.pinned_frames(), 0);
+        assert!(!rig.vim.demand_lost_for(Asid::SINGLE));
+        // Detection costs one nominal transfer time: the deadline fires
+        // when the dropped transfer would have completed, and the
+        // re-submission takes as long again.
+        assert_eq!(clean.recovered, SimTime::ZERO);
+        assert!(late.recovered > SimTime::ZERO);
+        assert_eq!(late.at, clean.at + late.recovered);
+    }
+
+    #[test]
+    fn lost_transfer_spends_the_retry_budget_then_stays_lost() {
+        let mut rig = Rig::new(overlap_config());
+        rig.vim.set_max_transfer_retries(2);
+        rig.vim.set_fault_injector(FaultInjector::new(
+            vcop_sim::fault::FaultPlan::new(1).rate(FaultSite::DmaTimeout, 1.0),
+        ));
+        rig.map(0, patterned(2 * PAGE, 9), Direction::In);
+        rig.vim
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .unwrap();
+        rig.start();
+        rig.port.issue_read(ObjectId(0), 600);
+        rig.step_until_fault(16);
+        rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
+        for _ in 0..100_000 {
+            rig.now += SimTime::from_ns(25);
+            let ready = rig.vim.advance_dma(&mut rig.imu, &mut rig.dpram, rig.now);
+            assert!(ready.is_none(), "every attempt is lost");
+            if !rig.vim.dma_busy() {
+                break;
+            }
+        }
+        assert!(!rig.vim.dma_busy());
+        assert_eq!(rig.vim.counters().get("timeout_resubmit"), 2);
+        assert_eq!(rig.vim.counters().get("dma_lost"), 1);
+        assert!(rig.vim.demand_lost_for(Asid::SINGLE));
+        assert_eq!(rig.vim.pinned_frames(), 1, "the lost page keeps its frame");
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Fault injection, watchdog recovery and transparent software
-//! fallback: whatever the injector throws at the platform, the
+//! Fault injection, in-place recovery, watchdog resets and transparent
+//! software fallback: whatever the injector throws at the platform, the
 //! application receives byte-identical results (or a clean error when
 //! no fallback is registered), and the detour is visible only in the
 //! report's recovery counters.
 
 use vcop::{
-    Direction, ElemSize, Error, FallbackFn, FaultPlan, FaultSite, MapHints, RecoveryPolicy, System,
-    SystemBuilder,
+    Direction, ElemSize, Error, FallbackFn, FaultPlan, FaultSite, Kernel, MapHints, RecoveryPolicy,
+    System, SystemBuilder,
 };
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT, OBJ_OUTPUT};
@@ -31,8 +31,14 @@ fn adpcm_input() -> (Vec<u8>, Vec<u8>) {
 
 /// An adpcm system with `coded` mapped, optionally faulty/overlapped.
 fn build_adpcm(coded: &[u8], plan: Option<FaultPlan>, overlap: bool) -> System {
-    let mut builder =
-        SystemBuilder::epxa1().clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ);
+    build_adpcm_on(coded, plan, overlap, Kernel::default())
+}
+
+/// [`build_adpcm`] on a chosen simulation kernel.
+fn build_adpcm_on(coded: &[u8], plan: Option<FaultPlan>, overlap: bool, kernel: Kernel) -> System {
+    let mut builder = SystemBuilder::epxa1()
+        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
+        .kernel(kernel);
     if overlap {
         builder = builder.overlap(true).dma_channels(2);
     }
@@ -238,15 +244,18 @@ fn watchdog_recovers_lost_dma_mid_burst() {
     );
 
     // Silently lose the 4th DMA submission — the middle of the burst.
-    // No completion interrupt will ever arrive; only the watchdog can
-    // notice the platform has stopped making progress.
+    // No completion interrupt will ever arrive; the driver's deadline
+    // expires when the transfer would have completed and re-submits it
+    // under the transfer retry budget, without resetting the fabric.
     let plan = FaultPlan::new(5).once(FaultSite::DmaTimeout, 4);
     let (report, out) = run_hopper(Some(plan));
 
     assert_eq!(report.injected_faults, 1, "exactly the scheduled loss");
-    assert!(report.watchdog_resets >= 1, "watchdog reset the fabric");
-    assert!(report.execute_attempts >= 2, "first attempt was abandoned");
-    assert!(report.recovery_time > SimTime::ZERO);
+    assert_eq!(report.execute_attempts, 1, "recovered within the attempt");
+    assert_eq!(report.watchdog_resets, 0, "no fabric reset");
+    assert_eq!(report.lost_transfers_resubmitted, 1);
+    assert_eq!(report.transfer_retries, 1);
+    assert!(!report.fallback_taken);
     assert!(report.wall >= report.recovery_time);
     assert_eq!(out, clean, "recovered bytes match the fault-free run");
 }
@@ -257,14 +266,49 @@ fn watchdog_recovers_lost_demand_page() {
     let n = coded.len() as u32;
 
     // The adpcm stream's one demand transfer is silently dropped: the
-    // coprocessor stalls on a page that will never arrive.
+    // coprocessor stalls on a page that will not arrive until the
+    // deadline re-submits its transfer.
     let plan = FaultPlan::new(5).once(FaultSite::DmaTimeout, 1);
     let mut sys = build_adpcm(&coded, Some(plan), true);
     let report = sys.fpga_execute(&[n]).expect("recovered run");
 
     assert_eq!(report.injected_faults, 1);
+    assert_eq!(report.execute_attempts, 1, "recovered within the attempt");
+    assert_eq!(report.watchdog_resets, 0, "no fabric reset");
+    assert_eq!(report.lost_transfers_resubmitted, 1);
+    assert!(
+        report.recovery_time > SimTime::ZERO,
+        "the deadline the coprocessor sat out is recovery time"
+    );
+    assert!(!report.fallback_taken);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+}
+
+#[test]
+fn lost_transfers_escalate_when_the_retry_budget_is_spent() {
+    let (coded, expect) = adpcm_input();
+    let n = coded.len() as u32;
+
+    // Every submission and every re-submission is lost: the retry
+    // budget runs out, the watchdog resets the fabric, and after the
+    // last hardware attempt the software twin serves the request.
+    let plan = FaultPlan::new(13).rate(FaultSite::DmaTimeout, 1.0);
+    let mut sys = build_adpcm(&coded, Some(plan), true);
+    sys.set_software_fallback(Box::new(adpcm_fallback()));
+    let report = sys.fpga_execute(&[n]).expect("fallback serves the app");
+
+    assert!(report.fallback_taken);
+    assert_eq!(
+        report.execute_attempts,
+        u64::from(RecoveryPolicy::default().max_attempts),
+        "all hardware attempts were spent first"
+    );
     assert!(report.watchdog_resets >= 1, "watchdog reset the fabric");
-    assert!(report.execute_attempts >= 2);
+    assert!(
+        report.lost_transfers_resubmitted > 0,
+        "re-submission was tried first"
+    );
+    assert!(report.recovery_time > SimTime::ZERO);
     assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
 }
 
@@ -274,7 +318,8 @@ fn dropped_fault_irq_is_caught_by_watchdog() {
     let n = coded.len() as u32;
 
     // Drop the very first translation-fault interrupt: the IMU sits
-    // faulted forever and the OS is never told.
+    // faulted and the OS is never told, until the no-progress watchdog
+    // reads the status register, finds the latched miss and serves it.
     let plan = FaultPlan::new(7).once(FaultSite::IrqDrop, 1);
     let mut sys = build_adpcm(&coded, Some(plan), false);
     sys.set_recovery(Some(RecoveryPolicy {
@@ -284,10 +329,79 @@ fn dropped_fault_irq_is_caught_by_watchdog() {
     let report = sys.fpga_execute(&[n]).expect("recovered run");
 
     assert_eq!(report.injected_faults, 1);
-    assert_eq!(report.watchdog_resets, 1);
-    assert_eq!(report.execute_attempts, 2, "second attempt ran clean");
+    assert_eq!(report.execute_attempts, 1, "recovered within the attempt");
+    assert_eq!(report.watchdog_resets, 0, "no fabric reset");
+    assert_eq!(report.lost_irqs_polled, 1);
     assert!(!report.fallback_taken);
     assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+}
+
+#[test]
+fn dropped_irq_window_closes_the_layer_sum() {
+    let (coded, expect) = adpcm_input();
+    let n = coded.len() as u32;
+
+    // Synchronous paging with one dropped fault interrupt under the
+    // default policy: the watchdog's detection window is recovery time,
+    // charged once, so the layers add up to the wall time exactly.
+    let plan = FaultPlan::new(7).once(FaultSite::IrqDrop, 1);
+    let mut sys = build_adpcm(&coded, Some(plan), false);
+    let report = sys.fpga_execute(&[n]).expect("recovered run");
+
+    assert_eq!(report.lost_irqs_polled, 1);
+    assert_eq!(report.watchdog_resets, 0);
+    assert!(report.recovery_time > SimTime::ZERO);
+    assert_eq!(
+        report.wall,
+        report.hw + report.sw_dp + report.sw_imu + report.recovery_time,
+        "layers must add up to the picosecond"
+    );
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+
+    // Every other layer equals the fault-free run's: the window moved
+    // out of `hw` and into recovery, nothing else changed.
+    let mut clean = build_adpcm(&coded, None, false);
+    let r_clean = clean.fpga_execute(&[n]).expect("clean run");
+    assert_eq!(r_clean.wall, r_clean.hw + r_clean.sw_dp + r_clean.sw_imu);
+    assert_eq!(report.hw, r_clean.hw);
+    assert_eq!(report.sw_dp, r_clean.sw_dp);
+    assert_eq!(report.sw_imu, r_clean.sw_imu);
+    assert_eq!(report.wall, r_clean.wall + report.recovery_time);
+}
+
+#[test]
+fn kernels_agree_under_every_fault_site() {
+    let (coded, expect) = adpcm_input();
+    let n = coded.len() as u32;
+
+    // Every site armed at once, in both paging modes: the stepped
+    // reference kernel and the event-driven one must take the same
+    // recovery decisions (status polls, re-submissions, resets,
+    // fallbacks) at the same instants, and both deliver correct bytes.
+    let mut polled = 0;
+    let mut resubmitted = 0;
+    for overlap in [false, true] {
+        for seed in 1..=4 {
+            let reports: Vec<_> = [Kernel::Stepped, Kernel::EventDriven]
+                .into_iter()
+                .map(|kernel| {
+                    let plan = FaultSite::ALL
+                        .into_iter()
+                        .fold(FaultPlan::new(seed), |p, site| p.rate(site, 0.1));
+                    let mut sys = build_adpcm_on(&coded, Some(plan), overlap, kernel);
+                    sys.set_software_fallback(Box::new(adpcm_fallback()));
+                    let report = sys.fpga_execute(&[n]).expect("served");
+                    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+                    report
+                })
+                .collect();
+            assert_eq!(reports[0], reports[1], "overlap {overlap}, seed {seed}");
+            polled += reports[0].lost_irqs_polled;
+            resubmitted += reports[0].lost_transfers_resubmitted;
+        }
+    }
+    assert!(polled > 0, "some dropped IRQ was polled");
+    assert!(resubmitted > 0, "some lost transfer was re-submitted");
 }
 
 #[test]

@@ -65,7 +65,7 @@ impl TypicalConfig {
         TypicalConfig {
             cp_freq,
             dpram_bytes: 16 * 1024,
-            edge_budget: crate::system::DEFAULT_EDGE_BUDGET,
+            edge_budget: crate::engine::DEFAULT_EDGE_BUDGET,
         }
     }
 }

@@ -58,6 +58,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;
+pub mod builder;
+mod engine;
 pub mod error;
 pub mod fallback;
 pub mod multi;
@@ -65,6 +67,7 @@ pub mod report;
 pub mod system;
 
 pub use baseline::{run_typical, TypicalConfig, TypicalObject};
+pub use builder::Builder;
 pub use error::Error;
 pub use fallback::{FallbackFn, FallbackIo, RecoveryPolicy, SoftwareFallback};
 pub use multi::{
@@ -72,7 +75,7 @@ pub use multi::{
     RequestObject, RoundRobin, SchedulerKind,
 };
 pub use report::{BaselineReport, ExecutionReport};
-pub use system::{Kernel, System, SystemBuilder};
+pub use system::{Kernel, SingleTenant, System, SystemBuilder};
 
 // Re-export the types applications touch at the API boundary so user
 // code can depend on `vcop` alone.

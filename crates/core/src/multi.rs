@@ -22,47 +22,43 @@
 //! One tenant context occupies the IMU datapath at a time; switching
 //! costs [`OsOverheads::ctx_switch`](vcop_vim::OsOverheads) CPU cycles
 //! plus whatever frame write-backs the incoming tenant's demand misses
-//! later force (priced lazily, per stolen frame, by the VIM).
+//! later force (priced lazily, per stolen frame, by the VIM). Each
+//! slice is one segment of the same execution engine the single-tenant
+//! `System` runs, so both front ends share the platform loop, the
+//! simulation kernels and the fault sites.
 //!
-//! With [`MultiSystemBuilder::faults`] the shared platform injects
-//! deterministic DMA and bus faults, which a [`FaultPlan::target`] can
-//! confine to one tenant's address space. The VIM re-submits a lost or
-//! corrupt transfer within its retry budget; a tenant whose transfers
-//! keep failing past it is *aborted and degraded*: its fabric state is torn down
-//! (co-tenants' chained work is rescued, their frames untouched), its
-//! interrupted request is completed by the tenant's registered
-//! [`SoftwareFallback`], and its remaining
-//! queue is served in software — co-tenants keep their hardware service
-//! and byte-identical outputs throughout.
+//! With [`Builder::faults`] the shared platform injects deterministic
+//! faults, which a [`FaultPlan::target`](vcop_sim::fault::FaultPlan::target)
+//! can confine to one tenant's address space. A dropped fault interrupt
+//! is found by the watchdog's status poll and the VIM re-submits a lost
+//! or corrupt transfer within its retry budget; a tenant whose hardware
+//! run still fails is *aborted and degraded*: its fabric state is torn
+//! down (co-tenants' chained work is rescued, their frames untouched),
+//! its interrupted request is completed by the tenant's registered
+//! [`SoftwareFallback`], and its remaining queue is served in software —
+//! co-tenants keep their hardware service and byte-identical outputs
+//! throughout.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use vcop_fabric::loader::ConfigController;
-use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, PortLink};
+use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId};
 use vcop_fabric::DeviceProfile;
-use vcop_imu::imu::{ElemSize, Imu, ImuConfig, ImuEvent, ImuExecContext};
-use vcop_imu::registers::ControlRegister;
+use vcop_imu::imu::{ElemSize, Imu, ImuConfig, ImuExecContext};
 use vcop_imu::tlb::Asid;
-use vcop_sim::bus::BurstKind;
-use vcop_sim::clock::{ClockDomain, EdgeScheduler};
-use vcop_sim::fault::{FaultInjector, FaultPlan};
+use vcop_sim::fault::FaultInjector;
 use vcop_sim::histogram::LatencyHistogram;
-use vcop_sim::irq::{InterruptController, IrqLine};
-use vcop_sim::mem::DualPortRam;
-use vcop_sim::sched::{EventKernel, WakeSource};
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::TraceSink;
-use vcop_vim::cost::{OsCostModel, OsOverheads};
-use vcop_vim::manager::{DemandReady, Vim, VimConfig};
+use vcop_vim::manager::{DemandReady, Scope, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
-use vcop_vim::policy::PolicyKind;
 use vcop_vim::prefetch::PrefetchMode;
-use vcop_vim::{TransferMode, VimError};
 
+use crate::builder::Builder;
+use crate::engine::{self, Engine, Segment, Yield};
 use crate::error::Error;
-use crate::fallback::{FallbackIo, RecoveryPolicy, SoftwareFallback};
-use crate::system::{VimIo, DEFAULT_EDGE_BUDGET};
+use crate::fallback::{FallbackIo, SoftwareFallback};
 
 /// Decides which runnable tenant gets the fabric at each yield point.
 ///
@@ -223,7 +219,7 @@ pub struct CompletedRequest {
 }
 
 /// Accumulated per-tenant statistics.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Requests completed.
     pub completed: u64,
@@ -299,8 +295,19 @@ struct Tenant {
     degraded: bool,
 }
 
+impl Tenant {
+    /// Back to `Ready` if more work is queued, else `Idle`.
+    fn settle(&mut self) {
+        self.state = if self.queue.is_empty() {
+            TenantState::Idle
+        } else {
+            TenantState::Ready
+        };
+    }
+}
+
 /// Summary of one tenant after [`MultiSystem::run`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TenantReport {
     /// Tenant name given at admission.
     pub name: String,
@@ -311,7 +318,7 @@ pub struct TenantReport {
 }
 
 /// Whole-run summary returned by [`MultiSystem::run`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MultiReport {
     /// End-to-end wall time: the later of the last fabric activity and
     /// the last CPU service, measured from time zero (which includes
@@ -352,41 +359,27 @@ pub struct MultiReport {
 ///     .build();
 /// assert_eq!(system.device().page_count(), 32);
 /// ```
+pub type MultiSystemBuilder = Builder<MultiTenant>;
+
+/// The knobs only the multi-tenant [`MultiSystem`] has.
 #[derive(Debug)]
-pub struct MultiSystemBuilder {
-    device: DeviceProfile,
-    policy: PolicyKind,
-    transfer: TransferMode,
-    burst: BurstKind,
-    skip_out_page_load: bool,
-    dma_channels: usize,
-    os_overheads: OsOverheads,
+pub struct MultiTenant {
     scheduler: SchedulerKind,
     partition: bool,
     frame_limit: Option<usize>,
-    edge_budget: u64,
-    faults: Option<FaultPlan>,
-    recovery: Option<RecoveryPolicy>,
 }
 
-impl MultiSystemBuilder {
+impl Builder<MultiTenant> {
     /// Starts from a device profile.
     pub fn new(device: DeviceProfile) -> Self {
-        MultiSystemBuilder {
+        Builder::with_mode(
             device,
-            policy: PolicyKind::Fifo,
-            transfer: TransferMode::Double,
-            burst: BurstKind::Single,
-            skip_out_page_load: false,
-            dma_channels: 2,
-            os_overheads: OsOverheads::paper_era(),
-            scheduler: SchedulerKind::default(),
-            partition: false,
-            frame_limit: None,
-            edge_budget: DEFAULT_EDGE_BUDGET,
-            faults: None,
-            recovery: None,
-        }
+            MultiTenant {
+                scheduler: SchedulerKind::default(),
+                partition: false,
+                frame_limit: None,
+            },
+        )
     }
 
     /// The mid-range device (32 × 2 KB frames) — enough interface
@@ -395,45 +388,9 @@ impl MultiSystemBuilder {
         MultiSystemBuilder::new(DeviceProfile::epxa4())
     }
 
-    /// Selects the VIM replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Selects single- or double-transfer page copies.
-    pub fn transfer(mut self, transfer: TransferMode) -> Self {
-        self.transfer = transfer;
-        self
-    }
-
-    /// Selects the AHB burst kind used by page copies.
-    pub fn burst(mut self, burst: BurstKind) -> Self {
-        self.burst = burst;
-        self
-    }
-
-    /// Skips the load copy for pages of pure-`OUT` objects.
-    pub fn skip_out_page_load(mut self, skip: bool) -> Self {
-        self.skip_out_page_load = skip;
-        self
-    }
-
-    /// Number of DMA channels for the overlapped paging engine.
-    pub fn dma_channels(mut self, channels: usize) -> Self {
-        self.dma_channels = channels.max(1);
-        self
-    }
-
-    /// Overrides the fixed OS overhead constants.
-    pub fn os_overheads(mut self, overheads: OsOverheads) -> Self {
-        self.os_overheads = overheads;
-        self
-    }
-
     /// Selects the fabric scheduling policy.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
+        self.mode.scheduler = kind;
         self
     }
 
@@ -443,7 +400,7 @@ impl MultiSystemBuilder {
     /// trading cross-tenant write-back traffic for a smaller working
     /// set each.
     pub fn partition(mut self, partition: bool) -> Self {
-        self.partition = partition;
+        self.mode.partition = partition;
         self
     }
 
@@ -452,90 +409,43 @@ impl MultiSystemBuilder {
     /// frame-pressure knob of the shared-vs-partitioned ablation. The
     /// cap never exceeds the device's frame count.
     pub fn frame_limit(mut self, frames: usize) -> Self {
-        self.frame_limit = Some(frames.max(2));
-        self
-    }
-
-    /// Overrides the run edge budget (hang detection).
-    pub fn edge_budget(mut self, budget: u64) -> Self {
-        self.edge_budget = budget.max(1);
-        self
-    }
-
-    /// Arms deterministic fault injection with `plan` and, unless
-    /// [`MultiSystemBuilder::recovery`] overrides it, the default
-    /// [`RecoveryPolicy`]. Use [`FaultPlan::target`] to confine faults
-    /// to one tenant's address space.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the recovery policy. In the shared system only the
-    /// transfer-retry budget applies per fault; an exhausted budget
-    /// aborts and degrades the offending tenant rather than the run.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
+        self.mode.frame_limit = Some(frames.max(2));
         self
     }
 
     /// Assembles the system (no tenants yet).
     pub fn build(self) -> MultiSystem {
-        let frames = self.frame_limit.map_or(self.device.page_count(), |limit| {
-            limit.min(self.device.page_count())
-        });
-        let page_bytes = self.device.page_bytes;
-        let cost = OsCostModel::epxa1()
-            .with_transfer(self.transfer)
-            .with_burst(self.burst)
-            .with_overheads(self.os_overheads);
+        let device = self.device;
+        let frames = self
+            .mode
+            .frame_limit
+            .map_or(device.page_count(), |limit| limit.min(device.page_count()));
         // Multi-tenant serving is demand-driven: no preload (tenants
         // only occupy frames they touch) and no speculative prefetch
         // (a parked tenant's demand transfer must never be cancelled to
         // make room for a neighbour's speculation). Overlap is
         // mandatory — it is what turns a translation miss into a yield.
-        let vim_config = VimConfig {
-            page_bytes,
-            frame_count: frames,
-            policy: self.policy,
+        let paging = VimConfig {
             prefetch: PrefetchMode::None,
-            skip_out_page_load: self.skip_out_page_load,
             preload: false,
             overlap: true,
-            dma_channels: self.dma_channels,
+            ..VimConfig::prototype(frames, device.page_bytes)
         };
-        let mut irq = InterruptController::new(1);
-        let pld_irq = irq.line(0).expect("one line");
-        irq.enable(pld_irq);
-        let recovery = self
-            .recovery
-            .or_else(|| self.faults.as_ref().map(|_| RecoveryPolicy::default()));
-        let mut vim = Vim::new(vim_config, cost);
-        if let Some(plan) = self.faults {
-            vim.set_fault_injector(FaultInjector::new(plan));
-        }
+        let imu = Imu::new(ImuConfig::prototype(frames, device.page_bytes));
+        let (engine, k) = self.engine(imu, TraceSink::disabled(), paging, Scope::Tenant);
         MultiSystem {
-            device: self.device,
+            device,
             frames,
-            dpram: DualPortRam::new(self.device.dpram_bytes, page_bytes)
-                .expect("device geometry is valid"),
-            imu: Imu::new(ImuConfig::prototype(frames, page_bytes)),
-            vim,
-            irq,
-            pld_irq,
-            trace: TraceSink::disabled(),
-            scheduler: self.scheduler.build(),
-            partition: self.partition,
+            engine,
+            scheduler: k.scheduler.build(),
+            partition: k.partition,
             tenants: Vec::new(),
             loaded: None,
-            edge_budget: self.edge_budget,
-            edges: 0,
             now: SimTime::ZERO,
             cpu_free_at: SimTime::ZERO,
             config_time: SimTime::ZERO,
             ctx_switches: 0,
             ctx_switch_time: SimTime::ZERO,
-            recovery,
             fallbacks: BTreeMap::new(),
         }
     }
@@ -547,19 +457,12 @@ pub struct MultiSystem {
     device: DeviceProfile,
     /// DP-RAM frames under VIM management (≤ the device's frame count).
     frames: usize,
-    dpram: DualPortRam,
-    imu: Imu,
-    vim: Vim,
-    irq: InterruptController,
-    pld_irq: IrqLine,
-    trace: TraceSink,
+    engine: Engine,
     scheduler: Box<dyn CoprocessorScheduler>,
     partition: bool,
     tenants: Vec<Tenant>,
     /// Tenant whose execution context currently occupies the IMU.
     loaded: Option<usize>,
-    edge_budget: u64,
-    edges: u64,
     /// Latest instant the fabric has simulated to.
     now: SimTime,
     /// The (single) CPU serialises all OS work: setup, services,
@@ -568,7 +471,6 @@ pub struct MultiSystem {
     config_time: SimTime,
     ctx_switches: u64,
     ctx_switch_time: SimTime,
-    recovery: Option<RecoveryPolicy>,
     /// Per-tenant software fallbacks, keyed by ASID.
     fallbacks: BTreeMap<u16, Box<dyn SoftwareFallback>>,
 }
@@ -581,19 +483,22 @@ impl MultiSystem {
 
     /// Read access to the shared VIM (counters, time buckets).
     pub fn vim(&self) -> &Vim {
-        &self.vim
+        &self.engine.vim
     }
 
     /// Read access to the shared IMU (TLB, counters).
     pub fn imu(&self) -> &Imu {
-        &self.imu
+        &self.engine.imu
     }
 
     /// Admits a tenant: validates and "loads" its core (each core is
     /// configured once, up front, into its own region of the fabric),
     /// registers it with the scheduler, and returns its address-space
     /// id. With [`MultiSystemBuilder::partition`] the frame ranges are
-    /// re-divided equally among all admitted tenants.
+    /// re-divided equally among all admitted tenants. With fault
+    /// injection armed, each programming pass rolls
+    /// [`FaultSite::BitstreamLoad`](vcop_sim::fault::FaultSite) and a
+    /// failed pass is retried (and charged) as in `System::fpga_load`.
     ///
     /// # Errors
     ///
@@ -619,11 +524,12 @@ impl MultiSystem {
             "IMU clock {imu_freq} must be an integer multiple of the coprocessor clock {cp_freq}"
         );
         let mut ctl = ConfigController::new(self.device);
-        let loaded = ctl.load(bitstream_bytes)?;
+        let (loaded, passes) = self.engine.load(&mut ctl, bitstream_bytes)?;
         // One configuration port: cores are programmed serially before
         // any execution starts.
-        self.config_time += loaded.load_time;
-        self.cpu_free_at += loaded.load_time;
+        let load_time = SimTime::from_ps(loaded.load_time.as_ps() * u64::from(passes));
+        self.config_time += load_time;
+        self.cpu_free_at += load_time;
         let asid = Asid(u16::try_from(self.tenants.len() + 1).expect("tenant count fits u16"));
         self.scheduler.admit(asid, weight);
         self.tenants.push(Tenant {
@@ -659,7 +565,7 @@ impl MultiSystem {
                     (t.asid, i * chunk..end)
                 })
                 .collect();
-            self.vim.partition_frames(&ranges);
+            self.engine.vim.partition_frames(&ranges);
         }
         Ok(asid)
     }
@@ -682,7 +588,7 @@ impl MultiSystem {
     /// The fault injector shared by the platform (opportunity and fired
     /// counts per site).
     pub fn fault_injector(&self) -> &FaultInjector {
-        self.vim.fault_injector()
+        self.engine.vim.fault_injector()
     }
 
     /// Whether `asid` has been degraded to software service.
@@ -729,10 +635,11 @@ impl MultiSystem {
     /// * [`Error::Timeout`] if the edge budget is exhausted or no
     ///   tenant can make progress.
     pub fn run(&mut self) -> Result<MultiReport, Error> {
-        let steals0 = self.vim.counters().get("cross_asid_steal");
-        let wb0 = self.vim.counters().get("page_writeback");
+        let steals0 = self.engine.vim.counters().get("cross_asid_steal");
+        let wb0 = self.engine.vim.counters().get("page_writeback");
         let requests0: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
         let fallbacks0: u64 = self.tenants.iter().map(|t| t.stats.fallbacks).sum();
+        let recovery = self.engine.recovery.is_some();
         loop {
             // Degraded tenants never touch the fabric again: their
             // queued requests are served by the software fallback.
@@ -748,22 +655,19 @@ impl MultiSystem {
                 .map(|t| t.asid)
                 .collect();
             if runnable.is_empty() {
-                let parked = self
-                    .tenants
-                    .iter()
-                    .any(|t| matches!(t.state, TenantState::Parked { .. }));
-                if !parked {
+                let parked = |t: &Tenant| matches!(t.state, TenantState::Parked { .. });
+                if !self.tenants.iter().any(parked) {
                     break; // every queue drained
                 }
                 // Recovery: a parked tenant whose demand transfer spent
                 // its retry budget (the VIM re-submits lost and corrupt
                 // transfers until then) will never see a completion
                 // interrupt — abort its hardware state and degrade it.
-                if self.recovery.is_some() {
+                if recovery {
                     let lost: Vec<usize> = (0..self.tenants.len())
                         .filter(|&i| {
-                            matches!(self.tenants[i].state, TenantState::Parked { .. })
-                                && self.vim.demand_lost_for(self.tenants[i].asid)
+                            let t = &self.tenants[i];
+                            parked(t) && self.engine.vim.demand_lost_for(t.asid)
                         })
                         .collect();
                     if !lost.is_empty() {
@@ -775,24 +679,26 @@ impl MultiSystem {
                 }
                 // All tenants are waiting for pages: idle the fabric to
                 // the next DMA bus edge and retry.
-                let Some(te) = self.vim.dma_next_edge() else {
+                let Some(te) = self.engine.vim.dma_next_edge() else {
                     // The engine is idle yet tenants are parked: their
                     // transfers are gone. With recovery armed, abort
                     // every parked tenant; otherwise this is a hang.
-                    if self.recovery.is_some() {
+                    if recovery {
                         for idx in 0..self.tenants.len() {
-                            if matches!(self.tenants[idx].state, TenantState::Parked { .. }) {
+                            if parked(&self.tenants[idx]) {
                                 self.abort_degrade(idx, None)?;
                             }
                         }
                         continue;
                     }
                     return Err(Error::Timeout {
-                        budget: self.edge_budget,
+                        budget: self.engine.edge_budget,
                     });
                 };
-                let ready = self.vim.advance_dma_all(&mut self.imu, &mut self.dpram, te);
-                route_demand_ready(&mut self.tenants, &mut self.vim, ready);
+                let e = &mut self.engine;
+                let ready = e.vim.advance_dma(&mut e.imu, &mut e.dpram, te);
+                e.check_invariants();
+                route_demand_ready(&mut self.tenants, &mut e.vim, ready);
                 continue;
             }
             let pick = self
@@ -806,11 +712,12 @@ impl MultiSystem {
                 .expect("scheduler picked an admitted tenant");
             match self.run_slice(idx) {
                 Ok(()) => {}
-                // A transfer that kept failing past the retry budget, or
-                // dirty data lost to a parity upset: the hardware run of
-                // this tenant cannot be trusted. Degrade the tenant and
-                // keep serving the others.
-                Err(e) if self.recovery.is_some() && Self::tenant_recoverable(&e) => {
+                // A transfer that kept failing past the retry budget,
+                // dirty data lost to a parity upset, or a watchdog with
+                // nothing latched: the hardware run of this tenant
+                // cannot be trusted. Degrade the tenant and keep serving
+                // the others.
+                Err(e) if recovery && engine::hardware_fault(&e) => {
                     self.abort_degrade(idx, Some(e))?;
                 }
                 Err(e) => return Err(e),
@@ -822,8 +729,8 @@ impl MultiSystem {
             requests: self.tenants.iter().map(|t| t.stats.completed).sum::<u64>() - requests0,
             ctx_switches: self.ctx_switches,
             ctx_switch_time: self.ctx_switch_time,
-            cross_asid_steals: self.vim.counters().get("cross_asid_steal") - steals0,
-            page_writebacks: self.vim.counters().get("page_writeback") - wb0,
+            cross_asid_steals: self.engine.vim.counters().get("cross_asid_steal") - steals0,
+            page_writebacks: self.engine.vim.counters().get("page_writeback") - wb0,
             fallbacks: self.tenants.iter().map(|t| t.stats.fallbacks).sum::<u64>() - fallbacks0,
             scheduler: self.scheduler.name(),
             tenants: self
@@ -832,46 +739,96 @@ impl MultiSystem {
                 .map(|t| TenantReport {
                     name: t.name.clone(),
                     asid: t.asid,
-                    stats: TenantStats {
-                        completed: t.stats.completed,
-                        fabric_busy: t.stats.fabric_busy,
-                        faults: t.stats.faults,
-                        stall: t.stats.stall,
-                        cp_cycles: t.stats.cp_cycles,
-                        latency: t.stats.latency.clone(),
-                        fallbacks: t.stats.fallbacks,
-                        aborts: t.stats.aborts,
-                    },
+                    stats: t.stats.clone(),
                 })
                 .collect(),
         })
     }
 
-    /// An error that condemns one tenant's hardware service rather than
-    /// the whole run.
-    fn tenant_recoverable(e: &Error) -> bool {
-        matches!(
-            e,
-            Error::Vim(VimError::TransferFault { .. } | VimError::ParityLoss { .. })
-        )
-    }
-
     /// Runs one scheduling slice for tenant `idx`: context switch,
-    /// request start or resume, then a fabric segment to the next yield.
+    /// request start or resume, then one engine segment to the next
+    /// yield — a park on a demand transfer or end of operation. Updates
+    /// global time and charges the scheduler with the fabric time the
+    /// segment consumed.
     fn run_slice(&mut self, idx: usize) -> Result<(), Error> {
         self.context_switch(idx);
-        let segment_start = match self.tenants[idx].state {
+        let start = match self.tenants[idx].state {
             TenantState::Ready => self.start_request(idx)?,
             TenantState::Resumable { at, t_fault } => {
-                self.imu.resume();
+                self.engine.imu.resume();
                 let start = self.now.max(self.cpu_free_at).max(at);
-                let t = &mut self.tenants[idx];
-                t.stats.stall += start.saturating_sub(t_fault);
+                self.tenants[idx].stats.stall += start.saturating_sub(t_fault);
                 start
             }
             _ => unreachable!("picked tenant is runnable"),
         };
-        self.run_segment(idx, segment_start)
+        let t = &mut self.tenants[idx];
+        let mut seg = Segment::new(
+            &self.engine,
+            t.imu_freq,
+            t.cp_freq,
+            Some(start),
+            self.cpu_free_at,
+        );
+        let outcome = self
+            .engine
+            .run_until_yield(&mut seg, t.coprocessor.as_mut(), &mut t.port);
+        // Arrivals for parked neighbours make them runnable at the next
+        // yield.
+        let arrivals = std::mem::take(&mut self.engine.arrivals);
+        route_demand_ready(&mut self.tenants, &mut self.engine.vim, arrivals);
+        self.cpu_free_at = seg.cpu_free_at;
+        let t = &mut self.tenants[idx];
+        t.stats.cp_cycles += seg.cp_cycles;
+        t.stats.faults += seg.faults;
+        t.stats.stall += seg.stalls.fault_stall;
+        let at = match outcome {
+            Yield::Parked { at } => {
+                let (t_fault, svc_cpu) = seg
+                    .stalls
+                    .demand_start
+                    .expect("a parked segment records its demand stall");
+                t.state = TenantState::Parked { t_fault, svc_cpu };
+                at
+            }
+            Yield::Done { at, service } => {
+                let finish = self.cpu_free_at.max(at) + service.total();
+                self.cpu_free_at = finish;
+                let active = t.active.take().expect("done implies an active request");
+                let outputs = take_outputs(&mut self.engine.vim, active.manifest);
+                self.finish_request(idx, active.started, finish, outputs, false);
+                self.tenants[idx].settle();
+                at
+            }
+            Yield::Failed { error, .. } => return Err(error),
+        };
+        let used = at.saturating_sub(start);
+        let t = &mut self.tenants[idx];
+        t.stats.fabric_busy += used;
+        self.now = self.now.max(at);
+        self.scheduler.charge(t.asid, used);
+        Ok(())
+    }
+
+    /// Records tenant `idx`'s request started at `started` as finished
+    /// at `finish` with `outputs`.
+    fn finish_request(
+        &mut self,
+        idx: usize,
+        started: SimTime,
+        finish: SimTime,
+        outputs: Vec<(ObjectId, Vec<u8>)>,
+        fallback: bool,
+    ) {
+        let t = &mut self.tenants[idx];
+        t.stats.completed += 1;
+        t.stats.fallbacks += u64::from(fallback);
+        t.stats.latency.record(finish.saturating_sub(started));
+        t.completed.push(CompletedRequest {
+            started,
+            finished: finish,
+            outputs,
+        });
     }
 
     /// Withdraws hardware service from tenant `idx` after unrecoverable
@@ -888,63 +845,32 @@ impl MultiSystem {
     /// fallback rejects the request.
     fn abort_degrade(&mut self, idx: usize, cause: Option<Error>) -> Result<(), Error> {
         let asid = self.tenants[idx].asid;
-        if !self.fallbacks.contains_key(&asid.0) {
+        let Some(fallback) = self.fallbacks.get(&asid.0) else {
             return Err(cause.unwrap_or(Error::Timeout {
-                budget: self.edge_budget,
+                budget: self.engine.edge_budget,
             }));
-        }
+        };
         let now = self.now.max(self.cpu_free_at);
-        let ready = self
-            .vim
-            .abort_tenant(asid, &mut self.imu, &mut self.dpram, now);
-        route_demand_ready(&mut self.tenants, &mut self.vim, ready);
+        let e = &mut self.engine;
+        let ready = e.vim.abort_tenant(asid, &mut e.imu, &mut e.dpram, now);
+        e.check_invariants();
+        route_demand_ready(&mut self.tenants, &mut e.vim, ready);
         self.tenants[idx].degraded = true;
         self.tenants[idx].stats.aborts += 1;
         // Complete the interrupted request in software over the very
         // objects it had mapped; partial hardware output is overwritten.
         if let Some(active) = self.tenants[idx].active.take() {
-            let prev_asid = self.vim.asid();
-            self.vim.set_asid(asid);
-            let fb = self.fallbacks.get(&asid.0).expect("checked above");
-            let mut io = VimIo { vim: &mut self.vim };
-            let result = fb.run(&mut io, &active.params);
-            let cpu = match result {
-                Ok(cpu) => cpu,
-                Err(reason) => {
-                    self.vim.set_asid(prev_asid);
-                    return Err(Error::FallbackFailed { reason });
-                }
-            };
-            let start = self.cpu_free_at.max(self.now);
-            let finish = start + cpu;
+            let prev_asid = e.vim.asid();
+            e.vim.set_asid(asid);
+            let result = engine::run_fallback(&mut e.vim, fallback.as_ref(), &active.params)
+                .map(|cpu| (cpu, take_outputs(&mut e.vim, active.manifest)));
+            e.vim.set_asid(prev_asid);
+            let (cpu, outputs) = result?;
+            let finish = self.cpu_free_at.max(self.now) + cpu;
             self.cpu_free_at = finish;
-            let mut outputs = Vec::new();
-            for (id, dir) in active.manifest {
-                if let Some(obj) = self.vim.take_object(id) {
-                    if dir != Direction::In {
-                        outputs.push((id, obj.into_data()));
-                    }
-                }
-            }
-            self.vim.set_asid(prev_asid);
-            let t = &mut self.tenants[idx];
-            t.stats.completed += 1;
-            t.stats.fallbacks += 1;
-            t.stats
-                .latency
-                .record(finish.saturating_sub(active.started));
-            t.completed.push(CompletedRequest {
-                started: active.started,
-                finished: finish,
-                outputs,
-            });
+            self.finish_request(idx, active.started, finish, outputs, true);
         }
-        let t = &mut self.tenants[idx];
-        t.state = if t.queue.is_empty() {
-            TenantState::Idle
-        } else {
-            TenantState::Ready
-        };
+        self.tenants[idx].settle();
         Ok(())
     }
 
@@ -973,15 +899,7 @@ impl MultiSystem {
                 .filter(|o| o.direction != Direction::In)
                 .map(|o| (o.id, o.data))
                 .collect();
-            let t = &mut self.tenants[idx];
-            t.stats.completed += 1;
-            t.stats.fallbacks += 1;
-            t.stats.latency.record(finish.saturating_sub(start));
-            t.completed.push(CompletedRequest {
-                started: start,
-                finished: finish,
-                outputs,
-            });
+            self.finish_request(idx, start, finish, outputs, true);
         }
         self.tenants[idx].state = TenantState::Idle;
         Ok(())
@@ -996,17 +914,18 @@ impl MultiSystem {
         if self.loaded == Some(idx) {
             return;
         }
+        let imu = &mut self.engine.imu;
         if let Some(prev) = self.loaded {
-            self.tenants[prev].ctx = Some(self.imu.save_context());
+            self.tenants[prev].ctx = Some(imu.save_context());
         }
         let t = &mut self.tenants[idx];
-        self.imu.set_asid(t.asid);
-        self.imu.set_sync_edges(t.sync_edges);
-        self.vim.set_asid(t.asid);
+        imu.set_asid(t.asid);
+        imu.set_sync_edges(t.sync_edges);
+        self.engine.vim.set_asid(t.asid);
         if let Some(ctx) = t.ctx.take() {
-            self.imu.restore_context(ctx);
+            imu.restore_context(ctx);
         }
-        let cost = self.vim.cost().ctx_switch_time();
+        let cost = self.engine.vim.cost().ctx_switch_time();
         self.cpu_free_at = self.cpu_free_at.max(self.now) + cost;
         self.ctx_switches += 1;
         self.ctx_switch_time += cost;
@@ -1027,36 +946,14 @@ impl MultiSystem {
         let mut cpu = SimTime::ZERO;
         for o in req.objects {
             cpu += self
+                .engine
                 .vim
                 .map_object(o.id, o.data, o.elem, o.direction, o.hints)?;
         }
-        {
-            let t = &mut self.tenants[idx];
-            let mut link = PortLink::new(&mut t.port);
-            self.imu.write_control(
-                ControlRegister {
-                    reset: true,
-                    irq_enable: true,
-                    ..Default::default()
-                },
-                &mut link,
-            );
-        }
-        cpu += self
-            .vim
-            .prepare_execute_multi(&mut self.imu, &mut self.dpram, &req.params)?;
         let t = &mut self.tenants[idx];
-        t.coprocessor.reset();
-        {
-            let mut link = PortLink::new(&mut t.port);
-            self.imu.write_control(
-                ControlRegister {
-                    start: true,
-                    ..Default::default()
-                },
-                &mut link,
-            );
-        }
+        cpu += self
+            .engine
+            .start(t.coprocessor.as_mut(), &mut t.port, &req.params)?;
         t.active = Some(ActiveRequest {
             manifest,
             params: req.params,
@@ -1065,166 +962,20 @@ impl MultiSystem {
         self.cpu_free_at = setup_begin + cpu;
         Ok(self.cpu_free_at)
     }
+}
 
-    /// Runs tenant `idx` on the fabric from `segment_start` until it
-    /// yields: a translation miss parks it on its demand transfer, end
-    /// of operation completes the request. Updates global time and
-    /// charges the scheduler with the fabric time consumed.
-    fn run_segment(&mut self, idx: usize, segment_start: SimTime) -> Result<(), Error> {
-        let mut sched = EdgeScheduler::new();
-        let imu_clk = sched.add_clock(ClockDomain::new(self.tenants[idx].imu_freq));
-        let cp_clk = sched.add_clock(ClockDomain::new(self.tenants[idx].cp_freq));
-        sched.clock_mut(imu_clk).fast_forward_past(segment_start);
-        sched.clock_mut(cp_clk).fast_forward_past(segment_start);
-
-        loop {
-            if self.edges >= self.edge_budget {
-                return Err(Error::Timeout {
-                    budget: self.edge_budget,
-                });
-            }
-            // Event-driven skip: fast-forward both domains across spans
-            // where neither side can act (the active tenant is never
-            // demand-stalled, so this is always legal here).
-            {
-                let t = &self.tenants[idx];
-                let imu_clock = sched.clock(imu_clk);
-                let cp_clock = sched.clock(cp_clk);
-                let horizon = EventKernel::horizon(&[
-                    WakeSource {
-                        next_edge: imu_clock.next_edge(),
-                        period: imu_clock.period(),
-                        wake: self.imu.next_wake(&t.port),
-                    },
-                    WakeSource {
-                        next_edge: cp_clock.next_edge(),
-                        period: cp_clock.period(),
-                        wake: t.coprocessor.next_wake(&t.port),
-                    },
-                ]);
-                if let Some(h) = horizon {
-                    let imu_skip = imu_clock.edges_before(h);
-                    let cp_skip = cp_clock.edges_before(h);
-                    let total = imu_skip + cp_skip;
-                    if total > 0 && self.edges + total < self.edge_budget {
-                        self.edges += total;
-                        if imu_skip > 0 {
-                            let clk = sched.clock_mut(imu_clk);
-                            let last = clk.next_edge()
-                                + SimTime::from_ps(clk.period().as_ps() * (imu_skip - 1));
-                            clk.fast_forward_to(h);
-                            self.imu.skip_idle_edges(imu_skip, last);
-                        }
-                        if cp_skip > 0 {
-                            sched.clock_mut(cp_clk).fast_forward_to(h);
-                            let t = &mut self.tenants[idx];
-                            t.coprocessor.skip(cp_skip);
-                            t.stats.cp_cycles += cp_skip;
-                        }
-                    }
-                }
-            }
-
-            self.edges += 1;
-            let (t_edge, id) = sched.pop().expect("two clocks registered");
-
-            // Drain the shared DMA engine up to this edge; arrivals for
-            // parked neighbours make them runnable at the next yield.
-            let ready = self
-                .vim
-                .advance_dma_all(&mut self.imu, &mut self.dpram, t_edge);
-            if !ready.is_empty() {
-                route_demand_ready(&mut self.tenants, &mut self.vim, ready);
-            }
-
-            if id == imu_clk {
-                let event = {
-                    let t = &mut self.tenants[idx];
-                    let mut link = PortLink::new(&mut t.port);
-                    self.imu
-                        .step(t_edge, &mut link, &mut self.dpram, &mut self.trace)
-                };
-                match event {
-                    Some(ImuEvent::Fault) => {
-                        self.irq.raise(self.pld_irq);
-                        let svc = self.vim.service_fault(&mut self.imu, &mut self.dpram)?;
-                        self.irq.acknowledge(self.pld_irq);
-                        self.cpu_free_at = self.cpu_free_at.max(t_edge) + svc.times.total();
-                        let used = t_edge.saturating_sub(segment_start);
-                        let t = &mut self.tenants[idx];
-                        t.stats.faults += 1;
-                        if svc.pending {
-                            // The demand movement is on the DMA engine:
-                            // park this tenant and yield the fabric.
-                            t.state = TenantState::Parked {
-                                t_fault: t_edge,
-                                svc_cpu: svc.times.total(),
-                            };
-                            t.stats.fabric_busy += used;
-                            let asid = t.asid;
-                            self.now = self.now.max(t_edge);
-                            self.scheduler.charge(asid, used);
-                            return Ok(());
-                        }
-                        // Synchronous service (page already arrived via
-                        // a racing transfer): stall in place.
-                        let resume_at = t_edge + svc.times.total();
-                        t.stats.stall += svc.times.total();
-                        sched.clock_mut(imu_clk).fast_forward_past(resume_at);
-                        sched.clock_mut(cp_clk).fast_forward_past(resume_at);
-                    }
-                    Some(ImuEvent::Done) => {
-                        self.irq.raise(self.pld_irq);
-                        let done_svc = self
-                            .vim
-                            .service_done_multi(&mut self.imu, &mut self.dpram)?;
-                        self.irq.acknowledge(self.pld_irq);
-                        let svc_start = self.cpu_free_at.max(t_edge);
-                        let finish = svc_start + done_svc.total();
-                        self.cpu_free_at = finish;
-                        let active = self.tenants[idx]
-                            .active
-                            .take()
-                            .expect("done implies an active request");
-                        let mut outputs = Vec::new();
-                        for (id, dir) in active.manifest {
-                            if let Some(obj) = self.vim.take_object(id) {
-                                if dir != Direction::In {
-                                    outputs.push((id, obj.into_data()));
-                                }
-                            }
-                        }
-                        let used = t_edge.saturating_sub(segment_start);
-                        let t = &mut self.tenants[idx];
-                        t.stats.completed += 1;
-                        t.stats.fabric_busy += used;
-                        t.stats
-                            .latency
-                            .record(finish.saturating_sub(active.started));
-                        t.completed.push(CompletedRequest {
-                            started: active.started,
-                            finished: finish,
-                            outputs,
-                        });
-                        t.state = if t.queue.is_empty() {
-                            TenantState::Idle
-                        } else {
-                            TenantState::Ready
-                        };
-                        let asid = t.asid;
-                        self.now = self.now.max(t_edge);
-                        self.scheduler.charge(asid, used);
-                        return Ok(());
-                    }
-                    None => {}
-                }
-            } else {
-                let t = &mut self.tenants[idx];
-                t.coprocessor.step(&mut t.port);
-                t.stats.cp_cycles += 1;
+/// Unmaps the objects of `manifest` from the VIM's current address
+/// space and returns the buffers of every non-`IN` one, in order.
+fn take_outputs(vim: &mut Vim, manifest: Vec<(ObjectId, Direction)>) -> Vec<(ObjectId, Vec<u8>)> {
+    let mut outputs = Vec::new();
+    for (id, dir) in manifest {
+        if let Some(obj) = vim.take_object(id) {
+            if dir != Direction::In {
+                outputs.push((id, obj.into_data()));
             }
         }
     }
+    outputs
 }
 
 /// [`FallbackIo`] view over a queued request's raw object buffers — the
@@ -1252,7 +1003,11 @@ impl FallbackIo for RequestIo<'_> {
 /// Routes demand-page arrivals to their parked tenants: credits the
 /// stall decomposition to the VIM and marks each tenant resumable from
 /// completion-plus-interrupt time.
-fn route_demand_ready(tenants: &mut [Tenant], vim: &mut Vim, ready: Vec<DemandReady>) {
+fn route_demand_ready(
+    tenants: &mut [Tenant],
+    vim: &mut Vim,
+    ready: impl IntoIterator<Item = DemandReady>,
+) {
     for r in ready {
         let Some(t) = tenants.iter_mut().find(|t| t.asid == r.asid) else {
             continue;

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use vcop::{
-    Direction, ElemSize, FallbackFn, FaultPlan, FaultSite, MapHints, MultiSystem,
-    MultiSystemBuilder, Request, RequestObject, SchedulerKind,
+    Direction, ElemSize, FallbackFn, FaultPlan, FaultSite, Kernel, MapHints, MultiReport,
+    MultiSystem, MultiSystemBuilder, Request, RequestObject, SchedulerKind,
 };
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw as adpcm_hw;
@@ -149,6 +149,12 @@ fn mixed_system_with(
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
+    mixed_system_from(builder)
+}
+
+/// An adpcm tenant and an IDEA tenant admitted, in that order, to the
+/// system `builder` assembles.
+fn mixed_system_from(builder: MultiSystemBuilder) -> (MultiSystem, Asid, Asid) {
     let mut sys = builder.build();
     let adpcm = sys
         .add_tenant(
@@ -330,6 +336,9 @@ fn run_interleaved(
         next_i += 1;
     }
     sys.run().expect("interleaved run completes");
+    sys.vim()
+        .check_invariants(sys.imu())
+        .expect("VIM invariants hold after the run");
     (output_bytes(&mut sys, adpcm), output_bytes(&mut sys, idea))
 }
 
@@ -538,6 +547,7 @@ proptest! {
             expect_i.push(exp);
         }
         let report = sys.run().expect("degraded run completes");
+        prop_assert_eq!(sys.vim().check_invariants(sys.imu()), Ok(()));
 
         let out_a = output_bytes(&mut sys, adpcm);
         let out_i = output_bytes(&mut sys, idea);
@@ -556,5 +566,69 @@ proptest! {
         prop_assert_eq!(report.fallbacks, sizes_a.len() as u64);
         let ti = report.tenants.iter().find(|t| t.name == "idea").unwrap();
         prop_assert_eq!(ti.stats.fallbacks, 0);
+    }
+}
+
+/// Runs a two-tenant mix on `kernel`: `sizes_a` adpcm and `sizes_i`
+/// IDEA requests submitted alternately. Returns the run report and
+/// each tenant's outputs.
+fn run_mix_on(
+    kernel: Kernel,
+    scheduler: SchedulerKind,
+    partition: bool,
+    sizes_a: &[usize],
+    sizes_i: &[usize],
+) -> (MultiReport, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let (mut sys, adpcm, idea) = mixed_system_from(
+        MultiSystemBuilder::epxa4()
+            .scheduler(scheduler)
+            .partition(partition)
+            .kernel(kernel),
+    );
+    for k in 0..sizes_a.len().max(sizes_i.len()) {
+        if let Some(&size) = sizes_a.get(k) {
+            sys.submit(adpcm, adpcm_request(size, k).0);
+        }
+        if let Some(&size) = sizes_i.get(k) {
+            sys.submit(idea, idea_request(size, k).0);
+        }
+    }
+    let report = sys.run().expect("mixed run completes");
+    (
+        report,
+        output_bytes(&mut sys, adpcm),
+        output_bytes(&mut sys, idea),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    /// The stepped reference kernel and the event-driven one produce
+    /// identical multi-tenant reports and output bytes under both
+    /// schedulers, with shared and with partitioned frames.
+    #[test]
+    fn stepped_and_event_kernels_agree_multi_tenant(
+        sizes_a in proptest::collection::vec(
+            (1usize..3).prop_map(|kb| kb * 1024), 1..3),
+        sizes_i in proptest::collection::vec(
+            (1usize..3).prop_map(|kb| kb * 1024), 1..3),
+    ) {
+        for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::DeficitRoundRobin] {
+            for partition in [false, true] {
+                let stepped = run_mix_on(Kernel::Stepped, scheduler, partition, &sizes_a, &sizes_i);
+                let event =
+                    run_mix_on(Kernel::EventDriven, scheduler, partition, &sizes_a, &sizes_i);
+                prop_assert_eq!(&stepped.0, &event.0, "{:?}, partition {}", scheduler, partition);
+                prop_assert_eq!(&stepped.1, &event.1);
+                prop_assert_eq!(&stepped.2, &event.2);
+                for (k, (size, out)) in sizes_a.iter().zip(&event.1).enumerate() {
+                    prop_assert_eq!(out, &adpcm_request(*size, k).1);
+                }
+                for (k, (size, out)) in sizes_i.iter().zip(&event.2).enumerate() {
+                    prop_assert_eq!(out, &idea_request(*size, k).1);
+                }
+            }
+        }
     }
 }

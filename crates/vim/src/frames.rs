@@ -71,6 +71,22 @@ pub enum FrameState {
 pub struct FrameTable {
     frames: Vec<FrameState>,
     next_seq: u64,
+    /// The first transition the state machine does not allow, if one
+    /// was ever made (see [`FrameTable::illegal_transition`]).
+    illegal: Option<(PageIndex, FrameState, FrameState)>,
+}
+
+/// Whether the frame state machine allows `from → to`.
+fn legal(from: FrameState, to: FrameState) -> bool {
+    use FrameState::*;
+    matches!(
+        (from, to),
+        (Free, Params(_) | Resident(_) | Loading(_))
+            | (Params(_) | Resident(_) | Loading(_) | Evicting(_), Free)
+            | (Resident(_), Evicting(_))
+            | (Loading(_), Resident(_))
+            | (Evicting(_), Loading(_))
+    )
 }
 
 impl FrameTable {
@@ -84,7 +100,25 @@ impl FrameTable {
         FrameTable {
             frames: vec![FrameState::Free; count],
             next_seq: 0,
+            illegal: None,
         }
+    }
+
+    /// Moves `frame` to `to`, recording the first move the state machine
+    /// does not allow.
+    fn set(&mut self, frame: PageIndex, to: FrameState) {
+        let from = self.frames[frame.0];
+        if from != to && !legal(from, to) && self.illegal.is_none() {
+            self.illegal = Some((frame, from, to));
+        }
+        self.frames[frame.0] = to;
+    }
+
+    /// The first transition outside `Free → {Params, Resident, Loading}`,
+    /// `Resident → Evicting`, `Loading → Resident`, `Evicting → Loading`
+    /// and `* → Free` ever made, as `(frame, from, to)`.
+    pub fn illegal_transition(&self) -> Option<(PageIndex, FrameState, FrameState)> {
+        self.illegal
     }
 
     /// Number of frames.
@@ -149,7 +183,7 @@ impl FrameTable {
             loaded_seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.frames[frame.0] = FrameState::Resident(r);
+        self.set(frame, FrameState::Resident(r));
         r
     }
 
@@ -162,7 +196,7 @@ impl FrameTable {
     pub fn evict(&mut self, frame: PageIndex) -> Option<Resident> {
         match self.frames[frame.0] {
             FrameState::Resident(r) => {
-                self.frames[frame.0] = FrameState::Free;
+                self.set(frame, FrameState::Free);
                 Some(r)
             }
             // Parameter reservations are released only through
@@ -187,14 +221,14 @@ impl FrameTable {
             FrameState::Free,
             "parameter frame {frame} must be free"
         );
-        self.frames[frame.0] = FrameState::Params(asid);
+        self.set(frame, FrameState::Params(asid));
     }
 
     /// Releases a parameter reservation (the coprocessor invalidated the
     /// page). Returns whether a reservation existed.
     pub fn release_params(&mut self, frame: PageIndex) -> bool {
         if matches!(self.frames[frame.0], FrameState::Params(_)) {
-            self.frames[frame.0] = FrameState::Free;
+            self.set(frame, FrameState::Free);
             true
         } else {
             false
@@ -227,7 +261,7 @@ impl FrameTable {
             loaded_seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.frames[frame.0] = FrameState::Loading(r);
+        self.set(frame, FrameState::Loading(r));
         r
     }
 
@@ -236,7 +270,7 @@ impl FrameTable {
     pub fn finish_load(&mut self, frame: PageIndex) -> Option<Resident> {
         match self.frames[frame.0] {
             FrameState::Loading(r) => {
-                self.frames[frame.0] = FrameState::Resident(r);
+                self.set(frame, FrameState::Resident(r));
                 Some(r)
             }
             _ => None,
@@ -248,7 +282,7 @@ impl FrameTable {
     pub fn cancel_load(&mut self, frame: PageIndex) -> Option<Resident> {
         match self.frames[frame.0] {
             FrameState::Loading(r) => {
-                self.frames[frame.0] = FrameState::Free;
+                self.set(frame, FrameState::Free);
                 Some(r)
             }
             _ => None,
@@ -262,7 +296,7 @@ impl FrameTable {
     pub fn begin_evict(&mut self, frame: PageIndex) -> Option<Resident> {
         match self.frames[frame.0] {
             FrameState::Resident(r) => {
-                self.frames[frame.0] = FrameState::Evicting(r);
+                self.set(frame, FrameState::Evicting(r));
                 Some(r)
             }
             _ => None,
@@ -274,7 +308,7 @@ impl FrameTable {
     pub fn finish_evict(&mut self, frame: PageIndex) -> Option<Resident> {
         match self.frames[frame.0] {
             FrameState::Evicting(r) => {
-                self.frames[frame.0] = FrameState::Free;
+                self.set(frame, FrameState::Free);
                 Some(r)
             }
             _ => None,
@@ -301,7 +335,7 @@ impl FrameTable {
                     loaded_seq: self.next_seq,
                 };
                 self.next_seq += 1;
-                self.frames[frame.0] = FrameState::Loading(r);
+                self.set(frame, FrameState::Loading(r));
                 Some(r)
             }
             _ => None,
@@ -343,13 +377,65 @@ impl FrameTable {
 
     /// Frees every frame (end of execution).
     pub fn clear(&mut self) {
-        self.frames.fill(FrameState::Free);
+        for i in 0..self.frames.len() {
+            self.set(PageIndex(i), FrameState::Free);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_the_state_machine_edges_are_legal() {
+        let r = Resident {
+            asid: Asid::SINGLE,
+            obj: ObjectId(0),
+            vpage: 0,
+            loaded_seq: 0,
+        };
+        let (free, params) = (FrameState::Free, FrameState::Params(Asid::SINGLE));
+        let (res, load, evict) = (
+            FrameState::Resident(r),
+            FrameState::Loading(r),
+            FrameState::Evicting(r),
+        );
+        let states = [free, params, res, load, evict];
+        let allowed = [
+            (free, params),
+            (free, res),
+            (free, load),
+            (params, free),
+            (res, free),
+            (res, evict),
+            (load, res),
+            (load, free),
+            (evict, free),
+            (evict, load),
+        ];
+        for from in states {
+            for to in states {
+                if from != to {
+                    assert_eq!(
+                        legal(from, to),
+                        allowed.contains(&(from, to)),
+                        "{from:?} -> {to:?}"
+                    );
+                }
+            }
+        }
+        // The table's own transitions never trip the record.
+        let mut ft = FrameTable::new(2);
+        ft.begin_load(PageIndex(0), Asid::SINGLE, ObjectId(0), 0);
+        ft.finish_load(PageIndex(0));
+        ft.begin_evict(PageIndex(0));
+        ft.retarget_load(PageIndex(0), Asid::SINGLE, ObjectId(0), 1);
+        ft.cancel_load(PageIndex(0));
+        ft.reserve_params(PageIndex(1), Asid::SINGLE);
+        ft.clear();
+        assert_eq!(ft.illegal_transition(), None);
+    }
 
     #[test]
     fn fresh_table_is_all_free() {

@@ -23,7 +23,7 @@ use vcop_sim::time::SimTime;
 
 use crate::cost::OsCostModel;
 use crate::error::VimError;
-use crate::frames::{FrameState, FrameTable};
+use crate::frames::{FrameState, FrameTable, Resident};
 use crate::object::{Direction, MapHints, MappedObject};
 use crate::policy::{FrameView, PolicyKind, ReplacementPolicy};
 use crate::prefetch::PrefetchMode;
@@ -100,6 +100,21 @@ impl ServiceTimes {
     pub fn total(&self) -> SimTime {
         self.dp + self.imu
     }
+}
+
+/// How much of the interface memory one execution owns, and so what its
+/// setup and end-of-operation services may tear down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Exclusive use of the fabric, the paper's model: setup cancels
+    /// every transfer and clears the whole frame table and TLB, and end
+    /// of operation writes back and releases every frame.
+    Table,
+    /// One tenant of a shared fabric: setup and end of operation touch
+    /// only the current address space's frames, parameter page and
+    /// object layouts. Co-tenants' frames, TLB entries and in-flight
+    /// transfers survive.
+    Tenant,
 }
 
 /// Outcome of a fault service.
@@ -545,20 +560,25 @@ impl Vim {
         Ok(t)
     }
 
-    /// Implements the setup half of `FPGA_EXECUTE`: programs object
-    /// layouts into the IMU, clears the translation state, writes the
-    /// scalar `params` into the parameter page and designates it.
-    /// Returns the setup service time. The caller then asserts
+    /// Implements the setup half of `FPGA_EXECUTE`: programs the current
+    /// address space's object layouts into the IMU, writes the scalar
+    /// `params` into a free parameter frame and designates it, and (with
+    /// [`VimConfig::preload`]) installs mapped pages into the free
+    /// frames. With [`Scope::Table`] the translation state is cleared
+    /// first. Returns the setup service time. The caller then asserts
     /// `CR.start`.
     ///
     /// # Errors
     ///
-    /// Returns [`VimError::TooManyParams`] if `params` exceeds one page.
+    /// [`VimError::TooManyParams`] if `params` exceeds one page;
+    /// [`VimError::NoFrameAvailable`] when no frame in the address
+    /// space's allocation range is free for the parameter page.
     pub fn prepare_execute(
         &mut self,
         imu: &mut Imu,
         dpram: &mut DualPortRam,
         params: &[u32],
+        scope: Scope,
     ) -> Result<SimTime, VimError> {
         let capacity = self.config.page_bytes / 4;
         if params.len() > capacity {
@@ -567,23 +587,29 @@ impl Vim {
                 capacity,
             });
         }
-        self.cancel_in_flight(imu);
-        if let Some(clock) = &mut self.bus_clock {
-            // The platform restarts its edge timeline at zero for each
-            // execution; the DMA bus clock follows suit.
-            *clock = ClockDomain::new(self.cost.bus().frequency());
+        if scope == Scope::Table {
+            self.cancel_in_flight(imu);
+            if let Some(clock) = &mut self.bus_clock {
+                // The platform restarts its edge timeline at zero for
+                // each execution; the DMA bus clock follows suit.
+                *clock = ClockDomain::new(self.cost.bus().frequency());
+            }
+            // Refresh during the idle gap between operations precharges
+            // all SDRAM banks, so row locality never leaks across
+            // executions.
+            self.cost.precharge_sdram();
+            self.frames.clear();
+            imu.tlb_mut().invalidate_all();
         }
-        // Refresh during the idle gap between operations precharges all
-        // SDRAM banks, so row locality never leaks across executions.
-        self.cost.precharge_sdram();
-        self.frames.clear();
-        imu.tlb_mut().invalidate_all();
         imu.clear_object_layouts();
         let asid = self.current_asid;
         for o in self.own_objects() {
             imu.set_object_layout(o.id(), o.elem());
         }
-        let pframe = PageIndex(0);
+        let pframe = self
+            .frames
+            .find_free_in(self.alloc_range(asid))
+            .ok_or(VimError::NoFrameAvailable)?;
         self.frames.reserve_params(pframe, asid);
         self.param_frames.insert(asid.0, pframe);
         let base = pframe.0 * self.config.page_bytes;
@@ -615,7 +641,7 @@ impl Vim {
                     .collect()
             };
             for (obj, vpage) in plan {
-                let Some(frame) = self.frames.find_free() else {
+                let Some(frame) = self.frames.find_free_in(self.alloc_range(asid)) else {
                     break;
                 };
                 self.install_page(asid, obj, vpage, frame, imu, dpram, &mut preload_times);
@@ -631,58 +657,6 @@ impl Vim {
             "sw_dp",
             self.cost.param_setup_time(params.len()) + preload_times.dp,
         );
-        Ok(t)
-    }
-
-    /// Implements the setup half of `FPGA_EXECUTE` for one tenant of a
-    /// shared coprocessor: programs the current address space's object
-    /// layouts, allocates and fills a parameter page, and leaves every
-    /// other tenant's frames, TLB entries and in-flight transfers
-    /// untouched. No pages are preloaded — a shared interface memory is
-    /// demand-paged so tenants only occupy frames they actually use.
-    /// Returns the setup service time; the caller then asserts
-    /// `CR.start`.
-    ///
-    /// # Errors
-    ///
-    /// [`VimError::TooManyParams`] as for [`Vim::prepare_execute`];
-    /// [`VimError::NoFrameAvailable`] when no frame in the tenant's
-    /// allocation range is free for the parameter page.
-    pub fn prepare_execute_multi(
-        &mut self,
-        imu: &mut Imu,
-        dpram: &mut DualPortRam,
-        params: &[u32],
-    ) -> Result<SimTime, VimError> {
-        let capacity = self.config.page_bytes / 4;
-        if params.len() > capacity {
-            return Err(VimError::TooManyParams {
-                requested: params.len(),
-                capacity,
-            });
-        }
-        let asid = self.current_asid;
-        imu.clear_object_layouts();
-        for o in self.own_objects() {
-            imu.set_object_layout(o.id(), o.elem());
-        }
-        let pframe = self
-            .frames
-            .find_free_in(self.alloc_range(asid))
-            .ok_or(VimError::NoFrameAvailable)?;
-        self.frames.reserve_params(pframe, asid);
-        self.param_frames.insert(asid.0, pframe);
-        let base = pframe.0 * self.config.page_bytes;
-        for (i, &w) in params.iter().enumerate() {
-            dpram
-                .write_word(Port::Cpu, base + i * 4, w)
-                .expect("parameter page is in range");
-        }
-        imu.set_param_frame(pframe);
-        let t = self.cost.syscall_time() + self.cost.param_setup_time(params.len());
-        self.times.add("sw_imu", self.cost.syscall_time());
-        self.times
-            .add("sw_dp", self.cost.param_setup_time(params.len()));
         Ok(t)
     }
 
@@ -823,8 +797,56 @@ impl Vim {
         self.inject_copy_faults(base, asid, obj, vpage)
     }
 
-    /// Allocates a frame for a new page, evicting (and writing back a
-    /// dirty victim) if necessary.
+    /// Claims a frame in `asid`'s allocation range for an incoming page:
+    /// a free frame if one exists, else a policy-chosen victim among the
+    /// unpinned residents — only clean ones when `clean_only`, never
+    /// `protect`. A victim is unmapped and dropped from the policy; its
+    /// frame-table state is the caller's to change. Returns the frame
+    /// and, for a victim, the page that resided there and whether it was
+    /// dirty; `None` when no frame qualifies.
+    fn claim_frame(
+        &mut self,
+        asid: Asid,
+        imu: &mut Imu,
+        clean_only: bool,
+        protect: Option<PageIndex>,
+        out: &mut ServiceTimes,
+    ) -> Option<(PageIndex, Option<(Resident, bool)>)> {
+        if let Some(f) = self.frames.find_free_in(self.alloc_range(asid)) {
+            return Some((f, None));
+        }
+        let views: Vec<FrameView> = self
+            .frame_views(imu, asid)
+            .into_iter()
+            .filter(|v| {
+                Some(PageIndex(v.frame)) != protect
+                    && !(clean_only && imu.tlb().entry(v.frame).dirty)
+            })
+            .collect();
+        if views.is_empty() {
+            return None;
+        }
+        let victim = PageIndex(self.policy.choose_victim(&views));
+        let FrameState::Resident(resident) = self.frames.state(victim) else {
+            return None;
+        };
+        // The TLB entry for a frame lives at the same index (one entry
+        // per frame; see vcop-imu::tlb). The victim may belong to a
+        // parked tenant — its write-back is priced lazily, only because
+        // the incoming tenant actually steals the frame.
+        if resident.asid != asid {
+            self.counters.incr("cross_asid_steal");
+        }
+        let dirty = imu.tlb().entry(victim.0).dirty;
+        imu.tlb_mut().invalidate(victim.0);
+        out.imu += self.cost.tlb_update_time();
+        self.policy.on_evict(resident.obj, resident.vpage);
+        self.counters.incr("eviction");
+        Some((victim, Some((resident, dirty))))
+    }
+
+    /// Allocates a frame for a new demand page, evicting (and writing
+    /// back a dirty victim) if necessary.
     fn allocate_frame(
         &mut self,
         asid: Asid,
@@ -832,67 +854,16 @@ impl Vim {
         dpram: &mut DualPortRam,
         out: &mut ServiceTimes,
     ) -> Result<PageIndex, VimError> {
-        if let Some(f) = self.frames.find_free_in(self.alloc_range(asid)) {
-            return Ok(f);
+        let (frame, victim) = self
+            .claim_frame(asid, imu, false, None, out)
+            .ok_or(VimError::NoFrameAvailable)?;
+        if let Some((r, dirty)) = victim {
+            if dirty {
+                out.dp += self.writeback_page(r.asid, r.obj, r.vpage, frame, dpram);
+            }
+            self.frames.evict(frame);
         }
-        let views = self.frame_views(imu, asid);
-        if views.is_empty() {
-            return Err(VimError::NoFrameAvailable);
-        }
-        let victim = PageIndex(self.policy.choose_victim(&views));
-        let resident = match self.frames.state(victim) {
-            FrameState::Resident(r) => r,
-            _ => return Err(VimError::NoFrameAvailable),
-        };
-        // The TLB entry for a frame lives at the same index (one entry
-        // per frame; see vcop-imu::tlb). The victim may belong to a
-        // parked tenant — the write-back is priced here, lazily, only
-        // because the incoming tenant actually steals the frame.
-        if resident.asid != asid {
-            self.counters.incr("cross_asid_steal");
-        }
-        if imu.tlb().entry(victim.0).dirty {
-            out.dp +=
-                self.writeback_page(resident.asid, resident.obj, resident.vpage, victim, dpram);
-        }
-        imu.tlb_mut().invalidate(victim.0);
-        out.imu += self.cost.tlb_update_time();
-        self.frames.evict(victim);
-        self.policy.on_evict(resident.obj, resident.vpage);
-        self.counters.incr("eviction");
-        Ok(victim)
-    }
-
-    /// Allocates a frame for a speculative load: a free frame if one
-    /// exists, otherwise a *clean* policy-chosen victim (never `protect`,
-    /// the frame of the demand page just installed). Returns `None` when
-    /// speculation would cost a write-back.
-    fn allocate_prefetch_frame(
-        &mut self,
-        asid: Asid,
-        imu: &mut Imu,
-        protect: PageIndex,
-        out: &mut ServiceTimes,
-    ) -> Option<PageIndex> {
-        if let Some(f) = self.frames.find_free_in(self.alloc_range(asid)) {
-            return Some(f);
-        }
-        let views: Vec<FrameView> = self
-            .frame_views(imu, asid)
-            .into_iter()
-            .filter(|v| v.frame != protect.0 && !imu.tlb().entry(v.frame).dirty)
-            .collect();
-        if views.is_empty() {
-            return None;
-        }
-        let victim = PageIndex(self.policy.choose_victim(&views));
-        imu.tlb_mut().invalidate(victim.0);
-        out.imu += self.cost.tlb_update_time();
-        if let Some(r) = self.frames.evict(victim) {
-            self.policy.on_evict(r.obj, r.vpage);
-        }
-        self.counters.incr("eviction");
-        Some(victim)
+        Ok(frame)
     }
 
     /// Installs page `vpage` of `obj` into `frame`: loads the data and
@@ -982,19 +953,6 @@ impl Vim {
         dpram: &mut DualPortRam,
         out: &mut ServiceTimes,
     ) {
-        // Pure-OUT pages with `skip_out_page_load` move no data: the
-        // descriptor-only transfer still round-trips the engine so every
-        // demand resolves through the same completion path.
-        let bytes = self
-            .copy_page_in(asid, obj, vpage, frame, dpram)
-            .map_or(0, |(_, bytes)| bytes);
-        let bus = *self.cost.bus();
-        let ticket = self.dma.as_mut().expect("overlap engine").submit(
-            &bus,
-            bytes,
-            SlaveProfile::SDRAM,
-            SlaveProfile::DPRAM,
-        );
         imu.tlb_mut().set_entry(
             frame.0,
             TlbEntry {
@@ -1006,20 +964,8 @@ impl Vim {
             },
         );
         out.imu += self.cost.tlb_update_time() + self.cost.dma_setup_time();
-        self.in_flight.push(InFlight {
-            ticket,
-            frame,
-            asid,
-            obj,
-            vpage,
-            kind: InFlightKind::Load { demand },
-            attempts: 0,
-            timed_out: false,
-            recovered: SimTime::ZERO,
-            lost: false,
-        });
-        self.counters.incr("dma_transfer");
-        self.inject_submit_faults(ticket, asid);
+        let kind = InFlightKind::Load { demand };
+        self.track(frame, asid, obj, vpage, kind, dpram);
     }
 
     /// Enqueues an asynchronous write-back of `resident` out of `frame`
@@ -1030,35 +976,78 @@ impl Vim {
     fn submit_writeback(
         &mut self,
         frame: PageIndex,
-        resident: crate::frames::Resident,
+        resident: Resident,
         then_load: Option<ChainedLoad>,
         dpram: &mut DualPortRam,
         out: &mut ServiceTimes,
     ) {
-        let (_, bytes) =
-            self.copy_page_out(resident.asid, resident.obj, resident.vpage, frame, dpram);
-        let bus = *self.cost.bus();
-        let ticket = self.dma.as_mut().expect("overlap engine").submit(
-            &bus,
-            bytes,
-            SlaveProfile::DPRAM,
-            SlaveProfile::SDRAM,
-        );
         out.imu += self.cost.dma_setup_time();
+        let kind = InFlightKind::Writeback { then_load };
+        let r = resident;
+        self.track(frame, r.asid, r.obj, r.vpage, kind, dpram);
+    }
+
+    /// Stages the data of a transfer of page `vpage` of `obj` through
+    /// `frame` — inbound for a load, outbound for a write-back — and
+    /// submits it to the DMA engine. Returns the engine ticket.
+    fn stage_and_submit(
+        &mut self,
+        frame: PageIndex,
+        asid: Asid,
+        obj: ObjectId,
+        vpage: u32,
+        kind: InFlightKind,
+        dpram: &mut DualPortRam,
+    ) -> TransferId {
+        // Pure-OUT pages with `skip_out_page_load` move no data: the
+        // descriptor-only transfer still round-trips the engine so every
+        // demand resolves through the same completion path.
+        let (bytes, from, to) = match kind {
+            InFlightKind::Load { .. } => (
+                self.copy_page_in(asid, obj, vpage, frame, dpram)
+                    .map_or(0, |(_, b)| b),
+                SlaveProfile::SDRAM,
+                SlaveProfile::DPRAM,
+            ),
+            InFlightKind::Writeback { .. } => (
+                self.copy_page_out(asid, obj, vpage, frame, dpram).1,
+                SlaveProfile::DPRAM,
+                SlaveProfile::SDRAM,
+            ),
+        };
+        let bus = *self.cost.bus();
+        self.dma
+            .as_mut()
+            .expect("overlap engine")
+            .submit(&bus, bytes, from, to)
+    }
+
+    /// Submits a new transfer (see [`Vim::stage_and_submit`]), tracks it
+    /// in flight and rolls its submit-time fault sites.
+    fn track(
+        &mut self,
+        frame: PageIndex,
+        asid: Asid,
+        obj: ObjectId,
+        vpage: u32,
+        kind: InFlightKind,
+        dpram: &mut DualPortRam,
+    ) {
+        let ticket = self.stage_and_submit(frame, asid, obj, vpage, kind, dpram);
         self.in_flight.push(InFlight {
             ticket,
             frame,
-            asid: resident.asid,
-            obj: resident.obj,
-            vpage: resident.vpage,
-            kind: InFlightKind::Writeback { then_load },
+            asid,
+            obj,
+            vpage,
+            kind,
             attempts: 0,
             timed_out: false,
             recovered: SimTime::ZERO,
             lost: false,
         });
         self.counters.incr("dma_transfer");
-        self.inject_submit_faults(ticket, resident.asid);
+        self.inject_submit_faults(ticket, asid);
     }
 
     /// Rolls the injected-fault sites that afflict a freshly submitted
@@ -1098,85 +1087,26 @@ impl Vim {
         dpram: &mut DualPortRam,
         out: &mut ServiceTimes,
     ) -> bool {
-        if let Some(frame) = self.frames.find_free_in(self.alloc_range(asid)) {
-            self.frames.begin_load(frame, asid, obj, vpage);
-            self.submit_load(asid, obj, vpage, frame, true, imu, dpram, out);
-            return true;
-        }
-        let views = self.frame_views(imu, asid);
-        if views.is_empty() {
+        let Some((frame, victim)) = self.claim_frame(asid, imu, false, None, out) else {
             return false;
-        }
-        let victim = PageIndex(self.policy.choose_victim(&views));
-        let resident = match self.frames.state(victim) {
-            FrameState::Resident(r) => r,
-            _ => return false,
         };
-        if resident.asid != asid {
-            self.counters.incr("cross_asid_steal");
-        }
-        let dirty = imu.tlb().entry(victim.0).dirty;
-        imu.tlb_mut().invalidate(victim.0);
-        out.imu += self.cost.tlb_update_time();
-        self.policy.on_evict(resident.obj, resident.vpage);
-        self.counters.incr("eviction");
-        if dirty {
-            self.frames.begin_evict(victim);
-            self.submit_writeback(
-                victim,
-                resident,
-                Some(ChainedLoad {
+        match victim {
+            Some((resident, true)) => {
+                self.frames.begin_evict(frame);
+                let chain = ChainedLoad {
                     asid,
                     obj,
                     vpage,
                     demand: true,
-                }),
-                dpram,
-                out,
-            );
-        } else {
-            self.frames.evict(victim);
-            self.frames.begin_load(victim, asid, obj, vpage);
-            self.submit_load(asid, obj, vpage, victim, true, imu, dpram, out);
+                };
+                self.submit_writeback(frame, resident, Some(chain), dpram, out);
+            }
+            _ => {
+                self.frames.evict(frame);
+                self.frames.begin_load(frame, asid, obj, vpage);
+                self.submit_load(asid, obj, vpage, frame, true, imu, dpram, out);
+            }
         }
-        true
-    }
-
-    /// Allocates a frame for a speculative overlapped load — a free
-    /// frame, else a *clean* policy-chosen victim (pinned frames are
-    /// invisible; speculation never pays a write-back) — and starts the
-    /// transfer. Returns `false` when no frame qualifies.
-    fn start_prefetch_load(
-        &mut self,
-        asid: Asid,
-        obj: ObjectId,
-        vpage: u32,
-        imu: &mut Imu,
-        dpram: &mut DualPortRam,
-        out: &mut ServiceTimes,
-    ) -> bool {
-        let frame = if let Some(f) = self.frames.find_free_in(self.alloc_range(asid)) {
-            f
-        } else {
-            let views: Vec<FrameView> = self
-                .frame_views(imu, asid)
-                .into_iter()
-                .filter(|v| !imu.tlb().entry(v.frame).dirty)
-                .collect();
-            if views.is_empty() {
-                return false;
-            }
-            let victim = PageIndex(self.policy.choose_victim(&views));
-            imu.tlb_mut().invalidate(victim.0);
-            out.imu += self.cost.tlb_update_time();
-            if let Some(r) = self.frames.evict(victim) {
-                self.policy.on_evict(r.obj, r.vpage);
-            }
-            self.counters.incr("eviction");
-            victim
-        };
-        self.frames.begin_load(frame, asid, obj, vpage);
-        self.submit_load(asid, obj, vpage, frame, false, imu, dpram, out);
         true
     }
 
@@ -1236,25 +1166,7 @@ impl Vim {
             self.times.add("sw_imu", self.cost.dma_completion_time());
             return;
         }
-        let (bytes, from, to) = match e.kind {
-            InFlightKind::Load { .. } => (
-                self.copy_page_in(e.asid, e.obj, e.vpage, e.frame, dpram)
-                    .map_or(0, |(_, b)| b),
-                SlaveProfile::SDRAM,
-                SlaveProfile::DPRAM,
-            ),
-            InFlightKind::Writeback { .. } => (
-                self.copy_page_out(e.asid, e.obj, e.vpage, e.frame, dpram).1,
-                SlaveProfile::DPRAM,
-                SlaveProfile::SDRAM,
-            ),
-        };
-        let bus = *self.cost.bus();
-        let ticket = self
-            .dma
-            .as_mut()
-            .expect("overlap engine")
-            .submit(&bus, bytes, from, to);
+        let ticket = self.stage_and_submit(e.frame, e.asid, e.obj, e.vpage, e.kind, dpram);
         let f = &mut self.in_flight[idx];
         f.ticket = ticket;
         f.attempts += 1;
@@ -1386,27 +1298,15 @@ impl Vim {
     /// Advances the asynchronous DMA engine's bus clock up to `now`,
     /// applying every completion that occurs on the way: finished loads
     /// become valid mappings, coalesced write-backs chain into their
-    /// loads, and a deferred demand is retried. Returns the demand-page
-    /// arrival, if it happened, so the platform can model the completion
-    /// interrupt and resume the coprocessor.
+    /// loads, and deferred demands are retried. Returns every
+    /// demand-page arrival in the window, so the platform can model the
+    /// completion interrupt and resume each stalled coprocessor context
+    /// (with several tenants sharing the engine, one advance can unblock
+    /// more than one).
     ///
     /// Cheap when idle: with nothing queued the bus clock fast-forwards
     /// past `now` without visiting edges.
     pub fn advance_dma(
-        &mut self,
-        imu: &mut Imu,
-        dpram: &mut DualPortRam,
-        now: SimTime,
-    ) -> Option<DemandReady> {
-        self.advance_dma_all(imu, dpram, now).pop()
-    }
-
-    /// Like [`Vim::advance_dma`], but reports *every* demand-page
-    /// arrival in the window. With several tenants sharing the engine,
-    /// one advance can unblock more than one parked coprocessor
-    /// context; the single-`Option` form would silently drop all but
-    /// the last.
-    pub fn advance_dma_all(
         &mut self,
         imu: &mut Imu,
         dpram: &mut DualPortRam,
@@ -1464,6 +1364,82 @@ impl Vim {
         self.frames.pinned_count()
     }
 
+    /// Checks the manager's structural invariants against `imu` and
+    /// describes the first violation found:
+    ///
+    /// * every frame-state transition so far was legal;
+    /// * a frame is pinned (`Loading` / `Evicting`) exactly when one
+    ///   tracked transfer of the matching kind moves it, for the same page;
+    /// * a valid TLB entry exists exactly for each resident frame and maps
+    ///   that frame's page in that frame's address space;
+    /// * no frame is owned by two address spaces: each parameter frame is
+    ///   reserved for the one address space that holds it.
+    ///
+    /// The platform runs it after every service call in debug builds.
+    pub fn check_invariants(&self, imu: &Imu) -> Result<(), String> {
+        if let Some((frame, from, to)) = self.frames.illegal_transition() {
+            return Err(format!(
+                "frame {frame}: illegal transition {from:?} -> {to:?}"
+            ));
+        }
+        let tlb = imu.tlb();
+        for i in 0..tlb.len() {
+            let frame = PageIndex(i);
+            let state = if i < self.frames.len() {
+                self.frames.state(frame)
+            } else {
+                FrameState::Free
+            };
+            let movers: Vec<&InFlight> =
+                self.in_flight.iter().filter(|f| f.frame == frame).collect();
+            let pinned = match state {
+                FrameState::Loading(r) => Some((r, true)),
+                FrameState::Evicting(r) => Some((r, false)),
+                _ => None,
+            };
+            let moved_right = match (pinned, movers.as_slice()) {
+                (None, []) => true,
+                (Some((r, loading)), [f]) => {
+                    matches!(f.kind, InFlightKind::Load { .. }) == loading
+                        && (f.asid, f.obj, f.vpage) == (r.asid, r.obj, r.vpage)
+                }
+                _ => false,
+            };
+            if !moved_right {
+                return Err(format!(
+                    "frame {frame} is {state:?} with {} transfer(s) in flight",
+                    movers.len()
+                ));
+            }
+            let e = tlb.entry(i);
+            let mapped_right = match state {
+                FrameState::Resident(r) => {
+                    e.valid
+                        && e.frame == frame
+                        && (e.asid, e.vpage.obj, e.vpage.page) == (r.asid, r.obj, r.vpage)
+                }
+                _ => !e.valid,
+            };
+            if !mapped_right {
+                return Err(format!("frame {frame} is {state:?} with TLB entry {e:?}"));
+            }
+            if let FrameState::Params(asid) = state {
+                if self.param_frames.get(&asid.0) != Some(&frame) {
+                    return Err(format!("frame {frame} holds parameters of unknown {asid}"));
+                }
+            }
+        }
+        for (&asid, &frame) in &self.param_frames {
+            if self.frames.state(frame) != FrameState::Params(Asid(asid)) {
+                return Err(format!(
+                    "parameter frame {frame} of asid {asid} is {:?}",
+                    self.frames.state(frame)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Credits the demand-stall components the platform measured: the
     /// DMA wait (data movement the coprocessor blocked on → `sw_dp`) and
     /// the completion-interrupt + resume CPU work (→ `sw_imu`).
@@ -1482,19 +1458,26 @@ impl Vim {
             engine.cancel_all();
         }
         for entry in std::mem::take(&mut self.in_flight) {
-            match entry.kind {
-                InFlightKind::Load { .. } => {
-                    self.frames.cancel_load(entry.frame);
-                    imu.tlb_mut().invalidate(entry.frame.0);
-                }
-                InFlightKind::Writeback { .. } => {
-                    self.frames.finish_evict(entry.frame);
-                }
-            }
-            self.counters.incr("dma_cancelled");
+            self.unpin(&entry, imu);
         }
         self.deferred_demand.clear();
         self.transfer_failure = None;
+    }
+
+    /// Releases the frame a cancelled transfer pinned: a `Loading` frame
+    /// returns to `Free` unmapped, an `Evicting` one is released (its
+    /// user-buffer copy was staged at submission, so no data is lost).
+    fn unpin(&mut self, entry: &InFlight, imu: &mut Imu) {
+        match entry.kind {
+            InFlightKind::Load { .. } => {
+                self.frames.cancel_load(entry.frame);
+                imu.tlb_mut().invalidate(entry.frame.0);
+            }
+            InFlightKind::Writeback { .. } => {
+                self.frames.finish_evict(entry.frame);
+            }
+        }
+        self.counters.incr("dma_cancelled");
     }
 
     /// Services a translation fault: the *Page Fault* request of
@@ -1572,71 +1555,66 @@ impl Vim {
                     });
                 }
                 self.policy.on_fault(vpage.obj, vpage.page);
+                let (obj, page) = (vpage.obj, vpage.page);
 
-                if self.config.overlap {
-                    // Overlapped paging: enqueue the demand movement and
-                    // return with the coprocessor still stalled; it
-                    // resumes on the completion interrupt, not at
-                    // syscall/service return.
-                    if self.mark_inbound_demand(asid, vpage.obj, vpage.page) {
+                // The demand page. Overlapped paging enqueues its
+                // movement and returns with the coprocessor still
+                // stalled; it resumes on the completion interrupt, not
+                // at service return.
+                let demand_frame = if self.config.overlap {
+                    if self.mark_inbound_demand(asid, obj, page) {
                         // The page is already inbound (a speculative load
                         // raced the access): just wait for it.
                         self.counters.incr("fault_on_loading");
-                    } else if !self
-                        .start_demand_load(asid, vpage.obj, vpage.page, imu, dpram, &mut out)
-                    {
+                    } else if !self.start_demand_load(asid, obj, page, imu, dpram, &mut out) {
                         if self.in_flight.is_empty() {
                             return Err(VimError::NoFrameAvailable);
                         }
                         // Every candidate frame is pinned by an in-flight
                         // transfer; retry as completions free them.
-                        self.deferred_demand
-                            .push_back((asid, vpage.obj, vpage.page));
+                        self.deferred_demand.push_back((asid, obj, page));
                         self.counters.incr("demand_deferred");
                     }
+                    None
+                } else {
+                    let frame = self.allocate_frame(asid, imu, dpram, &mut out)?;
+                    self.install_page(asid, obj, page, frame, imu, dpram, &mut out);
+                    Some(frame)
+                };
 
-                    // Speculative loads ride along: free frames first,
-                    // then clean cold victims (pinned frames are
-                    // invisible to the policy, so in-flight pages are
-                    // never stolen).
-                    for target in self.config.prefetch.targets(vpage.page, pages, sequential) {
-                        if self.frames.frame_of(asid, vpage.obj, target).is_some()
-                            || self.is_inbound(asid, vpage.obj, target)
-                            || self.deferred_demand.contains(&(asid, vpage.obj, target))
-                        {
-                            continue;
-                        }
-                        if !self.start_prefetch_load(asid, vpage.obj, target, imu, dpram, &mut out)
-                        {
-                            break;
-                        }
-                        self.counters.incr("prefetch");
+                // Speculative loads ride along: free frames first, then
+                // clean victims chosen by the policy — never the demand
+                // page, and never at the price of a write-back (pinned
+                // frames are invisible to the policy, so in-flight pages
+                // are never stolen).
+                for target in self.config.prefetch.targets(page, pages, sequential) {
+                    if self.frames.frame_of(asid, obj, target).is_some()
+                        || self.is_inbound(asid, obj, target)
+                        || self.deferred_demand.contains(&(asid, obj, target))
+                    {
+                        continue;
                     }
+                    let Some((slot, _)) = self.claim_frame(asid, imu, true, demand_frame, &mut out)
+                    else {
+                        break;
+                    };
+                    self.frames.evict(slot);
+                    if self.config.overlap {
+                        self.frames.begin_load(slot, asid, obj, target);
+                        self.submit_load(asid, obj, target, slot, false, imu, dpram, &mut out);
+                    } else {
+                        self.install_page(asid, obj, target, slot, imu, dpram, &mut out);
+                    }
+                    self.counters.incr("prefetch");
+                }
 
+                if self.config.overlap {
                     self.times.add("sw_dp", out.dp);
                     self.times.add("sw_imu", out.imu);
                     return Ok(FaultService {
                         times: out,
                         pending: true,
                     });
-                }
-
-                let frame = self.allocate_frame(asid, imu, dpram, &mut out)?;
-                self.install_page(asid, vpage.obj, vpage.page, frame, imu, dpram, &mut out);
-
-                // Speculative loads: free frames first, then clean
-                // victims chosen by the policy — never the page just
-                // installed, and never at the price of a write-back.
-                for target in self.config.prefetch.targets(vpage.page, pages, sequential) {
-                    if self.frames.frame_of(asid, vpage.obj, target).is_some() {
-                        continue;
-                    }
-                    let Some(slot) = self.allocate_prefetch_frame(asid, imu, frame, &mut out)
-                    else {
-                        break;
-                    };
-                    self.install_page(asid, vpage.obj, target, slot, imu, dpram, &mut out);
-                    self.counters.incr("prefetch");
                 }
             }
         }
@@ -1656,7 +1634,10 @@ impl Vim {
     /// user space all the dirty data currently residing in the dual-port
     /// memory" (Section 3.3), releases the frames and acknowledges the
     /// IMU so the coprocessor "should be ready and waiting for new
-    /// execution".
+    /// execution". With [`Scope::Table`] every outstanding transfer is
+    /// cancelled and every frame released; with [`Scope::Tenant`] only
+    /// the finishing address space's frames are, and co-tenants' demand
+    /// loads keep running.
     ///
     /// # Errors
     ///
@@ -1665,49 +1646,7 @@ impl Vim {
         &mut self,
         imu: &mut Imu,
         dpram: &mut DualPortRam,
-    ) -> Result<ServiceTimes, VimError> {
-        if !imu.status().done {
-            return Err(VimError::NotDone);
-        }
-        let mut out = ServiceTimes {
-            imu: self.cost.done_service_time(),
-            ..Default::default()
-        };
-        self.reap_param_frame(imu);
-        // Outstanding speculative transfers are aborted before teardown;
-        // the final write-backs below are synchronous (part of the done
-        // service, as in the paper).
-        self.cancel_in_flight(imu);
-        for (frame, resident) in self.frames.residents() {
-            if imu.tlb().entry(frame.0).dirty {
-                out.dp +=
-                    self.writeback_page(resident.asid, resident.obj, resident.vpage, frame, dpram);
-            }
-            imu.tlb_mut().invalidate(frame.0);
-            self.frames.evict(frame);
-        }
-        self.check_transfer_failure()?;
-        imu.clear_done();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
-        Ok(out)
-    }
-
-    /// End-of-operation service for a multi-tenant fabric: writes back
-    /// and releases only the *finishing tenant's* frames, leaving other
-    /// tenants' resident pages (and their in-flight demand loads)
-    /// untouched. The departing tenant's dirty pages are copied out
-    /// synchronously, exactly as in [`Vim::service_done`], but no
-    /// transfer is cancelled: parked tenants' demand loads must survive
-    /// a neighbour's completion.
-    ///
-    /// # Errors
-    ///
-    /// [`VimError::NotDone`] if the IMU does not report completion.
-    pub fn service_done_multi(
-        &mut self,
-        imu: &mut Imu,
-        dpram: &mut DualPortRam,
+        scope: Scope,
     ) -> Result<ServiceTimes, VimError> {
         if !imu.status().done {
             return Err(VimError::NotDone);
@@ -1719,14 +1658,18 @@ impl Vim {
         };
         self.reap_param_frame(imu);
         // The execution is over: the parameter page is dead whether or
-        // not the coprocessor invalidated it. (The single-tenant path
-        // can leave this to `prepare_execute`'s full frame clear; here
-        // nothing ever clears the table wholesale.)
+        // not the coprocessor invalidated it.
         if let Some(f) = self.param_frames.remove(&asid.0) {
             self.frames.release_params(f);
         }
+        if scope == Scope::Table {
+            // Outstanding speculative transfers are aborted before
+            // teardown; the final write-backs below are synchronous
+            // (part of the done service, as in the paper).
+            self.cancel_in_flight(imu);
+        }
         for (frame, resident) in self.frames.residents() {
-            if resident.asid != asid {
+            if scope == Scope::Tenant && resident.asid != asid {
                 continue;
             }
             if imu.tlb().entry(frame.0).dirty {
@@ -1762,31 +1705,17 @@ impl Vim {
         dpram: &mut DualPortRam,
         now: SimTime,
     ) -> Vec<DemandReady> {
-        let mut ready = Vec::new();
-        let mut rescue = Vec::new();
-        let entries = std::mem::take(&mut self.in_flight);
-        let mut kept = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let owned = entry.asid == asid;
-            let chained_other = match entry.kind {
-                InFlightKind::Writeback {
-                    then_load: Some(c), ..
-                } if c.asid != asid => Some(c),
-                _ => None,
+        let mut kept = Vec::with_capacity(self.in_flight.len());
+        for mut entry in std::mem::take(&mut self.in_flight) {
+            let chained = match entry.kind {
+                InFlightKind::Writeback { then_load } => then_load,
+                InFlightKind::Load { .. } => None,
             };
-            if !owned {
-                // A co-tenant's transfer chained to the aborted tenant's
-                // load: keep the write-back, drop only the chain.
-                if let InFlightKind::Writeback {
-                    then_load: Some(c), ..
-                } = entry.kind
-                {
-                    if c.asid == asid {
-                        let mut e = entry;
-                        e.kind = InFlightKind::Writeback { then_load: None };
-                        kept.push(e);
-                        continue;
-                    }
+            if entry.asid != asid {
+                // A co-tenant's write-back chained to the aborted
+                // tenant's load: keep the write-back, drop only the chain.
+                if chained.is_some_and(|c| c.asid == asid) {
+                    entry.kind = InFlightKind::Writeback { then_load: None };
                 }
                 kept.push(entry);
                 continue;
@@ -1797,21 +1726,12 @@ impl Vim {
                     engine.drop_transfer(entry.ticket);
                 }
             }
-            match entry.kind {
-                InFlightKind::Load { .. } => {
-                    self.frames.cancel_load(entry.frame);
-                    imu.tlb_mut().invalidate(entry.frame.0);
-                }
-                InFlightKind::Writeback { .. } => {
-                    // The outbound copy was staged at submission, so no
-                    // co-tenant data is lost by releasing the frame.
-                    self.frames.finish_evict(entry.frame);
-                    if let Some(c) = chained_other {
-                        rescue.push((c.asid, c.obj, c.vpage, c.demand));
-                    }
-                }
+            self.unpin(&entry, imu);
+            // Restart a co-tenant demand that was chained behind the
+            // aborted tenant's write-back.
+            if let Some(c) = chained.filter(|c| c.asid != asid && c.demand) {
+                self.deferred_demand.push_back((c.asid, c.obj, c.vpage));
             }
-            self.counters.incr("dma_cancelled");
         }
         self.in_flight = kept;
 
@@ -1828,14 +1748,7 @@ impl Vim {
         }
         imu.tlb_mut().invalidate_asid(asid);
         self.deferred_demand.retain(|&(a, _, _)| a != asid);
-
-        // Restart co-tenant demands that were chained behind the aborted
-        // tenant's write-backs.
-        for (a, obj, vpage, demand) in rescue {
-            if demand {
-                self.deferred_demand.push_back((a, obj, vpage));
-            }
-        }
+        let mut ready = Vec::new();
         self.retry_deferred(now, imu, dpram, &mut ready);
         ready
     }
@@ -1988,7 +1901,7 @@ mod tests {
         rig.map(1, patterned(2 * PAGE, 2), Direction::Out);
         let t = rig
             .vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[7, 9])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[7, 9], Scope::Table)
             .unwrap();
         assert!(t > SimTime::ZERO);
         // Params live in frame 0.
@@ -2006,12 +1919,25 @@ mod tests {
     }
 
     #[test]
+    fn invariant_check_flags_a_resident_frame_without_its_mapping() {
+        let mut rig = Rig::prototype();
+        rig.map(0, patterned(2 * PAGE, 1), Direction::In);
+        rig.vim
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
+            .unwrap();
+        assert_eq!(rig.vim.check_invariants(&rig.imu), Ok(()));
+        rig.imu.tlb_mut().invalidate(1);
+        let err = rig.vim.check_invariants(&rig.imu).unwrap_err();
+        assert!(err.starts_with("frame p1 is Resident"), "{err}");
+    }
+
+    #[test]
     fn too_many_params_rejected() {
         let mut rig = Rig::prototype();
         let params = vec![0u32; PAGE / 4 + 1];
         assert!(matches!(
             rig.vim
-                .prepare_execute(&mut rig.imu, &mut rig.dpram, &params),
+                .prepare_execute(&mut rig.imu, &mut rig.dpram, &params, Scope::Table),
             Err(VimError::TooManyParams { .. })
         ));
     }
@@ -2024,7 +1950,8 @@ mod tests {
             Err(VimError::NoFaultPending)
         ));
         assert!(matches!(
-            rig.vim.service_done(&mut rig.imu, &mut rig.dpram),
+            rig.vim
+                .service_done(&mut rig.imu, &mut rig.dpram, Scope::Table),
             Err(VimError::NotDone)
         ));
     }
@@ -2038,7 +1965,7 @@ mod tests {
         let data = patterned(2 * PAGE, 3);
         rig.map(0, data.clone(), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         // Element 600 lives in virtual page 1 (byte 2400).
@@ -2068,7 +1995,7 @@ mod tests {
         });
         rig.map(0, vec![0u8; 9 * PAGE], Direction::InOut);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         let elems_per_page = (PAGE / 4) as u32;
@@ -2104,7 +2031,7 @@ mod tests {
         let mut rig = Rig::prototype();
         rig.map(0, vec![0u8; PAGE], Direction::Out);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         rig.port.issue_write(ObjectId(0), 0, 0xDEAD_BEEF);
@@ -2118,7 +2045,10 @@ mod tests {
             }
         }
         assert!(done);
-        let svc = rig.vim.service_done(&mut rig.imu, &mut rig.dpram).unwrap();
+        let svc = rig
+            .vim
+            .service_done(&mut rig.imu, &mut rig.dpram, Scope::Table)
+            .unwrap();
         assert!(svc.dp > SimTime::ZERO);
         assert!(!rig.imu.status().done);
         let buf = rig.vim.take_object(ObjectId(0)).unwrap().into_data();
@@ -2135,7 +2065,7 @@ mod tests {
             });
             rig.map(0, vec![0u8; 4 * PAGE], Direction::Out);
             rig.vim
-                .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+                .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
                 .unwrap();
             (
                 rig.vim.counters().get("page_load"),
@@ -2157,7 +2087,7 @@ mod tests {
         });
         rig.map(0, vec![0u8; PAGE], Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[42])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[42], Scope::Table)
             .unwrap();
         rig.start();
         // Coprocessor reads the param, then invalidates the page.
@@ -2181,7 +2111,7 @@ mod tests {
         });
         rig.map(0, vec![0u8; 4 * PAGE], Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         assert_eq!(rig.vim.counters().get("page_load"), 0);
         assert!(rig.imu.tlb().valid_indices().is_empty());
@@ -2192,7 +2122,7 @@ mod tests {
         let mut rig = Rig::prototype();
         rig.map(0, patterned(PAGE, 0), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[1])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[1], Scope::Table)
             .unwrap();
         let dp = rig.vim.times().get("sw_dp");
         let imu_t = rig.vim.times().get("sw_imu");
@@ -2218,6 +2148,7 @@ mod tests {
                 if let Some(r) = self
                     .vim
                     .advance_dma(&mut self.imu, &mut self.dpram, self.now)
+                    .pop()
                 {
                     return r;
                 }
@@ -2233,6 +2164,7 @@ mod tests {
                 if self
                     .vim
                     .advance_dma(&mut self.imu, &mut self.dpram, self.now)
+                    .pop()
                     .is_some()
                 {
                     self.imu.resume();
@@ -2258,7 +2190,7 @@ mod tests {
         let data = patterned(2 * PAGE, 9);
         rig.map(0, data.clone(), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         rig.port.issue_read(ObjectId(0), 600);
@@ -2288,7 +2220,7 @@ mod tests {
         let mut rig = Rig::new(overlap_config());
         rig.map(0, vec![0u8; 9 * PAGE], Direction::InOut);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         let elems_per_page = (PAGE / 4) as u32;
@@ -2332,7 +2264,7 @@ mod tests {
         let data = patterned(10 * PAGE, 4);
         rig.map(0, data.clone(), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         let elems_per_page = (PAGE / 4) as u32;
@@ -2349,6 +2281,7 @@ mod tests {
                 if rig
                     .vim
                     .advance_dma(&mut rig.imu, &mut rig.dpram, rig.now)
+                    .pop()
                     .is_some()
                 {
                     rig.imu.resume();
@@ -2383,7 +2316,7 @@ mod tests {
         rig.vim.set_fault_injector(FaultInjector::new(plan));
         rig.map(0, patterned(2 * PAGE, 9), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         rig.port.issue_read(ObjectId(0), 600);
@@ -2424,7 +2357,7 @@ mod tests {
         ));
         rig.map(0, patterned(2 * PAGE, 9), Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         rig.port.issue_read(ObjectId(0), 600);
@@ -2433,7 +2366,7 @@ mod tests {
         for _ in 0..100_000 {
             rig.now += SimTime::from_ns(25);
             let ready = rig.vim.advance_dma(&mut rig.imu, &mut rig.dpram, rig.now);
-            assert!(ready.is_none(), "every attempt is lost");
+            assert!(ready.is_empty(), "every attempt is lost");
             if !rig.vim.dma_busy() {
                 break;
             }
@@ -2453,7 +2386,7 @@ mod tests {
         });
         rig.map(0, vec![0u8; 4 * PAGE], Direction::In);
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         rig.start();
         rig.port.issue_read(ObjectId(0), 0);
@@ -2469,7 +2402,7 @@ mod tests {
         // A new FPGA_EXECUTE tears the old operation down: every queued
         // transfer dies and no completion ever fires for it.
         rig.vim
-            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         assert!(!rig.vim.dma_busy());
         assert_eq!(rig.vim.pinned_frames(), 0);
@@ -2479,7 +2412,7 @@ mod tests {
         assert!(
             rig.vim
                 .advance_dma(&mut rig.imu, &mut rig.dpram, far)
-                .is_none(),
+                .is_empty(),
             "cancelled transfers never complete"
         );
         assert!(rig.imu.tlb().valid_indices().is_empty());

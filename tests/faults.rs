@@ -5,16 +5,18 @@
 //! report's recovery counters.
 
 use vcop::{
-    Direction, ElemSize, Error, FallbackFn, FaultPlan, FaultSite, Kernel, MapHints, RecoveryPolicy,
-    System, SystemBuilder,
+    Direction, ElemSize, Error, FallbackFn, FaultInjector, FaultPlan, FaultSite, Kernel, MapHints,
+    MultiSystemBuilder, RecoveryPolicy, Request, RequestObject, System, SystemBuilder,
 };
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT, OBJ_OUTPUT};
 use vcop_apps::timing;
 use vcop_fabric::bitstream::Bitstream;
+use vcop_fabric::device::DeviceKind;
 use vcop_fabric::loader::LoadError;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, Wake};
-use vcop_sim::time::SimTime;
+use vcop_fabric::resources::Resources;
+use vcop_sim::time::{Frequency, SimTime};
 use vcop_vim::VimError;
 
 /// Synthetic adpcm workload: (coded input, expected output bytes).
@@ -367,6 +369,26 @@ fn dropped_irq_window_closes_the_layer_sum() {
     assert_eq!(report.sw_dp, r_clean.sw_dp);
     assert_eq!(report.sw_imu, r_clean.sw_imu);
     assert_eq!(report.wall, r_clean.wall + report.recovery_time);
+
+    // One delayed fault interrupt: the late delivery lengthens the
+    // stall and is charged to recovery, once, to the picosecond.
+    let plan = FaultPlan::new(7).once(FaultSite::IrqDelay, 1);
+    let mut delayed = build_adpcm(&coded, Some(plan), false);
+    let r_delay = delayed.fpga_execute(&[n]).expect("delayed run");
+    let delay = SimTime::from_ps(
+        timing::ADPCM_IMU_FREQ.period().as_ps() * delayed.fault_injector().irq_delay_edges(),
+    );
+    assert_eq!(delayed.fault_injector().fired(FaultSite::IrqDelay), 1);
+    assert_eq!(r_delay.recovery_time, delay);
+    assert_eq!(
+        r_delay.wall,
+        r_delay.hw + r_delay.sw_dp + r_delay.sw_imu + r_delay.recovery_time,
+        "a delayed IRQ must close the layer sum to the picosecond"
+    );
+    assert_eq!(r_delay.hw, r_clean.hw);
+    assert_eq!(r_delay.sw_dp, r_clean.sw_dp);
+    assert_eq!(r_delay.sw_imu, r_clean.sw_imu);
+    assert_eq!(delayed.take_object(OBJ_OUTPUT).expect("mapped"), expect);
 }
 
 #[test]
@@ -508,5 +530,151 @@ fn dead_fabric_fails_configuration_cleanly() {
             );
         }
         other => panic!("expected a configuration fault, got: {other}"),
+    }
+}
+
+/// The platform configurations of the fault-site matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    SingleSync,
+    SingleOverlap,
+    MultiTenant,
+}
+
+/// Serves the adpcm workload with `plan` armed in `mode` — one request
+/// on a `System`, or one request for each of two tenants sharing a
+/// `MultiSystem` — with software fallbacks registered. Returns each
+/// request's output bytes or typed error, and the fault injector.
+fn serve_under(
+    plan: FaultPlan,
+    mode: Mode,
+    coded: &[u8],
+) -> (Vec<Result<Vec<u8>, Error>>, FaultInjector) {
+    let n = coded.len() as u32;
+    let hints = MapHints {
+        sequential: true,
+        ..Default::default()
+    };
+    if mode == Mode::MultiTenant {
+        let mut sys = MultiSystemBuilder::epxa4().faults(plan).build();
+        let bitstream = Bitstream::builder("adpcmdecode")
+            .device(DeviceKind::Epxa4)
+            .resources(Resources::new(1_100, 6_144))
+            .core_clock(timing::ADPCM_CORE_FREQ)
+            .synthetic_payload(8 * 1024)
+            .build()
+            .to_bytes();
+        let mut tenants = Vec::new();
+        for name in ["adpcm0", "adpcm1"] {
+            let mhz = Frequency::from_mhz(40);
+            let core = Box::new(AdpcmCoprocessor::new());
+            match sys.add_tenant(name, 1, mhz, mhz, &bitstream, core) {
+                Ok(asid) => tenants.push(asid),
+                Err(e) => return (vec![Err(e)], sys.fault_injector().clone()),
+            }
+        }
+        for &asid in &tenants {
+            sys.set_software_fallback(asid, Box::new(adpcm_fallback()));
+            let object = |id, data, elem, direction| RequestObject {
+                id,
+                data,
+                elem,
+                direction,
+                hints,
+            };
+            sys.submit(
+                asid,
+                Request {
+                    objects: vec![
+                        object(OBJ_INPUT, coded.to_vec(), ElemSize::U8, Direction::In),
+                        object(
+                            OBJ_OUTPUT,
+                            vec![0; coded.len() * 4],
+                            ElemSize::U16,
+                            Direction::Out,
+                        ),
+                    ],
+                    params: vec![n],
+                },
+            );
+        }
+        let outcome = match sys.run() {
+            Ok(_) => tenants
+                .iter()
+                .map(|&asid| {
+                    let mut done = sys.take_completed(asid);
+                    assert_eq!(done.len(), 1, "one completed request per tenant");
+                    Ok(done.remove(0).outputs.remove(0).1)
+                })
+                .collect(),
+            Err(e) => vec![Err(e)],
+        };
+        return (outcome, sys.fault_injector().clone());
+    }
+    let mut builder = SystemBuilder::epxa1()
+        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
+        .faults(plan);
+    if mode == Mode::SingleOverlap {
+        builder = builder.overlap(true).dma_channels(2);
+    }
+    let mut sys = builder.build();
+    sys.set_software_fallback(Box::new(adpcm_fallback()));
+    let bs = Bitstream::builder("adpcmdecode")
+        .synthetic_payload(2048)
+        .build();
+    let outcome = sys
+        .fpga_load(&bs.to_bytes(), Box::new(AdpcmCoprocessor::new()))
+        .and_then(|_| {
+            let out = vec![0; coded.len() * 4];
+            sys.fpga_map_object(
+                OBJ_INPUT,
+                coded.to_vec(),
+                ElemSize::U8,
+                Direction::In,
+                hints,
+            )?;
+            sys.fpga_map_object(OBJ_OUTPUT, out, ElemSize::U16, Direction::Out, hints)?;
+            sys.fpga_execute(&[n])
+        })
+        .map(|_| sys.take_object(OBJ_OUTPUT).expect("mapped"));
+    (vec![outcome], sys.fault_injector().clone())
+}
+
+#[test]
+fn every_fault_site_in_every_mode_serves_correct_bytes_or_a_typed_error() {
+    let (coded, expect) = adpcm_input();
+    for mode in [Mode::SingleSync, Mode::SingleOverlap, Mode::MultiTenant] {
+        for site in FaultSite::ALL {
+            let mut fired = 0;
+            let mut opportunities = 0;
+            for seed in 1..=4 {
+                let plan = FaultPlan::new(0xFA17 + seed * 7919).rate(site, 0.5);
+                // A panic or a hang past the edge budget fails the test
+                // here; anything else must be the right bytes or an
+                // error value.
+                let (outcomes, injector) = serve_under(plan, mode, &coded);
+                for bytes in outcomes.into_iter().flatten() {
+                    assert_eq!(bytes, expect, "{mode:?}, {site:?}, seed {seed}");
+                }
+                fired += injector.fired(site);
+                opportunities += injector.opportunities(site);
+            }
+            // Two sites have no opportunity in some modes. A parity
+            // upset is rolled while the synchronous fault handler has the
+            // IMU open, and with overlapped paging (always on for a
+            // shared fabric) no handler runs synchronously. A DMA timeout
+            // is rolled when a transfer is submitted to the DMA engine,
+            // which synchronous paging does not use.
+            let no_opportunity = match site {
+                FaultSite::TlbParity => mode != Mode::SingleSync,
+                FaultSite::DmaTimeout => mode == Mode::SingleSync,
+                _ => false,
+            };
+            if no_opportunity {
+                assert_eq!(opportunities, 0, "{site:?} now rolls in {mode:?}");
+                continue;
+            }
+            assert!(fired > 0, "{site:?} never fired in {mode:?}");
+        }
     }
 }

@@ -228,7 +228,10 @@ proptest! {
         }
 
         let param0 = 0xC0FF_EE00u32;
+        // Debug builds check the VIM invariants after every service
+        // call inside the platform loop; check them once more here.
         system.fpga_execute(&[param0]).expect("execute");
+        prop_assert_eq!(system.vim().check_invariants(system.imu()), Ok(()));
 
         let expected_checksum = model_run(&mut buffers, &script, param0);
 
@@ -291,6 +294,7 @@ fn run_scripted(
             .expect("map");
     }
     let report = system.fpga_execute(&[0xC0FF_EE00]).expect("execute");
+    assert_eq!(system.vim().check_invariants(system.imu()), Ok(()));
     let finals = (0..buffers.len())
         .map(|o| system.take_object(ObjectId(o as u8)).expect("mapped"))
         .collect();

@@ -1,11 +1,13 @@
 //! Criterion bench for the Fig. 9 experiment: the IDEA workload through
 //! the full platform (VIM-based) and on the manually managed interface
-//! (normal coprocessor) at each published input size.
+//! (normal coprocessor) at each published input size, plus the
+//! simulation-kernel comparison on the 32 KB point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions};
+use vcop::Kernel;
+use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions, IdeaHarness};
 
 fn bench_fig9(c: &mut Criterion) {
     let opts = ExperimentOptions::default();
@@ -27,5 +29,33 @@ fn bench_fig9(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fig9);
+/// Stepped vs event-driven kernel on one warmed IDEA 32 KB system each.
+/// Both kernels simulate exactly the same edges, so the `elem/s` column
+/// is simulated cycles (IMU edges + coprocessor cycles) per host second.
+/// Each iteration also maps, copies out and verifies the objects, which
+/// costs the same on both kernels.
+fn bench_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig9_idea_32KB_kernel");
+    group.sample_size(10);
+    let mut stepped_cycles = None;
+    for (name, kernel) in [("stepped", Kernel::Stepped), ("event", Kernel::EventDriven)] {
+        let opts = ExperimentOptions {
+            kernel,
+            ..Default::default()
+        };
+        let mut harness = IdeaHarness::new(32, &opts);
+        let warm = harness.run().report;
+        let cycles = warm.imu_edges + warm.cp_cycles;
+        assert_eq!(
+            *stepped_cycles.get_or_insert(cycles),
+            cycles,
+            "the event kernel must consume exactly the stepped kernel's edges"
+        );
+        group.throughput(Throughput::Elements(cycles));
+        group.bench_function(name, |b| b.iter(|| black_box(harness.run().report.total())));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fig9, bench_kernels);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Ablation studies over the design choices the paper calls out.
 //!
-//! Usage: `ablations [pipeline|transfer|policy|device|all] [--json <path>]`
+//! Usage: `ablations [pipeline|transfer|policy|overlap|pagesize|sensitivity|device|all]`
 //!
 //! * `pipeline` — the pipelined IMU the authors announce ("expected to
 //!   mask almost completely the translation overhead", Section 4.1);
@@ -12,9 +12,6 @@
 //! * `device`   — the porting claim of Section 4: EPXA4/EPXA10 need only
 //!   a "module recompile" (a different `DeviceProfile`), application and
 //!   coprocessor untouched.
-//!
-//! With `--json <path>` every arm appends its wall clock (and, for
-//! `overlap`, per-point throughput) to the shared measurement file.
 
 use std::env;
 
@@ -22,11 +19,10 @@ use vcop::{ExecutionReport, PolicyKind, PrefetchMode, TransferMode};
 use vcop_bench::experiments::{
     adpcm_vim, idea_vim, matmul_vim, AdpcmHarness, ExperimentOptions, IdeaHarness,
 };
-use vcop_bench::runner::{measure, take_json_arg, SectionRecord, WorkloadMeasurement};
 use vcop_bench::table::{ms, speedup, Table};
 use vcop_fabric::DeviceProfile;
 
-fn pipeline() -> SectionRecord {
+fn pipeline() {
     println!("== abl-pipe: pipelined IMU (IDEA workload, 8 KB) ==\n");
     let mut table = Table::new(vec!["IMU", "HW", "VIM total", "speedup"]);
     for (name, depth) in [("prototype (depth 1)", 1usize), ("pipelined (depth 4)", 4)] {
@@ -46,10 +42,9 @@ fn pipeline() -> SectionRecord {
     println!("(the IDEA core bursts its four reads/writes per block, so a deeper");
     println!("IMU overlaps their translations and recovers most of the overhead —");
     println!("the effect the authors predicted for their pipelined IMU)\n");
-    SectionRecord::default()
 }
 
-fn transfer() -> SectionRecord {
+fn transfer() {
     println!("== abl-xfer: page transfer strategy (adpcmdecode 8 KB) ==\n");
     let mut table = Table::new(vec!["VIM copies", "SW (DP)", "VIM total", "speedup"]);
     let variants: [(&str, ExperimentOptions); 4] = [
@@ -81,10 +76,9 @@ fn transfer() -> SectionRecord {
         ]);
     }
     println!("{}", table.render());
-    SectionRecord::default()
 }
 
-fn policy() -> SectionRecord {
+fn policy() {
     println!("== abl-policy: replacement policy and prefetch (IDEA 32 KB) ==\n");
     let mut table = Table::new(vec!["policy", "prefetch", "faults", "SW (DP)", "VIM total"]);
     for kind in [
@@ -145,51 +139,39 @@ fn policy() -> SectionRecord {
         }
     }
     println!("{}", table.render());
-    SectionRecord::default()
 }
 
-/// The overlapped-paging configurations: display name, JSON slug,
-/// prefetch, overlap, DMA channels.
-const OVERLAP_CONFIGS: [(&str, &str, PrefetchMode, bool, usize); 7] = [
-    ("sync, no prefetch", "sync", PrefetchMode::None, false, 1),
+/// The overlapped-paging configurations: display name, prefetch,
+/// overlap, DMA channels.
+const OVERLAP_CONFIGS: [(&str, PrefetchMode, bool, usize); 7] = [
+    ("sync, no prefetch", PrefetchMode::None, false, 1),
     (
         "sync, prefetch d1",
-        "sync_d1",
         PrefetchMode::NextPage { degree: 1 },
         false,
         1,
     ),
-    (
-        "overlap, no prefetch",
-        "overlap",
-        PrefetchMode::None,
-        true,
-        2,
-    ),
+    ("overlap, no prefetch", PrefetchMode::None, true, 2),
     (
         "overlap d1, 1 ch",
-        "overlap_d1_1ch",
         PrefetchMode::NextPage { degree: 1 },
         true,
         1,
     ),
     (
         "overlap d1, 2 ch",
-        "overlap_d1_2ch",
         PrefetchMode::NextPage { degree: 1 },
         true,
         2,
     ),
     (
         "overlap d1, 4 ch",
-        "overlap_d1_4ch",
         PrefetchMode::NextPage { degree: 1 },
         true,
         4,
     ),
     (
         "overlap d2, 2 ch",
-        "overlap_d2_2ch",
         PrefetchMode::NextPage { degree: 2 },
         true,
         2,
@@ -198,12 +180,7 @@ const OVERLAP_CONFIGS: [(&str, &str, PrefetchMode, bool, usize); 7] = [
 
 /// Sweeps the overlap configurations through one warmed-up system,
 /// `point` re-running the workload after each reconfiguration.
-fn overlap_app(
-    label: &str,
-    slug: &str,
-    record: &mut SectionRecord,
-    mut point: impl FnMut(&ExperimentOptions) -> (ExecutionReport, f64),
-) {
+fn overlap_app(label: &str, mut point: impl FnMut(&ExperimentOptions) -> (ExecutionReport, f64)) {
     println!("{label}:\n");
     let mut table = Table::new(vec![
         "VIM",
@@ -214,14 +191,14 @@ fn overlap_app(
         "hidden DMA",
         "speedup",
     ]);
-    for (name, config_slug, prefetch, overlap_on, channels) in OVERLAP_CONFIGS {
+    for (name, prefetch, overlap_on, channels) in OVERLAP_CONFIGS {
         let opts = ExperimentOptions {
             prefetch,
             overlap: overlap_on,
             dma_channels: channels,
             ..Default::default()
         };
-        let ((report, sp), wall) = measure(|| point(&opts));
+        let (report, sp) = point(&opts);
         table.row(vec![
             name.to_owned(),
             report.faults.to_string(),
@@ -231,16 +208,11 @@ fn overlap_app(
             ms(report.dma_hidden),
             speedup(sp),
         ]);
-        record.workloads.push(WorkloadMeasurement {
-            name: format!("{slug}_{config_slug}"),
-            simulated_cycles: report.imu_edges + report.cp_cycles,
-            wall_seconds: wall,
-        });
     }
     println!("{}", table.render());
 }
 
-fn overlap() -> SectionRecord {
+fn overlap() {
     println!("== abl-overlap: overlapped paging (async DMA engine) ==\n");
     println!("the paper's closing future work: \"prefetching ... allowing");
     println!("overlapping of processor and coprocessor execution\". Page");
@@ -250,11 +222,10 @@ fn overlap() -> SectionRecord {
     println!("prefetch). Each workload reuses one warmed-up system across");
     println!("the configurations.\n");
 
-    let mut record = SectionRecord::default();
     let base = ExperimentOptions::default();
 
     let mut adpcm = AdpcmHarness::new(8, &base);
-    overlap_app("adpcm 8 KB", "adpcm_8kb", &mut record, |opts| {
+    overlap_app("adpcm 8 KB", |opts| {
         adpcm.reconfigure(opts);
         let run = adpcm.run();
         let sp = run.speedup();
@@ -262,17 +233,15 @@ fn overlap() -> SectionRecord {
     });
 
     let mut idea = IdeaHarness::new(32, &base);
-    overlap_app("IDEA 32 KB", "idea_32kb", &mut record, |opts| {
+    overlap_app("IDEA 32 KB", |opts| {
         idea.reconfigure(opts);
         let run = idea.run();
         let sp = run.speedup();
         (run.report, sp)
     });
-
-    record
 }
 
-fn device() -> SectionRecord {
+fn device() {
     println!("== abl-device: porting across the device family (IDEA 32 KB) ==\n");
     println!("identical application code and coprocessor FSM; only the device");
     println!("profile (dual-port RAM size) changes — Section 4's porting claim\n");
@@ -296,10 +265,9 @@ fn device() -> SectionRecord {
         ]);
     }
     println!("{}", table.render());
-    SectionRecord::default()
 }
 
-fn pagesize() -> SectionRecord {
+fn pagesize() {
     println!("== abl-pagesize: interface page size (VIM tuning) ==\n");
     println!("the prototype uses 2 KB pages; smaller pages cut transfer waste on");
     println!("strided workloads at the price of more faults (fixed per-fault cost)\n");
@@ -336,10 +304,9 @@ fn pagesize() -> SectionRecord {
         }
         println!("{wl}:\n{}", table.render());
     }
-    SectionRecord::default()
 }
 
-fn sensitivity() -> SectionRecord {
+fn sensitivity() {
     println!("== abl-sens: sensitivity to the fixed OS overhead constants ==\n");
     println!("EXPERIMENTS.md claims the figure shapes are insensitive to 2x");
     println!("changes in the kernel-path constants because page copies dominate\n");
@@ -362,14 +329,17 @@ fn sensitivity() -> SectionRecord {
         ]);
     }
     println!("{}", table.render());
-    SectionRecord::default()
 }
 
-type Arm = (&'static str, fn() -> SectionRecord);
+type Arm = (&'static str, fn());
 
 fn main() {
-    let (rest, json_path) = take_json_arg(env::args().skip(1).collect());
-    let which = rest.first().cloned().unwrap_or_else(|| "all".to_owned());
+    let args: Vec<String> = env::args().skip(1).collect();
+    let which = match args.as_slice() {
+        [] => "all".to_owned(),
+        [arm] => arm.clone(),
+        _ => args.join(" "),
+    };
     let arms: Vec<Arm> = vec![
         ("pipeline", pipeline),
         ("transfer", transfer),
@@ -390,16 +360,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    for (name, arm) in selected {
-        let (mut record, wall) = measure(arm);
-        record.wall_seconds = wall;
-        if let Some(path) = &json_path {
-            record
-                .merge_into_file(path, &format!("ablation_{name}"))
-                .expect("write bench json");
-        }
-    }
-    if let Some(path) = &json_path {
-        println!("measurements appended to {}", path.display());
+    for (_, arm) in selected {
+        arm();
     }
 }

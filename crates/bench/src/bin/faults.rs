@@ -27,8 +27,7 @@
 //! and a co-tenant of a hard-faulting tenant must produce byte-identical
 //! output to its solo run (isolation).
 //!
-//! `--quick` cuts the seed count; `--json <path>` appends the
-//! measurements to the shared bench file.
+//! `--quick` cuts the seed count.
 
 use vcop::{
     Direction, ElemSize, FallbackFn, FaultPlan, FaultSite, MapHints, MultiSystemBuilder, Request,
@@ -39,8 +38,6 @@ use vcop_apps::adpcm::hw as adpcm_hw;
 use vcop_apps::idea::cipher as idea_cipher;
 use vcop_apps::idea::hw as idea_hw;
 use vcop_apps::timing;
-use vcop_bench::json::Value;
-use vcop_bench::runner::{measure, take_json_arg};
 use vcop_bench::table::Table;
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
@@ -150,7 +147,6 @@ struct Point {
     served: u64,
     hw_served: u64,
     fallbacks: u64,
-    injected: u64,
     retries: u64,
     resets: u64,
     wall_sum: SimTime,
@@ -192,7 +188,6 @@ fn run_point(coded: &[u8], expect: &[u8], site: FaultSite, rate: f64, seeds: u64
                 } else {
                     point.hw_served += 1;
                 }
-                point.injected += report.injected_faults;
                 point.retries += report.transfer_retries;
                 point.resets += report.watchdog_resets;
                 point.wall_sum += report.wall;
@@ -399,9 +394,8 @@ fn isolation_spot_check() -> (bool, u64) {
 }
 
 fn main() {
-    let (rest, json_path) = take_json_arg(std::env::args().skip(1).collect());
     let mut seeds = 12u64;
-    for arg in rest {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => seeds = 4,
             other => {
@@ -422,16 +416,14 @@ fn main() {
          software fallback (always registered)\n"
     );
 
-    let identity = zero_rate_identity(&coded);
     assert!(
-        identity,
+        zero_rate_identity(&coded),
         "acceptance: a zero-rate armed injector must be byte-identical to a plain system"
     );
     println!("zero-rate identity: armed injector == plain system (reports and bytes)");
 
-    let in_place = in_place_recovery(&coded, &expect);
     assert!(
-        in_place,
+        in_place_recovery(&coded, &expect),
         "acceptance: one dropped IRQ and one lost transfer must be recovered \
          in place (hardware-served, no reset)"
     );
@@ -440,7 +432,7 @@ fn main() {
          (re-submitted) served by hardware, 0 resets"
     );
 
-    let ((isolated, iso_fallbacks), _) = measure(isolation_spot_check);
+    let (isolated, iso_fallbacks) = isolation_spot_check();
     assert!(
         isolated,
         "acceptance: co-tenant of a hard-faulting tenant must match its solo run"
@@ -463,12 +455,10 @@ fn main() {
         "rec p99 us",
         "tput ret",
     ]);
-    let mut arms = Value::object();
     for (site, _) in sites() {
-        let mut site_value = Value::object();
         let mut clean_wall = SimTime::ZERO;
         for rate in RATES {
-            let (point, host) = measure(|| run_point(&coded, &expect, site, rate, seeds));
+            let point = run_point(&coded, &expect, site, rate, seeds);
             if rate == 0.0 {
                 clean_wall = point.mean_wall();
             }
@@ -486,57 +476,11 @@ fn main() {
                 format!("{:.1}", us(percentile(&point.recovery, 0.99))),
                 format!("{retained:.3}"),
             ]);
-            let mut v = Value::object();
-            v.set("runs", Value::Num(point.runs as f64));
-            v.set("served_fraction", Value::Num(point.served_fraction()));
-            v.set("hw_availability", Value::Num(point.hw_availability()));
-            v.set("fallbacks", Value::Num(point.fallbacks as f64));
-            v.set("injected_faults", Value::Num(point.injected as f64));
-            v.set("transfer_retries", Value::Num(point.retries as f64));
-            v.set("watchdog_resets", Value::Num(point.resets as f64));
-            v.set("mean_wall_us", Value::Num(us(point.mean_wall())));
-            v.set("throughput_retained", Value::Num(retained));
-            v.set(
-                "recovery_p50_us",
-                Value::Num(us(percentile(&point.recovery, 0.50))),
-            );
-            v.set(
-                "recovery_p99_us",
-                Value::Num(us(percentile(&point.recovery, 0.99))),
-            );
-            v.set(
-                "recovery_max_us",
-                Value::Num(us(percentile(&point.recovery, 1.0))),
-            );
-            v.set("host_wall_seconds", Value::Num(host));
-            site_value.set(&format!("rate_{rate}"), v);
         }
-        arms.set(site.name(), site_value);
     }
     println!("{}", table.render());
     println!(
         "every run delivered byte-correct output; hardware availability degrades \
          gracefully into the software fallback"
     );
-
-    if let Some(path) = json_path {
-        let mut section = Value::object();
-        section.set("device", Value::Str("EPXA1".to_owned()));
-        section.set("workload", Value::Str("adpcmdecode".to_owned()));
-        section.set("input_bytes", Value::Num(INPUT_BYTES as f64));
-        section.set("seeds_per_point", Value::Num(seeds as f64));
-        section.set("zero_rate_identity", Value::Bool(identity));
-        section.set("in_place_recovery", Value::Bool(in_place));
-        let mut iso = Value::object();
-        iso.set("co_tenant_byte_identical", Value::Bool(isolated));
-        iso.set(
-            "faulting_tenant_fallbacks",
-            Value::Num(iso_fallbacks as f64),
-        );
-        section.set("isolation", iso);
-        section.set("arms", arms);
-        vcop_bench::runner::merge_value_into_file(section, &path, "faults")
-            .expect("write bench json");
-        println!("measurements appended to {}", path.display());
-    }
 }

@@ -1,17 +1,17 @@
 //! Regenerates Figure 8: adpcmdecode execution time, pure software vs
 //! the VIM-based coprocessor (HW + SW(DP) + SW(IMU)), for 2/4/8 KB
 //! inputs. Points are independent simulations and run one per worker
-//! thread; `--json <path>` additionally records throughput into the
-//! shared measurement file.
+//! thread. Takes no arguments.
 
 use vcop_bench::experiments::{adpcm_vim, ExperimentOptions};
-use vcop_bench::runner::{
-    measure, parallel_map, take_json_arg, SectionRecord, WorkloadMeasurement,
-};
+use vcop_bench::runner::parallel_map;
 use vcop_bench::table::{ms, speedup, BarChart, Table};
 
 fn main() {
-    let (_, json_path) = take_json_arg(std::env::args().skip(1).collect());
+    if std::env::args().len() > 1 {
+        eprintln!("fig8 takes no arguments");
+        std::process::exit(2);
+    }
     let opts = ExperimentOptions::default();
     let mut table = Table::new(vec![
         "input",
@@ -27,18 +27,8 @@ fn main() {
     println!("paper: speedups 1.5x / 1.5x / 1.6x; SW(IMU) <= 2.5% of total\n");
     let mut chart = BarChart::new(64);
 
-    let (points, fig_wall) = measure(|| {
-        parallel_map(vec![2usize, 4, 8], |kb| {
-            let (run, wall) = measure(|| adpcm_vim(kb, &opts));
-            (kb, run, wall)
-        })
-    });
-
-    let mut record = SectionRecord {
-        wall_seconds: fig_wall,
-        ..Default::default()
-    };
-    for (kb, run, wall) in &points {
+    let points = parallel_map(vec![2usize, 4, 8], |kb| (kb, adpcm_vim(kb, &opts)));
+    for (kb, run) in &points {
         let r = &run.report;
         chart.bar(format!("{kb} KB SW"), vec![("pure SW", run.sw)]);
         chart.bar(
@@ -55,19 +45,7 @@ fn main() {
             speedup(run.speedup()),
             r.faults.to_string(),
         ]);
-        record.workloads.push(WorkloadMeasurement {
-            name: format!("adpcm_{kb}kb"),
-            simulated_cycles: r.imu_edges + r.cp_cycles,
-            wall_seconds: *wall,
-        });
     }
     println!("{}", table.render());
     println!("{}", chart.render());
-
-    if let Some(path) = json_path {
-        record
-            .merge_into_file(&path, "fig8")
-            .expect("write bench json");
-        println!("measurements appended to {}", path.display());
-    }
 }

@@ -1,78 +1,18 @@
 //! Regenerates Figure 9: IDEA execution time — pure software, normal
 //! (manually managed) coprocessor, and the VIM-based coprocessor — for
 //! 4/8/16/32 KB inputs. Points are independent simulations and run one
-//! per worker thread; `--json <path>` additionally records throughput
-//! and the stepped-vs-event kernel speedup on the 32 KB point into the
-//! shared measurement file.
+//! per worker thread. Takes no arguments.
 
-use vcop::{Error, Kernel};
-use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions, IdeaHarness};
-use vcop_bench::runner::{
-    measure, parallel_map, take_json_arg, KernelComparison, SectionRecord, WorkloadMeasurement,
-};
+use vcop::Error;
+use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions};
+use vcop_bench::runner::parallel_map;
 use vcop_bench::table::{ms, speedup, BarChart, Table};
 
-/// Simulates the 32 KB point on both kernels and returns the comparison,
-/// timing the `fpga_execute` span alone — object mapping, copy-out and
-/// ciphertext verification are identical on both kernels and say nothing
-/// about simulation throughput. The kernels run interleaved (one round
-/// each, best of five) so slow host clock drift hits both sides equally
-/// and one-sided scheduler noise is rejected by the minimum.
-fn kernel_comparison() -> KernelComparison {
-    let stepped_opts = ExperimentOptions {
-        kernel: Kernel::Stepped,
-        ..Default::default()
-    };
-    let mut stepped_harness = IdeaHarness::new(32, &stepped_opts);
-    let mut event_harness = IdeaHarness::new(32, &ExperimentOptions::default());
-
-    // Warm-up round (page in both harnesses, settle the branch
-    // predictors) that also pins the reference cycle count.
-    let cycles = {
-        let run = stepped_harness.run();
-        run.report.imu_edges + run.report.cp_cycles
-    };
-
-    let mut stepped_wall = f64::INFINITY;
-    let mut event_wall = f64::INFINITY;
-    for _ in 0..5 {
-        let run = stepped_harness.run();
-        assert_eq!(
-            run.report.imu_edges + run.report.cp_cycles,
-            cycles,
-            "stepped kernel must be deterministic across runs"
-        );
-        stepped_wall = stepped_wall.min(run.execute_wall);
-
-        let run = event_harness.run();
-        assert_eq!(
-            run.report.imu_edges + run.report.cp_cycles,
-            cycles,
-            "event kernel must consume exactly the stepped kernel's edges"
-        );
-        event_wall = event_wall.min(run.execute_wall);
-    }
-
-    let stepped = WorkloadMeasurement {
-        name: "idea_32kb".to_owned(),
-        simulated_cycles: cycles,
-        wall_seconds: stepped_wall,
-    };
-    let event = WorkloadMeasurement {
-        name: "idea_32kb".to_owned(),
-        simulated_cycles: cycles,
-        wall_seconds: event_wall,
-    };
-
-    KernelComparison {
-        workload: "idea_32kb".to_owned(),
-        stepped,
-        event,
-    }
-}
-
 fn main() {
-    let (_, json_path) = take_json_arg(std::env::args().skip(1).collect());
+    if std::env::args().len() > 1 {
+        eprintln!("fig9 takes no arguments");
+        std::process::exit(2);
+    }
     let opts = ExperimentOptions::default();
     let mut table = Table::new(vec![
         "input",
@@ -90,18 +30,10 @@ fn main() {
     println!("coprocessor exceeds available memory at 16 and 32 KB\n");
     let mut chart = BarChart::new(64);
 
-    let (points, fig_wall) = measure(|| {
-        parallel_map(vec![4usize, 8, 16, 32], |kb| {
-            let (run, wall) = measure(|| idea_vim(kb, &opts));
-            (kb, run, idea_typical(kb), wall)
-        })
+    let points = parallel_map(vec![4usize, 8, 16, 32], |kb| {
+        (kb, idea_vim(kb, &opts), idea_typical(kb))
     });
-
-    let mut record = SectionRecord {
-        wall_seconds: fig_wall,
-        ..Default::default()
-    };
-    for (kb, run, typical, wall) in &points {
+    for (kb, run, typical) in &points {
         let r = &run.report;
         chart.bar(format!("{kb} KB SW"), vec![("pure SW", run.sw)]);
         if let Ok(rep) = typical {
@@ -130,27 +62,7 @@ fn main() {
             speedup(run.speedup()),
             r.faults.to_string(),
         ]);
-        record.workloads.push(WorkloadMeasurement {
-            name: format!("idea_{kb}kb"),
-            simulated_cycles: r.imu_edges + r.cp_cycles,
-            wall_seconds: *wall,
-        });
     }
     println!("{}", table.render());
     println!("{}", chart.render());
-
-    if let Some(path) = json_path {
-        let cmp = kernel_comparison();
-        println!(
-            "kernel speedup (idea 32 KB): stepped {:.0} cyc/s, event {:.0} cyc/s — {:.1}x",
-            cmp.stepped.cycles_per_second(),
-            cmp.event.cycles_per_second(),
-            cmp.speedup()
-        );
-        record.kernel_speedups.push(cmp);
-        record
-            .merge_into_file(&path, "fig9")
-            .expect("write bench json");
-        println!("measurements appended to {}", path.display());
-    }
 }

@@ -9,15 +9,9 @@
 //! time-slice the ASID-tagged interface at translation-miss
 //! boundaries. An ablation compares the fully shared frame pool with
 //! per-tenant partitioning and the round-robin scheduler with the
-//! deficit-weighted one at N = 8.
-//!
-//! `--requests <n>` sets the total request count (default 48, split
-//! equally; must be divisible by 8); `--json <path>` records the
-//! measurements into the shared bench file.
+//! deficit-weighted one at N = 8. Takes no arguments.
 
 use vcop::SchedulerKind;
-use vcop_bench::json::Value;
-use vcop_bench::runner::{measure, take_json_arg};
 use vcop_bench::serving::{
     run_serial_baseline, run_serving, ServingOutcome, ServingSpec, ADPCM_REQUEST_BYTES,
     IDEA_REQUEST_BYTES,
@@ -25,45 +19,11 @@ use vcop_bench::serving::{
 use vcop_bench::table::Table;
 use vcop_sim::time::SimTime;
 
+/// Total requests across all tenants, split equally (a multiple of 8).
+const TOTAL_REQUESTS: usize = 48;
+
 fn us(t: SimTime) -> f64 {
     t.as_ms_f64() * 1e3
-}
-
-fn outcome_value(o: &ServingOutcome, wall_seconds: f64) -> Value {
-    let mut v = Value::object();
-    v.set("scheduler", Value::Str(o.scheduler.to_owned()));
-    v.set("requests", Value::Num(o.requests as f64));
-    v.set("requests_per_sec", Value::Num(o.requests_per_sec()));
-    v.set(
-        "requests_per_sec_cold",
-        Value::Num(o.requests_per_sec_cold()),
-    );
-    v.set("wall_ms", Value::Num(o.wall.as_ms_f64()));
-    v.set("serving_ms", Value::Num(o.serving_time().as_ms_f64()));
-    v.set("config_ms", Value::Num(o.config_time.as_ms_f64()));
-    v.set("reconfigs", Value::Num(o.reconfigs as f64));
-    v.set("reconfig_ms", Value::Num(o.reconfig_time.as_ms_f64()));
-    v.set("ctx_switches", Value::Num(o.ctx_switches as f64));
-    v.set("ctx_switch_us", Value::Num(us(o.ctx_switch_time)));
-    v.set("cross_asid_steals", Value::Num(o.cross_asid_steals as f64));
-    v.set("page_writebacks", Value::Num(o.page_writebacks as f64));
-    v.set("host_wall_seconds", Value::Num(wall_seconds));
-    let mut tenants = Value::object();
-    for t in &o.tenants {
-        let mut tv = Value::object();
-        tv.set("requests", Value::Num(t.requests as f64));
-        tv.set("faults", Value::Num(t.faults as f64));
-        tv.set("stall_us", Value::Num(us(t.stall)));
-        tv.set("fabric_busy_us", Value::Num(us(t.fabric_busy)));
-        tv.set("latency_p50_us", Value::Num(us(t.latency.percentile(0.50))));
-        tv.set("latency_p90_us", Value::Num(us(t.latency.percentile(0.90))));
-        tv.set("latency_p99_us", Value::Num(us(t.latency.percentile(0.99))));
-        tv.set("latency_max_us", Value::Num(us(t.latency.max())));
-        tv.set("latency_mean_us", Value::Num(us(t.latency.mean())));
-        tenants.set(&t.name, tv);
-    }
-    v.set("tenants", tenants);
-    v
 }
 
 fn table_row(table: &mut Table, o: &ServingOutcome) {
@@ -88,79 +48,58 @@ fn table_row(table: &mut Table, o: &ServingOutcome) {
 }
 
 fn main() {
-    let (rest, json_path) = take_json_arg(std::env::args().skip(1).collect());
-    let mut total_requests = 48usize;
-    let mut iter = rest.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--requests" => {
-                total_requests = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--requests needs a number");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("throughput takes no arguments");
+        std::process::exit(2);
     }
-    assert!(
-        total_requests >= 8 && total_requests.is_multiple_of(8),
-        "--requests must be a multiple of 8 (split across up to 8 tenants)"
-    );
-
     println!(
         "Multi-tenant serving throughput — EPXA4, {}/{} KB adpcm/IDEA requests, {} total",
         ADPCM_REQUEST_BYTES / 1024,
         IDEA_REQUEST_BYTES / 1024,
-        total_requests,
+        TOTAL_REQUESTS,
     );
     println!("serial = exclusive fabric, reconfigure per app switch; multi = co-resident cores\n");
 
-    let ((serial, serial_host), sweeps, ablations) = {
-        let serial = measure(|| run_serial_baseline(total_requests));
-        let sweeps: Vec<(ServingOutcome, f64)> = [2usize, 4, 8]
-            .iter()
-            .map(|&n| {
-                let spec = ServingSpec {
-                    tenants: n,
-                    total_requests,
-                    scheduler: SchedulerKind::RoundRobin,
-                    partition: false,
-                    frame_limit: None,
-                };
-                measure(|| run_serving(&format!("n{n}"), &spec))
-            })
-            .collect();
-        // The frame ablation runs under a constrained 16-frame pool (2
-        // frames per tenant when partitioned) where the shared pool's
-        // cross-ASID steals and the partition's thrashing both show up;
-        // the scheduler ablation keeps the full pool.
-        let ablations: Vec<(ServingOutcome, f64)> = [
-            ("n8_shared_16f", SchedulerKind::RoundRobin, false, Some(16)),
-            (
-                "n8_partitioned_16f",
-                SchedulerKind::RoundRobin,
-                true,
-                Some(16),
-            ),
-            ("n8_deficit", SchedulerKind::DeficitRoundRobin, false, None),
-        ]
+    let serial = run_serial_baseline(TOTAL_REQUESTS);
+    let sweeps: Vec<ServingOutcome> = [2usize, 4, 8]
         .iter()
-        .map(|&(label, scheduler, partition, frame_limit)| {
+        .map(|&n| {
             let spec = ServingSpec {
-                tenants: 8,
-                total_requests,
-                scheduler,
-                partition,
-                frame_limit,
+                tenants: n,
+                total_requests: TOTAL_REQUESTS,
+                scheduler: SchedulerKind::RoundRobin,
+                partition: false,
+                frame_limit: None,
             };
-            measure(|| run_serving(label, &spec))
+            run_serving(&format!("n{n}"), &spec)
         })
         .collect();
-        (serial, sweeps, ablations)
-    };
+    // The frame ablation runs under a constrained 16-frame pool (2
+    // frames per tenant when partitioned) where the shared pool's
+    // cross-ASID steals and the partition's thrashing both show up;
+    // the scheduler ablation keeps the full pool.
+    let ablations: Vec<ServingOutcome> = [
+        ("n8_shared_16f", SchedulerKind::RoundRobin, false, Some(16)),
+        (
+            "n8_partitioned_16f",
+            SchedulerKind::RoundRobin,
+            true,
+            Some(16),
+        ),
+        ("n8_deficit", SchedulerKind::DeficitRoundRobin, false, None),
+    ]
+    .iter()
+    .map(|&(label, scheduler, partition, frame_limit)| {
+        let spec = ServingSpec {
+            tenants: 8,
+            total_requests: TOTAL_REQUESTS,
+            scheduler,
+            partition,
+            frame_limit,
+        };
+        run_serving(label, &spec)
+    })
+    .collect();
 
     let mut table = Table::new(vec![
         "arm",
@@ -177,19 +116,12 @@ fn main() {
         "p99 us",
     ]);
     table_row(&mut table, &serial);
-    for (o, _) in &sweeps {
-        table_row(&mut table, o);
-    }
-    for (o, _) in &ablations {
+    for o in sweeps.iter().chain(&ablations) {
         table_row(&mut table, o);
     }
     println!("{}", table.render());
 
-    let n8 = &sweeps
-        .iter()
-        .map(|(o, _)| o)
-        .find(|o| o.label == "n8")
-        .expect("n8 arm ran");
+    let n8 = sweeps.iter().find(|o| o.label == "n8").expect("n8 arm ran");
     let speedup = n8.requests_per_sec() / serial.requests_per_sec();
     let speedup_cold = n8.requests_per_sec_cold() / serial.requests_per_sec_cold();
     println!(
@@ -200,30 +132,4 @@ fn main() {
         speedup >= 2.0,
         "acceptance: n8 shared throughput must be >= 2x the serial baseline (got {speedup:.2}x)"
     );
-
-    if let Some(path) = json_path {
-        let mut section = Value::object();
-        section.set("device", Value::Str("EPXA4".to_owned()));
-        section.set("total_requests", Value::Num(total_requests as f64));
-        section.set(
-            "adpcm_request_bytes",
-            Value::Num(ADPCM_REQUEST_BYTES as f64),
-        );
-        section.set("idea_request_bytes", Value::Num(IDEA_REQUEST_BYTES as f64));
-        let mut arms = Value::object();
-        arms.set("n1_serial", outcome_value(&serial, serial_host));
-        for (o, host) in &sweeps {
-            arms.set(&format!("{}_shared", o.label), outcome_value(o, *host));
-        }
-        for (o, host) in &ablations {
-            arms.set(&o.label, outcome_value(o, *host));
-        }
-        section.set("arms", arms);
-        section.set("speedup_n8_vs_serial", Value::Num(speedup));
-        section.set("speedup_n8_vs_serial_cold", Value::Num(speedup_cold));
-        section.set("acceptance_2x", Value::Bool(speedup >= 2.0));
-        vcop_bench::runner::merge_value_into_file(section, &path, "throughput")
-            .expect("write bench json");
-        println!("measurements appended to {}", path.display());
-    }
 }

@@ -264,10 +264,6 @@ pub struct IdeaRun {
     pub sw: SimTime,
     /// VIM-based execution decomposition.
     pub report: ExecutionReport,
-    /// Host wall-clock seconds spent inside `fpga_execute` alone — the
-    /// simulation-kernel throughput metric, excluding object mapping and
-    /// ciphertext verification.
-    pub execute_wall: f64,
 }
 
 impl IdeaRun {
@@ -380,12 +376,10 @@ impl IdeaHarness {
             )
             .expect("map ciphertext");
         let blocks = (self.input_bytes / idea_cipher::BLOCK_BYTES) as u32;
-        let started = std::time::Instant::now();
         let report = self
             .system
             .fpga_execute(&idea_params(blocks))
             .expect("execute idea");
-        let execute_wall = started.elapsed().as_secs_f64();
 
         let out = self
             .system
@@ -402,7 +396,6 @@ impl IdeaHarness {
             input_bytes: self.input_bytes,
             sw: self.sw,
             report,
-            execute_wall,
         }
     }
 }

@@ -1,9 +1,9 @@
-//! Minimal JSON reading/writing for the machine-readable bench output.
+//! Minimal JSON writing for machine-readable benchmark output.
 //!
 //! The workspace deliberately has no external dependencies, so the
-//! `BENCH_pr3.json` emitter carries its own small JSON value model: just
-//! enough to serialise measurement records and to merge new sections
-//! into a file written by an earlier figure run.
+//! `perfbench` benchmark's result line and its Chrome trace-event files
+//! are built from this small JSON value model: just enough to assemble
+//! a document and render it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -40,22 +40,6 @@ impl Value {
                 map.insert(key.to_owned(), value);
             }
             other => panic!("set({key}) on non-object {other:?}"),
-        }
-    }
-
-    /// Borrows the entry of an object value, if present.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
         }
     }
 
@@ -132,207 +116,12 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a human-readable description (with byte offset) of the first
-/// syntax error.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true", Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Value::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).expect("from &str"));
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_nested_document() {
+    fn renders_nested_document() {
         let mut root = Value::object();
         let mut inner = Value::object();
         inner.set("cycles", Value::Num(12345.0));
@@ -340,34 +129,23 @@ mod tests {
         inner.set("name", Value::Str("idea \"32kb\"\n".to_owned()));
         root.set("fig9", inner);
         root.set("list", Value::Array(vec![Value::Bool(true), Value::Null]));
-        let text = root.render();
-        assert_eq!(parse(&text).unwrap(), root);
-    }
-
-    #[test]
-    fn parses_plain_json() {
-        let v = parse(r#"{"a": [1, 2.5, -3], "b": {"c": "x"}, "d": null}"#).unwrap();
+        root.set("empty", Value::object());
         assert_eq!(
-            v.get("a"),
-            Some(&Value::Array(vec![
-                Value::Num(1.0),
-                Value::Num(2.5),
-                Value::Num(-3.0),
-            ]))
+            root.render(),
+            r#"{
+  "empty": {},
+  "fig9": {
+    "cycles": 12345,
+    "name": "idea \"32kb\"\n",
+    "rate": 1.5
+  },
+  "list": [
+    true,
+    null
+  ]
+}
+"#
         );
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("c")),
-            Some(&Value::Str("x".to_owned()))
-        );
-        assert_eq!(v.get("d"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,").is_err());
-        assert!(parse("{} junk").is_err());
-        assert!(parse("\"open").is_err());
     }
 
     #[test]

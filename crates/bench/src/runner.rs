@@ -1,17 +1,11 @@
-//! Parallel experiment dispatch and machine-readable measurements.
+//! Parallel experiment dispatch.
 //!
 //! Every point of a figure sweep is an independent simulation (its own
 //! [`vcop::System`]), so the figure binaries farm the points out to one
 //! worker thread per core with [`parallel_map`] and only join for the
-//! final table. The same binaries record what they measured —
-//! simulated-cycles-per-second per workload, wall clock per figure, and
-//! stepped-vs-event kernel speedups — into a shared `BENCH_pr3.json`
-//! via [`SectionRecord::merge_into_file`].
+//! final table.
 
 use std::sync::Mutex;
-use std::time::Instant;
-
-use crate::json::Value;
 
 /// Runs `f` over every item on a pool of worker threads (one per
 /// available core), preserving input order in the output.
@@ -61,178 +55,6 @@ where
     results.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Runs `f`, returning its result plus the elapsed wall-clock seconds.
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// One simulated workload's throughput measurement.
-#[derive(Debug, Clone)]
-pub struct WorkloadMeasurement {
-    /// Workload label, e.g. `"idea_32kb"`.
-    pub name: String,
-    /// Simulated clock edges consumed (IMU + coprocessor domains).
-    pub simulated_cycles: u64,
-    /// Host wall-clock seconds spent simulating this workload.
-    pub wall_seconds: f64,
-}
-
-impl WorkloadMeasurement {
-    /// Simulation throughput in simulated cycles per host second.
-    pub fn cycles_per_second(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.simulated_cycles as f64 / self.wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn to_value(&self) -> Value {
-        let mut v = Value::object();
-        v.set("simulated_cycles", Value::Num(self.simulated_cycles as f64));
-        v.set("wall_seconds", Value::Num(self.wall_seconds));
-        let rate = self.cycles_per_second();
-        v.set(
-            "sim_cycles_per_sec",
-            if rate.is_finite() {
-                Value::Num(rate)
-            } else {
-                Value::Null
-            },
-        );
-        v
-    }
-}
-
-/// Stepped-vs-event-kernel comparison on one workload.
-#[derive(Debug, Clone)]
-pub struct KernelComparison {
-    /// Workload label, e.g. `"idea_32kb"`.
-    pub workload: String,
-    /// The same point simulated with `Kernel::Stepped`.
-    pub stepped: WorkloadMeasurement,
-    /// The same point simulated with `Kernel::EventDriven`.
-    pub event: WorkloadMeasurement,
-}
-
-impl KernelComparison {
-    /// Event-kernel throughput divided by stepped-kernel throughput.
-    pub fn speedup(&self) -> f64 {
-        self.event.cycles_per_second() / self.stepped.cycles_per_second()
-    }
-
-    fn to_value(&self) -> Value {
-        let mut v = Value::object();
-        v.set(
-            "stepped_cycles_per_sec",
-            Value::Num(self.stepped.cycles_per_second()),
-        );
-        v.set(
-            "event_cycles_per_sec",
-            Value::Num(self.event.cycles_per_second()),
-        );
-        v.set(
-            "stepped_wall_seconds",
-            Value::Num(self.stepped.wall_seconds),
-        );
-        v.set("event_wall_seconds", Value::Num(self.event.wall_seconds));
-        v.set("speedup", Value::Num(self.speedup()));
-        v
-    }
-}
-
-/// Everything one figure (or ablation arm) contributes to
-/// `BENCH_pr3.json`.
-#[derive(Debug, Clone, Default)]
-pub struct SectionRecord {
-    /// Host wall-clock seconds for the whole figure, including any
-    /// parallel dispatch win.
-    pub wall_seconds: f64,
-    /// Per-workload throughput measurements.
-    pub workloads: Vec<WorkloadMeasurement>,
-    /// Stepped-vs-event kernel comparisons, when the section ran them.
-    pub kernel_speedups: Vec<KernelComparison>,
-}
-
-impl SectionRecord {
-    /// Renders this section as a JSON object.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::object();
-        v.set("wall_seconds", Value::Num(self.wall_seconds));
-        let mut workloads = Value::object();
-        for w in &self.workloads {
-            workloads.set(&w.name, w.to_value());
-        }
-        v.set("workloads", workloads);
-        if !self.kernel_speedups.is_empty() {
-            let mut cmp = Value::object();
-            for k in &self.kernel_speedups {
-                cmp.set(&k.workload, k.to_value());
-            }
-            v.set("kernel_speedup", cmp);
-        }
-        v
-    }
-
-    /// Writes this section under `section` into the JSON document at
-    /// `path`, preserving sections other binaries already wrote there.
-    /// An unreadable or malformed existing file is replaced.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be written.
-    pub fn merge_into_file(&self, path: &std::path::Path, section: &str) -> std::io::Result<()> {
-        merge_value_into_file(self.to_value(), path, section)
-    }
-}
-
-/// Writes an arbitrary JSON `value` under `section` into the document
-/// at `path`, preserving sections other binaries already wrote there.
-/// An unreadable or malformed existing file is replaced. This is the
-/// free-form counterpart of [`SectionRecord::merge_into_file`] for
-/// sections whose shape doesn't fit the per-workload record.
-///
-/// # Errors
-///
-/// Propagates the I/O error if the file cannot be written.
-pub fn merge_value_into_file(
-    value: Value,
-    path: &std::path::Path,
-    section: &str,
-) -> std::io::Result<()> {
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| crate::json::parse(&text).ok())
-        .filter(|v| matches!(v, Value::Object(_)))
-        .unwrap_or_else(Value::object);
-    root.set(section, value);
-    std::fs::write(path, root.render())
-}
-
-/// Parses a `--json <path>` option pair out of already-collected CLI
-/// arguments, returning the remaining arguments and the path (if any).
-pub fn take_json_arg(args: Vec<String>) -> (Vec<String>, Option<std::path::PathBuf>) {
-    let mut rest = Vec::new();
-    let mut path = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--json" {
-            match iter.next() {
-                Some(p) => path = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            rest.push(arg);
-        }
-    }
-    (rest, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,84 +70,5 @@ mod tests {
     fn parallel_map_handles_empty_and_single() {
         assert_eq!(parallel_map(Vec::<u32>::new(), |n| n), Vec::<u32>::new());
         assert_eq!(parallel_map(vec![7u32], |n| n + 1), vec![8]);
-    }
-
-    #[test]
-    fn cycles_per_second_and_speedup() {
-        let stepped = WorkloadMeasurement {
-            name: "w".into(),
-            simulated_cycles: 1_000,
-            wall_seconds: 1.0,
-        };
-        let event = WorkloadMeasurement {
-            name: "w".into(),
-            simulated_cycles: 1_000,
-            wall_seconds: 0.05,
-        };
-        let cmp = KernelComparison {
-            workload: "w".into(),
-            stepped,
-            event,
-        };
-        assert!((cmp.speedup() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn section_merge_preserves_other_sections() {
-        let dir = std::env::temp_dir().join("vcop_bench_runner_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_merge.json");
-        let _ = std::fs::remove_file(&path);
-
-        let a = SectionRecord {
-            wall_seconds: 1.5,
-            workloads: vec![WorkloadMeasurement {
-                name: "adpcm_8kb".into(),
-                simulated_cycles: 100,
-                wall_seconds: 0.5,
-            }],
-            kernel_speedups: Vec::new(),
-        };
-        a.merge_into_file(&path, "fig8").unwrap();
-
-        let b = SectionRecord {
-            wall_seconds: 2.0,
-            ..Default::default()
-        };
-        b.merge_into_file(&path, "fig9").unwrap();
-
-        let doc = crate::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("fig8")
-                .and_then(|s| s.get("wall_seconds"))
-                .and_then(Value::as_num),
-            Some(1.5)
-        );
-        assert_eq!(
-            doc.get("fig9")
-                .and_then(|s| s.get("wall_seconds"))
-                .and_then(Value::as_num),
-            Some(2.0)
-        );
-        assert_eq!(
-            doc.get("fig8")
-                .and_then(|s| s.get("workloads"))
-                .and_then(|w| w.get("adpcm_8kb"))
-                .and_then(|w| w.get("simulated_cycles"))
-                .and_then(Value::as_num),
-            Some(100.0)
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn take_json_arg_splits_option() {
-        let (rest, path) =
-            take_json_arg(vec!["overlap".into(), "--json".into(), "out.json".into()]);
-        assert_eq!(rest, vec!["overlap".to_owned()]);
-        assert_eq!(path, Some(std::path::PathBuf::from("out.json")));
-        let (rest, path) = take_json_arg(vec!["overlap".into()]);
-        assert_eq!(rest, vec!["overlap".to_owned()]);
-        assert_eq!(path, None);
     }
 }

@@ -13,8 +13,7 @@
 //! * [`irq`] — interrupt lines and a small controller;
 //! * [`fault`] — deterministic, seeded fault injection for reliability
 //!   experiments;
-//! * [`sched`] — wake hints and the event queue behind the event-driven
-//!   simulation kernel;
+//! * [`sched`] — wake hints behind the event-driven simulation kernel;
 //! * [`histogram`] — log-bucketed latency distributions for reports;
 //! * [`cpu`] — the ARM cost model used by pure-software baselines;
 //! * [`trace`] — waveform capture with VCD and ASCII rendering;

@@ -1,4 +1,4 @@
-//! Event-driven simulation kernel: wake hints and an event queue.
+//! Event-driven simulation kernel: wake hints and the skip horizon.
 //!
 //! The stepped simulation loop pops every rising edge of every clock
 //! domain even when no component can possibly change state (a
@@ -17,9 +17,6 @@
 //! state-changing edge. Under that contract the event-driven run visits
 //! exactly the same acting edges as the stepped run and produces
 //! identical reports.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -115,242 +112,10 @@ impl EventKernel {
     }
 }
 
-/// A scheduled occurrence in an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Absolute due time.
-    pub at: SimTime,
-    /// Tie-break key; lower keys fire first at equal times. The platform
-    /// model uses the clock registration order here, mirroring
-    /// [`crate::clock::EdgeScheduler`]'s coincident-edge rule (IMU before
-    /// coprocessor).
-    pub key: usize,
-    /// Opaque payload returned to the consumer.
-    pub payload: u64,
-}
-
-/// Handle for cancelling a scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QueueEntry {
-    at: SimTime,
-    key: usize,
-    seq: u64,
-    payload: u64,
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .cmp(&other.at)
-            .then(self.key.cmp(&other.key))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A time-ordered queue of one-shot events with cancellation.
-///
-/// Ties at equal due times are delivered in ascending `key` order (then
-/// insertion order), which gives the deterministic cross-clock-domain
-/// ordering the platform model relies on. Cancellation is lazy: a
-/// cancelled entry stays in the heap and is discarded on pop, so
-/// [`EventQueue::cancel`] is O(1).
-///
-/// # Examples
-///
-/// ```
-/// use vcop_sim::sched::EventQueue;
-/// use vcop_sim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// let late = q.schedule(SimTime::from_ns(50), 0, 1);
-/// q.schedule(SimTime::from_ns(10), 1, 2);
-/// q.cancel(late);
-/// assert_eq!(q.pop().map(|e| e.payload), Some(2));
-/// assert!(q.pop().is_none());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<QueueEntry>>,
-    cancelled: Vec<u64>,
-    next_seq: u64,
-    live: usize,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedules an event at `at` with tie-break `key`, returning a
-    /// cancellation handle.
-    pub fn schedule(&mut self, at: SimTime, key: usize, payload: u64) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(QueueEntry {
-            at,
-            key,
-            seq,
-            payload,
-        }));
-        self.live += 1;
-        EventId(seq)
-    }
-
-    /// Cancels a previously scheduled event; a no-op if it already fired.
-    pub fn cancel(&mut self, id: EventId) {
-        if !self.cancelled.contains(&id.0) {
-            self.cancelled.push(id.0);
-            self.live = self.live.saturating_sub(1);
-        }
-    }
-
-    /// Time and payload of the earliest live event without consuming it.
-    pub fn peek(&mut self) -> Option<Event> {
-        self.drop_cancelled();
-        self.heap.peek().map(|Reverse(e)| Event {
-            at: e.at,
-            key: e.key,
-            payload: e.payload,
-        })
-    }
-
-    /// Consumes and returns the earliest live event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.drop_cancelled();
-        self.heap.pop().map(|Reverse(e)| {
-            self.live = self.live.saturating_sub(1);
-            Event {
-                at: e.at,
-                key: e.key,
-                payload: e.payload,
-            }
-        })
-    }
-
-    /// Number of live (scheduled, not cancelled, not fired) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Discards every pending event (`FPGA_EXECUTE` teardown: a new
-    /// execution must not observe stale events from the previous one).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-        self.live = 0;
-    }
-
-    fn drop_cancelled(&mut self) {
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if let Some(pos) = self.cancelled.iter().position(|&c| c == e.seq) {
-                self.cancelled.swap_remove(pos);
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::Frequency;
-
-    #[test]
-    fn empty_queue_yields_nothing() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert!(q.peek().is_none());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(30), 0, 3);
-        q.schedule(SimTime::from_ns(10), 0, 1);
-        q.schedule(SimTime::from_ns(20), 0, 2);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn simultaneous_events_tie_break_by_key_then_insertion() {
-        // The two PLD clock domains both have an edge at t = 0; the IMU
-        // (key 0, registered first) must fire before the coprocessor
-        // (key 1), regardless of scheduling order.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1, 20); // coprocessor scheduled first
-        q.schedule(SimTime::ZERO, 0, 10); // IMU second
-        q.schedule(SimTime::ZERO, 1, 21); // second cp event, same instant
-        assert_eq!(q.pop().map(|e| e.payload), Some(10));
-        assert_eq!(q.pop().map(|e| e.payload), Some(20));
-        assert_eq!(q.pop().map(|e| e.payload), Some(21));
-    }
-
-    #[test]
-    fn cross_domain_tie_break_matches_edge_scheduler() {
-        // 24 MHz and 6 MHz clocks: replay the first coincident edge and
-        // check the queue agrees with EdgeScheduler's delivery order.
-        use crate::clock::{ClockDomain, EdgeScheduler};
-        let mut es = EdgeScheduler::new();
-        let imu = es.add_clock(ClockDomain::new(Frequency::from_mhz(24)));
-        let _cp = es.add_clock(ClockDomain::new(Frequency::from_mhz(6)));
-
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1, 1); // cp edge at t=0
-        q.schedule(SimTime::ZERO, 0, 0); // imu edge at t=0
-
-        let (t0, id0) = es.pop().unwrap();
-        let first = q.pop().unwrap();
-        assert_eq!(t0, first.at);
-        assert_eq!(id0, imu);
-        assert_eq!(first.payload, 0, "IMU wins the coincident edge");
-    }
-
-    #[test]
-    fn cancellation_removes_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_ns(10), 0, 1);
-        q.schedule(SimTime::from_ns(20), 0, 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|e| e.payload), Some(2));
-        // Cancelling after the fact is a no-op.
-        q.cancel(a);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn teardown_clear_discards_everything() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), 0, 1);
-        q.schedule(SimTime::from_ns(20), 1, 2);
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-        // The queue is reusable after teardown.
-        q.schedule(SimTime::from_ns(5), 0, 9);
-        assert_eq!(q.pop().map(|e| e.payload), Some(9));
-    }
 
     #[test]
     fn wake_idle_edges() {

@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
-# Rebuilds the figure, ablation, throughput and fault-sweep binaries in
-# release mode, runs them, and diffs their stdout (plus the fig7 VCD
-# waveform) against the committed snapshots in crates/bench/snapshots/.
-# Every binary is deterministic, so any difference is a finding.
+# Rebuilds the figure, ablation, throughput and fault-sweep binaries and
+# the perfbench benchmark in release mode, runs them, and diffs their
+# output against the committed snapshots in crates/bench/snapshots/:
+#
+# - the stdout of every figure binary, plus the fig7 VCD waveform;
+# - the modeled lines of one traced perfbench pass per workload
+#   (`sim*`, `sim.*`, `speedup_vs_sw`, `hw_served_fraction`). Host
+#   metrics are left out: BENCHMARK.json bounds those.
+#
+# Every output compared here is deterministic, so any difference is a
+# finding.
 #
 # Usage: scripts/check_snapshots.sh            # check
 #        scripts/check_snapshots.sh --update   # rewrite the snapshots
@@ -10,17 +17,26 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 snapshots="$root/crates/bench/snapshots"
+workloads=(idea_sync adpcm_overlap serving_mix adpcm_faults)
 cargo build --release --offline --quiet --manifest-path "$root/Cargo.toml" -p vcop-bench
+cargo build --release --offline --quiet --manifest-path "$root/perfbench/Cargo.toml"
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 bin="$root/target/release"
+perfbench="$root/perfbench/target/release/vcop-perfbench"
 (
+    # Run from the temp dir: fig7 writes fig7.vcd and perfbench's trace
+    # writes .bench_trace/ into the working directory.
     cd "$out"
     for b in fig7 fig8 fig9 overheads ablations throughput; do
         "$bin/$b" > "$b.txt"
     done
     "$bin/faults" --quick > faults.txt
+    for w in "${workloads[@]}"; do
+        "$perfbench" --workload "$w" --seed 1 --seconds 0 --trace 1 \
+            | grep -E '^  (sim|speedup_vs_sw|hw_served_fraction)' > "perfbench_$w.txt"
+    done
 )
 
 if [[ "${1:-}" == "--update" ]]; then
@@ -30,7 +46,11 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 status=0
-for f in fig7.txt fig8.txt fig9.txt overheads.txt ablations.txt throughput.txt faults.txt fig7.vcd; do
+files=(fig7.txt fig8.txt fig9.txt overheads.txt ablations.txt throughput.txt faults.txt fig7.vcd)
+for w in "${workloads[@]}"; do
+    files+=("perfbench_$w.txt")
+done
+for f in "${files[@]}"; do
     if ! diff -u "$snapshots/$f" "$out/$f"; then
         echo "snapshot mismatch: $f" >&2
         status=1

@@ -38,7 +38,7 @@ use vcop_apps::adpcm::hw as adpcm_hw;
 use vcop_apps::idea::cipher as idea_cipher;
 use vcop_apps::idea::hw as idea_hw;
 use vcop_apps::timing;
-use vcop_bench::table::Table;
+use vcop_bench::table::{percentile, Table};
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
@@ -59,17 +59,6 @@ fn sites() -> [(FaultSite, bool); 4] {
         (FaultSite::IrqDrop, false),
         (FaultSite::TlbParity, false),
     ]
-}
-
-/// Nearest-rank percentile of kept samples: always an observed value
-/// (zero when there are none).
-fn percentile(samples: &[SimTime], q: f64) -> SimTime {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    match sorted.len() {
-        0 => SimTime::ZERO,
-        n => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
-    }
 }
 
 /// Synthetic adpcm workload: (coded input, expected output bytes).
@@ -214,7 +203,10 @@ fn zero_rate_identity(coded: &[u8]) -> bool {
         // The attempt counter is pure bookkeeping (0 when recovery is
         // off); everything else must match exactly.
         r_armed.execute_attempts = r_plain.execute_attempts;
-        identical &= r_plain == r_armed;
+        identical &= r_plain == r_armed
+            && plain.vim().counters() == armed.vim().counters()
+            && plain.vim().times() == armed.vim().times()
+            && plain.imu().counters() == armed.imu().counters();
         identical &=
             plain.take_object(adpcm_hw::OBJ_OUTPUT) == armed.take_object(adpcm_hw::OBJ_OUTPUT);
     }

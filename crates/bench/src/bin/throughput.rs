@@ -16,7 +16,7 @@ use vcop_bench::serving::{
     run_serial_baseline, run_serving, ServingOutcome, ServingSpec, ADPCM_REQUEST_BYTES,
     IDEA_REQUEST_BYTES,
 };
-use vcop_bench::table::Table;
+use vcop_bench::table::{percentile, Table};
 use vcop_sim::time::SimTime;
 
 /// Total requests across all tenants, split equally (a multiple of 8).
@@ -27,10 +27,11 @@ fn us(t: SimTime) -> f64 {
 }
 
 fn table_row(table: &mut Table, o: &ServingOutcome) {
-    let mut latency = vcop_sim::histogram::LatencyHistogram::new();
-    for t in &o.tenants {
-        latency.merge(&t.latency);
-    }
+    let latency: Vec<SimTime> = o
+        .tenants
+        .iter()
+        .flat_map(|t| t.latency.iter().copied())
+        .collect();
     table.row(vec![
         o.label.clone(),
         o.scheduler.to_owned(),
@@ -42,8 +43,8 @@ fn table_row(table: &mut Table, o: &ServingOutcome) {
         o.reconfigs.to_string(),
         o.ctx_switches.to_string(),
         o.cross_asid_steals.to_string(),
-        format!("{:.0}", us(latency.percentile(0.5))),
-        format!("{:.0}", us(latency.percentile(0.99))),
+        format!("{:.0}", us(percentile(&latency, 0.5))),
+        format!("{:.0}", us(percentile(&latency, 0.99))),
     ]);
 }
 

@@ -21,7 +21,6 @@ use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::resources::Resources;
 use vcop_fabric::DeviceProfile;
 use vcop_imu::tlb::Asid;
-use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::time::{Frequency, SimTime};
 
 /// Input bytes of one adpcmdecode serving request.
@@ -217,8 +216,8 @@ pub struct TenantOutcome {
     pub stall: SimTime,
     /// Fabric time its segments consumed.
     pub fabric_busy: SimTime,
-    /// Request service latency distribution.
-    pub latency: LatencyHistogram,
+    /// Service latency of each request, in completion order.
+    pub latency: Vec<SimTime>,
 }
 
 /// Results of one serving arm (serial or multi-tenant).
@@ -308,7 +307,7 @@ pub fn run_serial_baseline(total_requests: usize) -> ServingOutcome {
     let mut config_time = SimTime::ZERO;
     let mut reconfigs = 0u64;
     let mut reconfig_time = SimTime::ZERO;
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Vec::with_capacity(total_requests);
     let mut faults = 0u64;
     let mut current: Option<AppKind> = None;
     for (i, kind) in request_kinds(total_requests).into_iter().enumerate() {
@@ -347,7 +346,7 @@ pub fn run_serial_baseline(total_requests: usize) -> ServingOutcome {
         assert_eq!(out, expect, "serial {} request {i} diverged", kind.name());
         faults += report.faults;
         wall += report.total();
-        latency.record(if i == 0 {
+        latency.push(if i == 0 {
             report.total()
         } else {
             // An application switch sits on the request's critical path.
@@ -435,8 +434,15 @@ fn build_serving_system(spec: &ServingSpec) -> (MultiSystem, ExpectedOutputs) {
 pub fn run_serving(label: &str, spec: &ServingSpec) -> ServingOutcome {
     let (mut sys, expected) = build_serving_system(spec);
     let report = sys.run().expect("serving run completes");
+    let mut latencies = Vec::with_capacity(expected.len());
     for (asid, expects) in &expected {
         let completed = sys.take_completed(*asid);
+        latencies.push(
+            completed
+                .iter()
+                .map(|c| c.finished.saturating_sub(c.started))
+                .collect(),
+        );
         assert_eq!(completed.len(), expects.len(), "tenant drained its queue");
         for (i, (c, expect)) in completed.iter().zip(expects).enumerate() {
             assert_eq!(c.outputs.len(), 1, "one output object per request");
@@ -458,16 +464,18 @@ pub fn run_serving(label: &str, spec: &ServingSpec) -> ServingOutcome {
         ctx_switch_time: report.ctx_switch_time,
         cross_asid_steals: report.cross_asid_steals,
         page_writebacks: report.page_writebacks,
+        // Both in admission order.
         tenants: report
             .tenants
             .into_iter()
-            .map(|t| TenantOutcome {
+            .zip(latencies)
+            .map(|(t, latency)| TenantOutcome {
                 name: t.name,
                 requests: t.stats.completed,
                 faults: t.stats.faults,
                 stall: t.stats.stall,
                 fabric_busy: t.stats.fabric_busy,
-                latency: t.stats.latency,
+                latency,
             })
             .collect(),
     }

@@ -22,7 +22,7 @@
 
 use vcop_fabric::loader::{ConfigController, LoadedCore};
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, PortLink};
-use vcop_imu::imu::{Imu, ImuEvent};
+use vcop_imu::imu::{Imu, ImuEvent, ImuStats};
 use vcop_imu::registers::ControlRegister;
 use vcop_sim::clock::{ClockDomain, ClockId, EdgeScheduler};
 use vcop_sim::fault::FaultSite;
@@ -32,7 +32,7 @@ use vcop_sim::mem::DualPortRam;
 use vcop_sim::sched::{EventKernel, Wake, WakeSource};
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::TraceSink;
-use vcop_vim::manager::{DemandReady, Scope, ServiceTimes, Vim};
+use vcop_vim::manager::{DemandReady, Scope, ServiceTimes, Vim, VimCounts, VimTimes};
 use vcop_vim::VimError;
 
 use crate::error::Error;
@@ -168,6 +168,31 @@ impl Segment {
     }
 }
 
+/// The platform's cumulative statistics at one instant: every report
+/// field the VIM, the IMU or the fault injector counts is the growth
+/// between two snapshots, `after - before`.
+#[derive(Debug, Clone)]
+pub(crate) struct Snapshot {
+    pub(crate) counts: VimCounts,
+    pub(crate) times: VimTimes,
+    pub(crate) imu: ImuStats,
+    pub(crate) imu_edges: u64,
+    pub(crate) injected: u64,
+}
+
+impl core::ops::Sub for Snapshot {
+    type Output = Snapshot;
+    fn sub(self, o: Snapshot) -> Snapshot {
+        Snapshot {
+            counts: self.counts - o.counts,
+            times: self.times - o.times,
+            imu: self.imu - o.imu,
+            imu_edges: self.imu_edges - o.imu_edges,
+            injected: self.injected - o.injected,
+        }
+    }
+}
+
 /// The shared platform.
 #[derive(Debug)]
 pub(crate) struct Engine {
@@ -191,6 +216,17 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
+    /// The statistics accumulated so far.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            counts: self.vim.counters().clone(),
+            times: self.vim.times().clone(),
+            imu: self.imu.counters().clone(),
+            imu_edges: self.imu.edges(),
+            injected: self.vim.fault_injector().total_fired(),
+        }
+    }
+
     /// `FPGA_LOAD` through `ctl`. With fault injection armed each
     /// programming pass rolls [`FaultSite::BitstreamLoad`] and a failed
     /// pass is retried up to the recovery policy's load-attempt budget.
@@ -596,7 +632,10 @@ impl Engine {
         let wait = ready.at.saturating_sub(t_fault + svc_cpu);
         let recovered = ready.recovered.min(wait);
         seg.stalls.recovered += recovered;
-        self.vim.credit_demand_stall(wait - recovered, irq);
+        self.vim.charge(ServiceTimes {
+            dp: wait - recovered,
+            imu: irq,
+        });
         let stall = resume_at.saturating_sub(t_fault);
         seg.stalls.fault_latency.record(stall);
         seg.stalls.fault_stall += stall;

@@ -51,7 +51,7 @@ use vcop_sim::fault::FaultInjector;
 use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::TraceSink;
-use vcop_vim::manager::{DemandReady, Scope, Vim, VimConfig};
+use vcop_vim::manager::{DemandReady, Scope, ServiceTimes, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
 use vcop_vim::prefetch::PrefetchMode;
 
@@ -481,7 +481,7 @@ impl MultiSystem {
         &self.device
     }
 
-    /// Read access to the shared VIM (counters, time buckets).
+    /// Read access to the shared VIM (its counts and service times).
     pub fn vim(&self) -> &Vim {
         &self.engine.vim
     }
@@ -635,8 +635,7 @@ impl MultiSystem {
     /// * [`Error::Timeout`] if the edge budget is exhausted or no
     ///   tenant can make progress.
     pub fn run(&mut self) -> Result<MultiReport, Error> {
-        let steals0 = self.engine.vim.counters().get("cross_asid_steal");
-        let wb0 = self.engine.vim.counters().get("page_writeback");
+        let before = self.engine.snapshot();
         let requests0: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
         let fallbacks0: u64 = self.tenants.iter().map(|t| t.stats.fallbacks).sum();
         let recovery = self.engine.recovery.is_some();
@@ -723,14 +722,15 @@ impl MultiSystem {
                 Err(e) => return Err(e),
             }
         }
+        let d = self.engine.snapshot() - before;
         Ok(MultiReport {
             wall: self.now.max(self.cpu_free_at),
             config_time: self.config_time,
             requests: self.tenants.iter().map(|t| t.stats.completed).sum::<u64>() - requests0,
             ctx_switches: self.ctx_switches,
             ctx_switch_time: self.ctx_switch_time,
-            cross_asid_steals: self.engine.vim.counters().get("cross_asid_steal") - steals0,
-            page_writebacks: self.engine.vim.counters().get("page_writeback") - wb0,
+            cross_asid_steals: d.counts.cross_asid_steal,
+            page_writebacks: d.counts.page_writeback,
             fallbacks: self.tenants.iter().map(|t| t.stats.fallbacks).sum::<u64>() - fallbacks0,
             scheduler: self.scheduler.name(),
             tenants: self
@@ -1016,8 +1016,8 @@ fn route_demand_ready(
             let irq = vim.cost().dma_completion_time() + vim.cost().resume_time();
             // Tenant reports have no recovery layer: the deadlines of
             // lost attempts (`r.recovered`) stay in the DMA wait.
-            let wait_dp = r.at.saturating_sub(t_fault + svc_cpu);
-            vim.credit_demand_stall(wait_dp, irq);
+            let dp = r.at.saturating_sub(t_fault + svc_cpu);
+            vim.charge(ServiceTimes { dp, imu: irq });
             t.state = TenantState::Resumable {
                 at: r.at + irq,
                 t_fault,

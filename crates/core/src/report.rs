@@ -9,7 +9,6 @@
 use core::fmt;
 
 use vcop_sim::histogram::LatencyHistogram;
-use vcop_sim::stats::Counters;
 use vcop_sim::time::SimTime;
 
 /// Timing and event summary of one `FPGA_EXECUTE`.
@@ -60,8 +59,6 @@ pub struct ExecutionReport {
     pub imu_edges: u64,
     /// Distribution of per-fault coprocessor stall times.
     pub fault_latency: LatencyHistogram,
-    /// Raw VIM + IMU counters for anything not broken out above.
-    pub counters: Counters,
     /// Hardware execution attempts (1 = clean first run; 0 when the
     /// recovery layer is disabled and the counter is not kept).
     pub execute_attempts: u64,

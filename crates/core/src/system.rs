@@ -252,7 +252,7 @@ impl System {
         &self.engine.imu
     }
 
-    /// Read access to the VIM (counters, time buckets).
+    /// Read access to the VIM (its counts and service times).
     pub fn vim(&self) -> &Vim {
         &self.engine.vim
     }
@@ -431,29 +431,20 @@ impl System {
             return self.execute_attempt(params, &mut elapsed);
         };
 
-        let fired0 = self.engine.vim.fault_injector().total_fired();
-        let tally0 = RecoveryTally::read(&self.engine.vim);
+        let before = self.engine.snapshot();
         let mut recovery_time = SimTime::ZERO;
         let mut resets = 0u64;
         let mut last_err: Option<Error> = None;
         let max_attempts = policy.max_attempts.max(1);
         let mut attempts = 0u64;
+        let mut served = None;
         for attempt in 1..=max_attempts {
             attempts = u64::from(attempt);
             let mut elapsed = SimTime::ZERO;
             match self.execute_attempt(params, &mut elapsed) {
-                Ok(mut report) => {
-                    report.execute_attempts = attempts;
-                    report.injected_faults =
-                        self.engine.vim.fault_injector().total_fired() - fired0;
-                    RecoveryTally::read(&self.engine.vim).since(tally0, &mut report);
-                    report.watchdog_resets = resets;
-                    // Time recovered in place is already inside the
-                    // attempt's wall; failed attempts, resets and
-                    // backoff come on top.
-                    report.recovery_time += recovery_time;
-                    report.wall += recovery_time;
-                    return Ok(report);
+                Ok(report) => {
+                    served = Some(report);
+                    break;
                 }
                 // A hang of this attempt is recoverable too: the edge
                 // budget is per attempt.
@@ -482,26 +473,38 @@ impl System {
             }
         }
 
-        // Hardware recovery is exhausted: serve the request with the
-        // registered software fallback.
-        let Some(fallback) = self.fallback.as_deref() else {
-            return Err(last_err.unwrap_or(Error::FallbackFailed {
-                reason: "no software fallback registered".into(),
-            }));
+        let mut report = match served {
+            // Time recovered in place is already inside the attempt's
+            // wall; failed attempts, resets and backoff come on top.
+            Some(mut report) => {
+                report.recovery_time += recovery_time;
+                report.wall += recovery_time;
+                report
+            }
+            // Hardware recovery is exhausted: serve the request with the
+            // registered software fallback.
+            None => {
+                let Some(fallback) = self.fallback.as_deref() else {
+                    return Err(last_err.unwrap_or(Error::FallbackFailed {
+                        reason: "no software fallback registered".into(),
+                    }));
+                };
+                let cpu = engine::run_fallback(&mut self.engine.vim, fallback, params)?;
+                ExecutionReport {
+                    wall: recovery_time + cpu,
+                    recovery_time,
+                    fallback_taken: true,
+                    ..Default::default()
+                }
+            }
         };
-        let cpu = engine::run_fallback(&mut self.engine.vim, fallback, params)?;
-        let vim = &self.engine.vim;
-        let mut report = ExecutionReport {
-            wall: recovery_time + cpu,
-            execute_attempts: attempts,
-            injected_faults: vim.fault_injector().total_fired() - fired0,
-            watchdog_resets: resets,
-            recovery_time,
-            fallback_taken: true,
-            counters: vim.counters().clone(),
-            ..Default::default()
-        };
-        RecoveryTally::read(vim).since(tally0, &mut report);
+        let d = self.engine.snapshot() - before;
+        report.execute_attempts = attempts;
+        report.injected_faults = d.injected;
+        report.transfer_retries = d.counts.transfer_retry;
+        report.lost_irqs_polled = d.counts.irq_poll;
+        report.lost_transfers_resubmitted = d.counts.timeout_resubmit;
+        report.watchdog_resets = resets;
         Ok(report)
     }
 
@@ -539,20 +542,7 @@ impl System {
         };
         let engine = &mut self.engine;
 
-        // Snapshot accounting state.
-        let dp0 = engine.vim.times().get("sw_dp");
-        let imu_t0 = engine.vim.times().get("sw_imu");
-        let hid0 = engine.vim.times().get("dma_hidden");
-        let dma0 = engine.vim.counters().get("dma_transfer");
-        let faults0 = engine.vim.counters().get("fault");
-        let loads0 = engine.vim.counters().get("page_load");
-        let wb0 = engine.vim.counters().get("page_writeback");
-        let ev0 = engine.vim.counters().get("eviction");
-        let pf0 = engine.vim.counters().get("prefetch");
-        let hits0 = engine.imu.tlb().hits();
-        let miss0 = engine.imu.tlb().misses();
-        let imu_edges0 = engine.imu.edges();
-
+        let before = engine.snapshot();
         let setup = engine.start(cp, &mut self.port, params)?;
         // The caller sleeps for the duration of the operation.
         self.sched.sleep(self.caller, SimTime::ZERO);
@@ -573,58 +563,30 @@ impl System {
         };
         self.sched.wake(self.caller, t_done + done_svc.total());
 
-        let vim = &engine.vim;
+        let d = engine.snapshot() - before;
         let report = ExecutionReport {
             wall: setup + t_done + done_svc.total(),
             hw: t_done.saturating_sub(seg.stalls.fault_stall),
-            sw_dp: vim.times().get("sw_dp").saturating_sub(dp0),
-            sw_imu: vim.times().get("sw_imu").saturating_sub(imu_t0),
+            sw_dp: d.times.sw_dp,
+            sw_imu: d.times.sw_imu,
             setup,
-            dma_hidden: vim.times().get("dma_hidden").saturating_sub(hid0),
-            dma_transfers: vim.counters().get("dma_transfer") - dma0,
-            faults: vim.counters().get("fault") - faults0,
-            page_loads: vim.counters().get("page_load") - loads0,
-            page_writebacks: vim.counters().get("page_writeback") - wb0,
-            evictions: vim.counters().get("eviction") - ev0,
-            prefetches: vim.counters().get("prefetch") - pf0,
-            tlb_hits: engine.imu.tlb().hits() - hits0,
-            tlb_misses: engine.imu.tlb().misses() - miss0,
+            dma_hidden: d.times.dma_hidden,
+            dma_transfers: d.counts.dma_transfer,
+            faults: d.counts.fault,
+            page_loads: d.counts.page_load,
+            page_writebacks: d.counts.page_writeback,
+            evictions: d.counts.eviction,
+            prefetches: d.counts.prefetch,
+            tlb_hits: d.imu.tlb_hit,
+            tlb_misses: d.imu.tlb_miss,
             cp_cycles: seg.cp_cycles,
-            imu_edges: engine.imu.edges() - imu_edges0,
+            imu_edges: d.imu_edges,
             fault_latency: seg.stalls.fault_latency,
             recovery_time: seg.stalls.recovered,
-            counters: vim.counters().clone(),
             ..Default::default()
         };
         *elapsed = report.wall;
         Ok(report)
-    }
-}
-
-/// The VIM's recovery counters at one instant; a report carries their
-/// growth over its `FPGA_EXECUTE`.
-#[derive(Debug, Clone, Copy)]
-struct RecoveryTally {
-    retries: u64,
-    polls: u64,
-    resubmits: u64,
-}
-
-impl RecoveryTally {
-    fn read(vim: &Vim) -> Self {
-        let c = vim.counters();
-        RecoveryTally {
-            retries: c.get("transfer_retry"),
-            polls: c.get("irq_poll"),
-            resubmits: c.get("timeout_resubmit"),
-        }
-    }
-
-    /// Writes the growth since `before` into `report`.
-    fn since(self, before: RecoveryTally, report: &mut ExecutionReport) {
-        report.transfer_retries = self.retries - before.retries;
-        report.lost_irqs_polled = self.polls - before.polls;
-        report.lost_transfers_resubmitted = self.resubmits - before.resubmits;
     }
 }
 

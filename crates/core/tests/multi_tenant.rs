@@ -412,7 +412,7 @@ fn lost_transfer_is_resubmitted_without_degrading_the_tenant() {
     let report = sys.run().expect("run completes");
 
     assert_eq!(sys.fault_injector().fired(FaultSite::DmaTimeout), 1);
-    assert_eq!(sys.vim().counters().get("timeout_resubmit"), 1);
+    assert_eq!(sys.vim().counters().timeout_resubmit, 1);
     assert!(!sys.is_degraded(adpcm));
     assert_eq!(report.fallbacks, 0, "served on hardware");
     for t in &report.tenants {

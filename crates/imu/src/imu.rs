@@ -18,7 +18,6 @@
 use vcop_fabric::port::{AccessKind, AccessRequest, CoprocessorPort, ObjectId, PortLink};
 use vcop_sim::mem::{DualPortRam, PageIndex, Port};
 use vcop_sim::sched::Wake;
-use vcop_sim::stats::Counters;
 use vcop_sim::time::SimTime;
 use vcop_sim::trace::{SignalId, SignalValue, TraceSink};
 
@@ -184,40 +183,27 @@ enum State {
     Done,
 }
 
-/// Datapath event tallies kept as plain fields: several fire on every
-/// translated access, where a map-backed counter would dominate the
-/// simulation's hot path. [`Imu::counters`] renders them in the common
-/// named form on demand.
-#[derive(Debug, Clone, Copy, Default)]
-struct DatapathStats {
-    tlb_hit: u64,
-    tlb_miss: u64,
-    fault: u64,
-    done: u64,
-    completed_read: u64,
-    completed_write: u64,
-    param_read: u64,
-    param_page_freed: u64,
-}
-
-impl DatapathStats {
-    fn to_counters(self) -> Counters {
-        let mut c = Counters::new();
-        for (name, value) in [
-            ("tlb_hit", self.tlb_hit),
-            ("tlb_miss", self.tlb_miss),
-            ("fault", self.fault),
-            ("done", self.done),
-            ("completed_read", self.completed_read),
-            ("completed_write", self.completed_write),
-            ("param_read", self.param_read),
-            ("param_page_freed", self.param_page_freed),
-        ] {
-            if value > 0 {
-                c.add(name, value);
-            }
-        }
-        c
+vcop_sim::stats! {
+    /// Datapath event counts, as plain fields: several fire on every
+    /// translated access. Read through [`Imu::counters`]; a report over
+    /// an interval is the difference of two snapshots.
+    pub struct ImuStats: u64 {
+        /// Translations that hit the TLB.
+        tlb_hit,
+        /// Translations that missed the TLB.
+        tlb_miss,
+        /// Faults raised to the OS (misses and other causes).
+        fault,
+        /// End-of-operation signals.
+        done,
+        /// Completed data reads.
+        completed_read,
+        /// Completed data writes.
+        completed_write,
+        /// Reads of the parameter page.
+        param_read,
+        /// Parameter pages the coprocessor invalidated.
+        param_page_freed,
     }
 }
 
@@ -286,7 +272,7 @@ pub struct Imu {
     /// `log2(page_bytes)` when the page size is a power of two, letting
     /// the per-access page split use shift/mask instead of division.
     page_shift: Option<u32>,
-    stats: DatapathStats,
+    stats: ImuStats,
     trace_ids: Option<TraceIds>,
     /// Set by [`Imu::resume`]: stalled accesses must be re-translated
     /// against the repaired TLB at the next edge.
@@ -335,7 +321,7 @@ impl Imu {
                 .page_bytes
                 .is_power_of_two()
                 .then(|| config.page_bytes.trailing_zeros()),
-            stats: DatapathStats::default(),
+            stats: ImuStats::default(),
             trace_ids: None,
             needs_reresolve: false,
             edges: 0,
@@ -380,11 +366,12 @@ impl Imu {
         &mut self.tlb
     }
 
-    /// Event counters (`tlb_hit`, `tlb_miss`, `fault`, `completed_read`,
-    /// `completed_write`, `param_read`), rendered from the datapath
-    /// tallies; only counters that fired at least once appear.
-    pub fn counters(&self) -> Counters {
-        self.stats.to_counters()
+    /// Datapath event counts since construction: `tlb_hit`, `tlb_miss`,
+    /// `fault`, `done`, `completed_read`, `completed_write`, `param_read`
+    /// and `param_page_freed`. Subtract two snapshots for an interval;
+    /// [`ImuStats::get`] reads a field by name for external readers.
+    pub fn counters(&self) -> &ImuStats {
+        &self.stats
     }
 
     /// The address-space id translations currently match against.
@@ -1099,7 +1086,7 @@ mod tests {
         let dirty = b.imu.tlb().dirty_indices();
         assert_eq!(dirty.len(), 1);
         assert!(b.imu.tlb().entry(dirty[0]).dirty);
-        assert_eq!(b.imu.counters().get("completed_write"), 1);
+        assert_eq!(b.imu.counters().completed_write, 1);
     }
 
     #[test]
@@ -1179,7 +1166,7 @@ mod tests {
         b.port.issue_read(ObjectId::PARAM, 1);
         let (data, _) = b.run_until_complete(10);
         assert_eq!(data, 42);
-        assert_eq!(b.imu.counters().get("param_read"), 1);
+        assert_eq!(b.imu.counters().param_read, 1);
 
         // Coprocessor invalidates the parameter page.
         b.port.param_done();
@@ -1296,14 +1283,42 @@ mod tests {
     }
 
     #[test]
+    fn every_statistic_reads_back_by_name() {
+        let stats = ImuStats {
+            tlb_hit: 1,
+            tlb_miss: 2,
+            fault: 3,
+            done: 4,
+            completed_read: 5,
+            completed_write: 6,
+            param_read: 7,
+            param_page_freed: 8,
+        };
+        let names = [
+            "tlb_hit",
+            "tlb_miss",
+            "fault",
+            "done",
+            "completed_read",
+            "completed_write",
+            "param_read",
+            "param_page_freed",
+        ];
+        for (value, name) in (1..).zip(names) {
+            assert_eq!(stats.get(name), value, "{name}");
+        }
+        assert_eq!(stats.get("tlb_hits"), 0, "an unknown name reads zero");
+    }
+
+    #[test]
     fn counters_track_hits_and_misses() {
         let mut b = Bench::new(proto());
         b.map(0, ElemSize::U32, &[(0, 0)]);
         b.start();
         b.port.issue_read(ObjectId(0), 0);
         b.run_until_complete(10);
-        assert_eq!(b.imu.counters().get("tlb_hit"), 1);
-        assert_eq!(b.imu.counters().get("tlb_miss"), 0);
+        assert_eq!(b.imu.counters().tlb_hit, 1);
+        assert_eq!(b.imu.counters().tlb_miss, 0);
         assert_eq!(b.imu.tlb().hits(), 1);
     }
 

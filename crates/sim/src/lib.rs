@@ -17,7 +17,7 @@
 //! * [`histogram`] — log-bucketed latency distributions for reports;
 //! * [`cpu`] — the ARM cost model used by pure-software baselines;
 //! * [`trace`] — waveform capture with VCD and ASCII rendering;
-//! * [`stats`] — named counters and time buckets.
+//! * [`stats`](mod@stats) — typed statistics structs, declared with [`stats!`].
 //!
 //! # Examples
 //!

@@ -272,6 +272,12 @@ impl DualPortRam {
         Ok(())
     }
 
+    /// The bytes at `range` (which must be in bounds), read without
+    /// counting port traffic: an inspection view for invariant checks.
+    pub fn peek(&self, range: core::ops::Range<usize>) -> &[u8] {
+        &self.bytes[range]
+    }
+
     /// Fills page `page` with zeroes (without counting port traffic; this
     /// models hardware page clear, used only by tests and initialisation).
     ///

@@ -1,223 +1,130 @@
-//! Named counters and time buckets for simulation statistics.
+//! Typed statistics: plain-field counters whose reports are differences.
 //!
 //! The paper decomposes execution time into three components (hardware,
 //! dual-port RAM management, IMU management); the rest of the workspace
 //! accumulates those — and auxiliary event counts such as page faults and
-//! TLB updates — through this module.
+//! TLB updates — in structs declared with [`stats!`](crate::stats!). A
+//! component writes a field directly (`counts.fault += 1`), and a report
+//! over an interval is one subtraction of two snapshots
+//! (`after - before`).
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use crate::time::SimTime;
-
-/// A set of named event counters.
+/// Declares a statistics struct: one `pub` field of type `$ty` per name.
+///
+/// The struct derives `Debug`, `Clone`, `Default`, `PartialEq` and `Eq`
+/// (not `Copy`: snapshots are taken with an explicit `clone()`), and
+/// implements field-by-field
+///
+/// * `AddAssign`, with `saturating_add` so time fields saturate rather
+///   than overflow;
+/// * `Sub`, the growth between two snapshots of a monotonic struct;
+/// * `get(&str)`, a by-name read built from the field names for readers
+///   that select a statistic by string. An unknown name reads zero.
 ///
 /// # Examples
 ///
 /// ```
-/// use vcop_sim::stats::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("page_fault", 1);
-/// c.add("page_fault", 2);
-/// assert_eq!(c.get("page_fault"), 3);
-/// assert_eq!(c.get("never"), 0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
-    values: BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.values.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments counter `name` by one.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another counter set into this one (summing shared names).
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
-    /// Whether no counter was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.values {
-            writeln!(f, "{k:32} {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A set of named time accumulators.
-///
-/// # Examples
-///
-/// ```
-/// use vcop_sim::stats::TimeBuckets;
+/// use vcop_sim::stats;
 /// use vcop_sim::time::SimTime;
 ///
-/// let mut t = TimeBuckets::new();
-/// t.add("sw_dp", SimTime::from_us(10));
-/// t.add("sw_dp", SimTime::from_us(5));
+/// stats! {
+///     /// Service time per component.
+///     pub struct Times: SimTime {
+///         /// Data movement.
+///         sw_dp,
+///         /// Translation upkeep.
+///         sw_imu,
+///     }
+/// }
+///
+/// let mut t = Times::default();
+/// t.sw_dp += SimTime::from_us(10);
+/// let before = t.clone();
+/// t.sw_dp += SimTime::from_us(5);
+/// assert_eq!((t.clone() - before).sw_dp, SimTime::from_us(5));
 /// assert_eq!(t.get("sw_dp"), SimTime::from_us(15));
+/// assert_eq!(t.get("never"), SimTime::ZERO);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimeBuckets {
-    values: BTreeMap<&'static str, SimTime>,
-}
-
-impl TimeBuckets {
-    /// Creates an empty bucket set.
-    pub fn new() -> Self {
-        TimeBuckets::default()
-    }
-
-    /// Adds `t` to bucket `name`.
-    pub fn add(&mut self, name: &'static str, t: SimTime) {
-        let e = self.values.entry(name).or_insert(SimTime::ZERO);
-        *e = e.saturating_add(t);
-    }
-
-    /// Current value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> SimTime {
-        self.values.get(name).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Sum of all buckets.
-    pub fn total(&self) -> SimTime {
-        self.values.values().copied().sum()
-    }
-
-    /// Sum of all buckets except the named ones. Overlapped paging keeps
-    /// a separate *hidden* account (DMA cycles buried under coprocessor
-    /// execution); excluding it yields the serial-work sum the paper's
-    /// decomposition adds up.
-    pub fn total_excluding(&self, names: &[&str]) -> SimTime {
-        self.values
-            .iter()
-            .filter(|(k, _)| !names.contains(&(**k)))
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Fraction of the grand total held by bucket `name` (zero when the
-    /// total is zero).
-    pub fn share(&self, name: &str) -> f64 {
-        let total = self.total().as_ps();
-        if total == 0 {
-            return 0.0;
+#[macro_export]
+macro_rules! stats {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident: $ty:ty {
+        $($(#[$doc:meta])* $field:ident,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
         }
-        self.get(name).as_ps() as f64 / total as f64
-    }
 
-    /// Iterates over `(name, time)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, SimTime)> + '_ {
-        self.values.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another bucket set into this one.
-    pub fn merge(&mut self, other: &TimeBuckets) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
+        impl ::core::ops::AddAssign for $name {
+            fn add_assign(&mut self, o: $name) {
+                $(self.$field = self.$field.saturating_add(o.$field);)*
+            }
         }
-    }
-}
 
-impl fmt::Display for TimeBuckets {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.values {
-            writeln!(f, "{k:32} {v}")?;
+        impl ::core::ops::Sub for $name {
+            type Output = $name;
+            fn sub(self, o: $name) -> $name {
+                $name {
+                    $($field: self.$field - o.$field,)*
+                }
+            }
         }
-        Ok(())
-    }
+
+        impl $name {
+            /// The field called `name` (zero for an unknown name): the
+            /// by-name view for readers that select statistics by
+            /// string.
+            pub fn get(&self, name: &str) -> $ty {
+                match name {
+                    $(stringify!($field) => self.$field,)*
+                    _ => <$ty>::default(),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::time::SimTime;
+
+    stats! {
+        struct Counts: u64 {
+            x,
+            y,
+        }
+    }
+
+    stats! {
+        struct Buckets: SimTime {
+            hw,
+            sw,
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_merge() {
-        let mut a = Counters::new();
-        a.incr("x");
-        a.add("y", 5);
-        let mut b = Counters::new();
-        b.add("x", 9);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 10);
-        assert_eq!(a.get("y"), 5);
-        assert!(!a.is_empty());
-        assert!(Counters::new().is_empty());
+        let mut a = Counts::default();
+        a.x += 1;
+        a.y += 5;
+        a += Counts { x: 9, y: 0 };
+        assert_eq!(a, Counts { x: 10, y: 5 });
+        assert_eq!((a.get("x"), a.get("y"), a.get("z")), (10, 5, 0));
+        assert_eq!(a.clone() - Counts { x: 4, y: 5 }, Counts { x: 6, y: 0 });
     }
 
     #[test]
-    fn counters_iterate_sorted() {
-        let mut c = Counters::new();
-        c.incr("zeta");
-        c.incr("alpha");
-        let names: Vec<_> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn buckets_total_and_merge() {
-        let mut t = TimeBuckets::new();
-        t.add("hw", SimTime::from_us(3));
-        t.add("sw", SimTime::from_us(7));
-        assert_eq!(t.total(), SimTime::from_us(10));
-        let mut u = TimeBuckets::new();
-        u.add("hw", SimTime::from_us(1));
-        t.merge(&u);
+    fn buckets_merge_saturating() {
+        let mut t = Buckets {
+            hw: SimTime::from_us(3),
+            sw: SimTime::from_ps(u64::MAX - 1),
+        };
+        t += Buckets {
+            hw: SimTime::from_us(1),
+            sw: SimTime::from_us(1),
+        };
         assert_eq!(t.get("hw"), SimTime::from_us(4));
-    }
-
-    #[test]
-    fn buckets_exclusion_and_share() {
-        let mut t = TimeBuckets::new();
-        t.add("sw_dp", SimTime::from_us(6));
-        t.add("sw_imu", SimTime::from_us(2));
-        t.add("dma_hidden", SimTime::from_us(2));
-        assert_eq!(t.total_excluding(&["dma_hidden"]), SimTime::from_us(8));
-        assert_eq!(t.total_excluding(&[]), t.total());
-        assert!((t.share("sw_dp") - 0.6).abs() < 1e-9);
-        assert_eq!(TimeBuckets::new().share("sw_dp"), 0.0);
-    }
-
-    #[test]
-    fn display_contains_entries() {
-        let mut c = Counters::new();
-        c.add("faults", 3);
-        assert!(c.to_string().contains("faults"));
-        let mut t = TimeBuckets::new();
-        t.add("hw", SimTime::from_ms(1));
-        assert!(t.to_string().contains("1.000 ms"));
+        assert_eq!(t.get("sw"), SimTime::from_ps(u64::MAX), "saturates");
+        assert_eq!(t.get("none"), SimTime::ZERO);
     }
 }

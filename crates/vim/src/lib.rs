@@ -35,7 +35,9 @@ pub mod process;
 
 pub use cost::{OsCostModel, OsOverheads, TransferMode};
 pub use error::VimError;
-pub use manager::{DemandReady, FaultService, Scope, ServiceTimes, Vim, VimConfig};
+pub use manager::{
+    DemandReady, FaultService, Scope, ServiceTimes, Vim, VimConfig, VimCounts, VimTimes,
+};
 pub use object::{Direction, MapHints, MappedObject};
 pub use policy::PolicyKind;
 pub use prefetch::PrefetchMode;

@@ -18,7 +18,6 @@ use vcop_sim::clock::ClockDomain;
 use vcop_sim::dma::{AsyncDmaEngine, TransferId};
 use vcop_sim::fault::{FaultInjector, FaultSite};
 use vcop_sim::mem::{DualPortRam, PageIndex, Port};
-use vcop_sim::stats::{Counters, TimeBuckets};
 use vcop_sim::time::SimTime;
 
 use crate::cost::OsCostModel;
@@ -198,6 +197,66 @@ struct InFlight {
     lost: bool,
 }
 
+vcop_sim::stats! {
+    /// The VIM's event counts, one plain field per event, read through
+    /// [`Vim::counters`].
+    pub struct VimCounts: u64 {
+        /// Fault interrupts serviced, whatever their cause.
+        fault,
+        /// Pages copied user memory → dual-port RAM.
+        page_load,
+        /// Pages copied dual-port RAM → user memory.
+        page_writeback,
+        /// Frames reclaimed from a resident page.
+        eviction,
+        /// Speculative page loads.
+        prefetch,
+        /// DMA transfers submitted (overlapped paging).
+        dma_transfer,
+        /// Parameter frames freed once the coprocessor invalidated them.
+        param_freed,
+        /// Lost fault interrupts found latched by the watchdog's poll.
+        irq_poll,
+        /// Transfers delayed by an injected bus stall.
+        bus_stalled,
+        /// Page transfers redone after an injected corruption or timeout.
+        transfer_retry,
+        /// Victims taken from another address space.
+        cross_asid_steal,
+        /// DMA transfers whose deadline expired.
+        dma_timeout,
+        /// DMA transfers given up after the retry budget.
+        dma_lost,
+        /// Timed-out DMA transfers re-submitted.
+        timeout_resubmit,
+        /// DMA loads that completed and were mapped.
+        install_committed,
+        /// In-flight transfers cancelled by a [`Scope::Table`] service.
+        dma_cancelled,
+        /// TLB parity upsets serviced.
+        parity_fault,
+        /// Faults on a page already inbound on the DMA engine.
+        fault_on_loading,
+        /// Demand loads deferred because every frame was pinned.
+        demand_deferred,
+    }
+}
+
+vcop_sim::stats! {
+    /// The VIM's service time per component, read through
+    /// [`Vim::times`].
+    pub struct VimTimes: SimTime {
+        /// Data movement between user memory and the dual-port RAM —
+        /// the figures' `SW (DP)`.
+        sw_dp,
+        /// Fault decoding, translation upkeep and syscall entry — the
+        /// figures' `SW (IMU)`.
+        sw_imu,
+        /// DMA bus time hidden under coprocessor execution.
+        dma_hidden,
+    }
+}
+
 /// The Virtual Interface Manager.
 #[derive(Debug)]
 pub struct Vim {
@@ -208,8 +267,8 @@ pub struct Vim {
     frames: FrameTable,
     policy: Box<dyn ReplacementPolicy>,
     cost: OsCostModel,
-    counters: Counters,
-    times: TimeBuckets,
+    counts: VimCounts,
+    times: VimTimes,
     user_alloc_next: usize,
     /// Parameter frame per address space (one per active execution).
     param_frames: BTreeMap<u16, PageIndex>,
@@ -240,9 +299,11 @@ pub struct Vim {
     /// A synchronous transfer exhausted its retries; surfaced as
     /// [`VimError::TransferFault`] by the service that triggered it.
     transfer_failure: Option<(ObjectId, u32)>,
-    /// Bumped on every fault service, page load and page write-back:
-    /// the platform watchdog's cheap "made progress" marker.
-    progress_epoch: u64,
+    /// The dirty pages the last end-of-operation service found, with
+    /// the bytes their frames held: [`Vim::check_invariants`] verifies
+    /// that user memory received them. Cleared when an object is mapped,
+    /// an execution is prepared or the CPU writes an object.
+    done_dirty: Vec<(Resident, Vec<u8>)>,
 }
 
 impl Vim {
@@ -266,8 +327,8 @@ impl Vim {
             config,
             objects: BTreeMap::new(),
             cost,
-            counters: Counters::new(),
-            times: TimeBuckets::new(),
+            counts: VimCounts::default(),
+            times: VimTimes::default(),
             // Skip address 0 so object bases look like real user pointers.
             user_alloc_next: 0x10000,
             param_frames: BTreeMap::new(),
@@ -280,7 +341,7 @@ impl Vim {
             faults: FaultInjector::disabled(),
             max_transfer_retries: 3,
             transfer_failure: None,
-            progress_epoch: 0,
+            done_dirty: Vec::new(),
         }
     }
 
@@ -363,10 +424,16 @@ impl Vim {
         self.bus_clock = overlap.then(|| ClockDomain::new(self.cost.bus().frequency()));
     }
 
-    /// Event counters (`fault`, `page_load`, `page_writeback`,
-    /// `eviction`, `prefetch`, `param_freed`).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// Event counts since construction (see [`VimCounts`]): `fault`,
+    /// `page_load`, `page_writeback`, `eviction`, `prefetch`,
+    /// `dma_transfer`, `param_freed`, `irq_poll`, `bus_stalled`,
+    /// `transfer_retry`, `cross_asid_steal`, `dma_timeout`, `dma_lost`,
+    /// `timeout_resubmit`, `install_committed`, `dma_cancelled`,
+    /// `parity_fault`, `fault_on_loading` and `demand_deferred`.
+    /// Subtract two snapshots for an interval; [`VimCounts::get`] reads
+    /// a field by name for external readers.
+    pub fn counters(&self) -> &VimCounts {
+        &self.counts
     }
 
     /// The OS cost model pricing the manager's work.
@@ -374,8 +441,11 @@ impl Vim {
         &self.cost
     }
 
-    /// Accumulated service time buckets (`sw_dp`, `sw_imu`).
-    pub fn times(&self) -> &TimeBuckets {
+    /// Service time since construction: `sw_dp`, `sw_imu` and
+    /// `dma_hidden` (see [`VimTimes`]). Subtract two snapshots for an
+    /// interval; [`VimTimes::get`] reads a field by name for external
+    /// readers.
+    pub fn times(&self) -> &VimTimes {
         &self.times
     }
 
@@ -389,6 +459,7 @@ impl Vim {
     /// through this, exactly where the hardware write-backs would have
     /// landed.
     pub fn object_data_mut(&mut self, id: ObjectId) -> Option<&mut [u8]> {
+        self.done_dirty.clear();
         self.objects
             .get_mut(&(self.current_asid.0, id.0))
             .map(|o| o.data_mut().as_mut_slice())
@@ -423,7 +494,8 @@ impl Vim {
     /// or out; the platform's no-progress watchdog compares it between
     /// loop iterations.
     pub fn progress_epoch(&self) -> u64 {
-        self.progress_epoch
+        let c = &self.counts;
+        c.fault + c.page_load + c.page_writeback
     }
 
     /// The watchdog's last look before it resets the fabric: reads the
@@ -434,7 +506,7 @@ impl Vim {
     pub fn poll_lost_fault(&mut self, imu: &Imu) -> bool {
         let latched = imu.status().fault;
         if latched {
-            self.counters.incr("irq_poll");
+            self.counts.irq_poll += 1;
         }
         latched
     }
@@ -483,7 +555,7 @@ impl Vim {
         let mut total = base;
         if self.faults.roll_tagged(FaultSite::BusStall, asid.0) {
             total += self.bus_time(self.faults.bus_stall_cycles());
-            self.counters.incr("bus_stalled");
+            self.counts.bus_stalled += 1;
         }
         let mut attempts = 0u32;
         while self.faults.roll_tagged(FaultSite::DmaCorrupt, asid.0) {
@@ -495,7 +567,7 @@ impl Vim {
             // Redo the copy: the CRC check caught the corruption, the
             // driver reprograms the descriptor and pays the move again.
             total += base + self.cost.dma_setup_time();
-            self.counters.incr("transfer_retry");
+            self.counts.transfer_retry += 1;
         }
         total
     }
@@ -549,6 +621,7 @@ impl Vim {
         if !data.len().is_multiple_of(elem.bytes()) {
             return Err(VimError::UnalignedObject(id));
         }
+        self.done_dirty.clear();
         let user_base = self.user_alloc_next;
         self.user_alloc_next += data.len().next_multiple_of(64);
         self.objects.insert(
@@ -556,7 +629,7 @@ impl Vim {
             MappedObject::new(id, direction, elem, data, user_base, hints),
         );
         let t = self.cost.syscall_time();
-        self.times.add("sw_imu", t);
+        self.times.sw_imu += t;
         Ok(t)
     }
 
@@ -580,6 +653,7 @@ impl Vim {
         params: &[u32],
         scope: Scope,
     ) -> Result<SimTime, VimError> {
+        self.done_dirty.clear();
         let capacity = self.config.page_bytes / 4;
         if params.len() > capacity {
             return Err(VimError::TooManyParams {
@@ -651,12 +725,8 @@ impl Vim {
         let t = self.cost.syscall_time()
             + self.cost.param_setup_time(params.len())
             + preload_times.total();
-        self.times
-            .add("sw_imu", self.cost.syscall_time() + preload_times.imu);
-        self.times.add(
-            "sw_dp",
-            self.cost.param_setup_time(params.len()) + preload_times.dp,
-        );
+        self.times.sw_imu += self.cost.syscall_time() + preload_times.imu;
+        self.times.sw_dp += self.cost.param_setup_time(params.len()) + preload_times.dp;
         Ok(t)
     }
 
@@ -666,7 +736,7 @@ impl Vim {
         if imu.param_frame().is_none() {
             if let Some(f) = self.param_frames.remove(&self.current_asid.0) {
                 self.frames.release_params(f);
-                self.counters.incr("param_freed");
+                self.counts.param_freed += 1;
             }
         }
     }
@@ -727,8 +797,7 @@ impl Vim {
         dpram
             .write_slice(Port::Cpu, frame.0 * self.config.page_bytes, &slice)
             .expect("frame address in range");
-        self.counters.incr("page_load");
-        self.progress_epoch += 1;
+        self.counts.page_load += 1;
         Some((user_addr, bytes))
     }
 
@@ -757,8 +826,7 @@ impl Vim {
             .read_slice(Port::Cpu, frame.0 * page_bytes, &mut buf)
             .expect("frame address in range");
         o.data_mut()[start..end].copy_from_slice(&buf);
-        self.counters.incr("page_writeback");
-        self.progress_epoch += 1;
+        self.counts.page_writeback += 1;
         (user_addr, bytes)
     }
 
@@ -835,13 +903,13 @@ impl Vim {
         // parked tenant — its write-back is priced lazily, only because
         // the incoming tenant actually steals the frame.
         if resident.asid != asid {
-            self.counters.incr("cross_asid_steal");
+            self.counts.cross_asid_steal += 1;
         }
         let dirty = imu.tlb().entry(victim.0).dirty;
         imu.tlb_mut().invalidate(victim.0);
         out.imu += self.cost.tlb_update_time();
         self.policy.on_evict(resident.obj, resident.vpage);
-        self.counters.incr("eviction");
+        self.counts.eviction += 1;
         Some((victim, Some((resident, dirty))))
     }
 
@@ -1046,7 +1114,7 @@ impl Vim {
             recovered: SimTime::ZERO,
             lost: false,
         });
-        self.counters.incr("dma_transfer");
+        self.counts.dma_transfer += 1;
         self.inject_submit_faults(ticket, asid);
     }
 
@@ -1063,14 +1131,14 @@ impl Vim {
             if let Some(f) = self.in_flight.iter_mut().find(|f| f.ticket == ticket) {
                 f.timed_out = true;
             }
-            self.counters.incr("dma_timeout");
+            self.counts.dma_timeout += 1;
         } else if self.faults.roll_tagged(FaultSite::BusStall, asid.0) {
             let cycles = self.faults.bus_stall_cycles();
             self.dma
                 .as_mut()
                 .expect("overlap engine")
                 .stall_transfer(ticket, cycles);
-            self.counters.incr("bus_stalled");
+            self.counts.bus_stalled += 1;
         }
     }
 
@@ -1142,8 +1210,7 @@ impl Vim {
                 // hidden from the synchronous stall only in the sense
                 // that the platform folds it into the demand wait it
                 // measures.
-                self.times.add("sw_imu", out.imu);
-                self.times.add("sw_dp", out.dp);
+                self.charge(out);
             } else {
                 self.deferred_demand.push_back((asid, obj, vpage));
             }
@@ -1162,8 +1229,8 @@ impl Vim {
         let e = self.in_flight[idx];
         if e.attempts >= self.max_transfer_retries {
             self.in_flight[idx].lost = true;
-            self.counters.incr("dma_lost");
-            self.times.add("sw_imu", self.cost.dma_completion_time());
+            self.counts.dma_lost += 1;
+            self.times.sw_imu += self.cost.dma_completion_time();
             return;
         }
         let ticket = self.stage_and_submit(e.frame, e.asid, e.obj, e.vpage, e.kind, dpram);
@@ -1171,13 +1238,10 @@ impl Vim {
         f.ticket = ticket;
         f.attempts += 1;
         f.timed_out = false;
-        self.times.add(
-            "sw_imu",
-            self.cost.dma_completion_time() + self.cost.dma_setup_time(),
-        );
-        self.counters.incr("transfer_retry");
+        self.times.sw_imu += self.cost.dma_completion_time() + self.cost.dma_setup_time();
+        self.counts.transfer_retry += 1;
         if e.timed_out {
-            self.counters.incr("timeout_resubmit");
+            self.counts.timeout_resubmit += 1;
         }
         self.inject_submit_faults(ticket, e.asid);
     }
@@ -1235,7 +1299,7 @@ impl Vim {
                     },
                 );
                 self.policy.on_load(entry.frame.0);
-                self.counters.incr("install_committed");
+                self.counts.install_committed += 1;
                 if demand {
                     // Stall accounting (wait time, completion interrupt,
                     // resume) is the platform's: it knows the fault time.
@@ -1249,9 +1313,8 @@ impl Vim {
                     // Fully hidden under coprocessor execution: the bus
                     // time goes to the separate hidden account, the
                     // completion interrupt to the serial `sw_imu` sum.
-                    self.times
-                        .add("dma_hidden", self.bus_time(completion.bus_cycles));
-                    self.times.add("sw_imu", self.cost.dma_completion_time());
+                    self.times.dma_hidden += self.bus_time(completion.bus_cycles);
+                    self.times.sw_imu += self.cost.dma_completion_time();
                     self.retry_deferred(t, imu, dpram, ready);
                 }
             }
@@ -1277,19 +1340,17 @@ impl Vim {
                         if let Some(load) = self.in_flight.last_mut() {
                             load.recovered += entry.recovered;
                         }
-                        self.times.add("sw_imu", out.imu);
+                        self.times.sw_imu += out.imu;
                         if !chain.demand {
-                            self.times
-                                .add("dma_hidden", self.bus_time(completion.bus_cycles));
+                            self.times.dma_hidden += self.bus_time(completion.bus_cycles);
                         }
                     }
                     None => {
                         self.frames.finish_evict(entry.frame);
-                        self.times
-                            .add("dma_hidden", self.bus_time(completion.bus_cycles));
+                        self.times.dma_hidden += self.bus_time(completion.bus_cycles);
                     }
                 }
-                self.times.add("sw_imu", self.cost.dma_completion_time());
+                self.times.sw_imu += self.cost.dma_completion_time();
                 self.retry_deferred(t, imu, dpram, ready);
             }
         }
@@ -1373,7 +1434,10 @@ impl Vim {
     /// * a valid TLB entry exists exactly for each resident frame and maps
     ///   that frame's page in that frame's address space;
     /// * no frame is owned by two address spaces: each parameter frame is
-    ///   reserved for the one address space that holds it.
+    ///   reserved for the one address space that holds it;
+    /// * every page the last end-of-operation service found dirty reached
+    ///   user memory: each still-mapped object holds the bytes its frame
+    ///   held at done.
     ///
     /// The platform runs it after every service call in debug builds.
     pub fn check_invariants(&self, imu: &Imu) -> Result<(), String> {
@@ -1437,15 +1501,33 @@ impl Vim {
                 ));
             }
         }
+        for (r, held) in &self.done_dirty {
+            // An object the application took back has nothing to check.
+            if self.user_page(r).is_some_and(|user| user != held) {
+                return Err(format!(
+                    "dirty page {} of object {} in {} did not reach user memory at done",
+                    r.vpage, r.obj.0, r.asid
+                ));
+            }
+        }
         Ok(())
     }
 
-    /// Credits the demand-stall components the platform measured: the
-    /// DMA wait (data movement the coprocessor blocked on → `sw_dp`) and
-    /// the completion-interrupt + resume CPU work (→ `sw_imu`).
-    pub fn credit_demand_stall(&mut self, dp: SimTime, imu: SimTime) {
-        self.times.add("sw_dp", dp);
-        self.times.add("sw_imu", imu);
+    /// The bytes of page `r` in its object's user buffer, or `None` if
+    /// the object is no longer mapped.
+    fn user_page(&self, r: &Resident) -> Option<&[u8]> {
+        let o = self.objects.get(&(r.asid.0, r.obj.0))?;
+        let (start, end) = o.page_range(r.vpage, self.config.page_bytes)?;
+        Some(&o.data()[start..end])
+    }
+
+    /// Charges service time to the `sw_dp` and `sw_imu` totals. The
+    /// platform charges the demand stalls it measures this way: the DMA
+    /// wait the coprocessor blocked on as `dp`, the completion interrupt
+    /// and resume as `imu`.
+    pub fn charge(&mut self, t: ServiceTimes) {
+        self.times.sw_dp += t.dp;
+        self.times.sw_imu += t.imu;
     }
 
     /// Aborts every in-flight transfer (`FPGA_EXECUTE` teardown or a new
@@ -1477,7 +1559,7 @@ impl Vim {
                 self.frames.finish_evict(entry.frame);
             }
         }
-        self.counters.incr("dma_cancelled");
+        self.counts.dma_cancelled += 1;
     }
 
     /// Services a translation fault: the *Page Fault* request of
@@ -1503,8 +1585,7 @@ impl Vim {
             imu: self.cost.fault_entry_time(),
             ..Default::default()
         };
-        self.counters.incr("fault");
-        self.progress_epoch += 1;
+        self.counts.fault += 1;
         self.reap_param_frame(imu);
 
         let cause = imu.fault_cause().expect("fault status implies cause");
@@ -1518,7 +1599,7 @@ impl Vim {
                 // A dirty page has no master copy of its modifications —
                 // the data in the interface memory is lost and the run
                 // cannot be trusted.
-                self.counters.incr("parity_fault");
+                self.counts.parity_fault += 1;
                 let e = *imu.tlb().entry(entry);
                 if e.valid {
                     if e.dirty {
@@ -1565,7 +1646,7 @@ impl Vim {
                     if self.mark_inbound_demand(asid, obj, page) {
                         // The page is already inbound (a speculative load
                         // raced the access): just wait for it.
-                        self.counters.incr("fault_on_loading");
+                        self.counts.fault_on_loading += 1;
                     } else if !self.start_demand_load(asid, obj, page, imu, dpram, &mut out) {
                         if self.in_flight.is_empty() {
                             return Err(VimError::NoFrameAvailable);
@@ -1573,7 +1654,7 @@ impl Vim {
                         // Every candidate frame is pinned by an in-flight
                         // transfer; retry as completions free them.
                         self.deferred_demand.push_back((asid, obj, page));
-                        self.counters.incr("demand_deferred");
+                        self.counts.demand_deferred += 1;
                     }
                     None
                 } else {
@@ -1605,12 +1686,11 @@ impl Vim {
                     } else {
                         self.install_page(asid, obj, target, slot, imu, dpram, &mut out);
                     }
-                    self.counters.incr("prefetch");
+                    self.counts.prefetch += 1;
                 }
 
                 if self.config.overlap {
-                    self.times.add("sw_dp", out.dp);
-                    self.times.add("sw_imu", out.imu);
+                    self.charge(out);
                     return Ok(FaultService {
                         times: out,
                         pending: true,
@@ -1622,8 +1702,7 @@ impl Vim {
         self.check_transfer_failure()?;
         imu.resume();
         out.imu += self.cost.resume_time();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
+        self.charge(out);
         Ok(FaultService {
             times: out,
             pending: false,
@@ -1668,11 +1747,16 @@ impl Vim {
             // (part of the done service, as in the paper).
             self.cancel_in_flight(imu);
         }
+        self.done_dirty.clear();
         for (frame, resident) in self.frames.residents() {
             if scope == Scope::Tenant && resident.asid != asid {
                 continue;
             }
             if imu.tlb().entry(frame.0).dirty {
+                let len = self.user_page(&resident).expect("resident page").len();
+                let base = frame.0 * self.config.page_bytes;
+                let held = dpram.peek(base..base + len).to_vec();
+                self.done_dirty.push((resident, held));
                 out.dp +=
                     self.writeback_page(resident.asid, resident.obj, resident.vpage, frame, dpram);
             }
@@ -1681,8 +1765,7 @@ impl Vim {
         }
         self.check_transfer_failure()?;
         imu.clear_done();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
+        self.charge(out);
         Ok(out)
     }
 
@@ -1830,6 +1913,18 @@ mod tests {
             panic!("no completion within {max} edges");
         }
 
+        /// Signals end of operation and steps the IMU until it raises
+        /// it.
+        fn finish(&mut self) {
+            self.port.finish();
+            for _ in 0..4 {
+                if self.step() == Some(vcop_imu::imu::ImuEvent::Done) {
+                    return;
+                }
+            }
+            panic!("no end of operation within 4 edges");
+        }
+
         fn map(&mut self, id: u8, data: Vec<u8>, dir: Direction) {
             self.vim
                 .map_object(ObjectId(id), data, ElemSize::U32, dir, MapHints::default())
@@ -1909,7 +2004,7 @@ mod tests {
         assert_eq!(rig.dpram.read_word(Port::Cpu, 4).unwrap(), 9);
         assert_eq!(rig.imu.param_frame(), Some(PageIndex(0)));
         // All three data pages preloaded (round-robin: obj0 p0, obj1 p0, obj1 p1).
-        assert_eq!(rig.vim.counters().get("page_load"), 3);
+        assert_eq!(rig.vim.counters().page_load, 3);
         assert_eq!(rig.imu.tlb().valid_indices().len(), 3);
         // Input page content actually copied.
         assert_eq!(
@@ -1981,7 +2076,7 @@ mod tests {
         let got = rig.step_until_complete(16);
         let expect = u32::from_le_bytes(data[2400..2404].try_into().unwrap());
         assert_eq!(got, expect);
-        assert_eq!(rig.vim.counters().get("fault"), 1);
+        assert_eq!(rig.vim.counters().fault, 1);
     }
 
     #[test]
@@ -2013,15 +2108,15 @@ mod tests {
             rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
             rig.step_until_complete(16);
         }
-        assert_eq!(rig.vim.counters().get("eviction"), 0);
+        assert_eq!(rig.vim.counters().eviction, 0);
 
         // Page 7 faults: FIFO evicts dirty page 0 → write-back.
         rig.port.issue_read(ObjectId(0), 7 * elems_per_page);
         rig.step_until_fault(16);
         rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
         rig.step_until_complete(16);
-        assert_eq!(rig.vim.counters().get("eviction"), 1);
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
+        assert_eq!(rig.vim.counters().eviction, 1);
+        assert_eq!(rig.vim.counters().page_writeback, 1);
         let buf = rig.vim.object(ObjectId(0)).unwrap().data();
         assert_eq!(buf[20], 0xAB, "dirty data reached the user buffer");
     }
@@ -2036,15 +2131,7 @@ mod tests {
         rig.start();
         rig.port.issue_write(ObjectId(0), 0, 0xDEAD_BEEF);
         rig.step_until_complete(16); // preloaded → no fault
-        rig.port.finish();
-        let mut done = false;
-        for _ in 0..4 {
-            if rig.step() == Some(vcop_imu::imu::ImuEvent::Done) {
-                done = true;
-                break;
-            }
-        }
-        assert!(done);
+        rig.finish();
         let svc = rig
             .vim
             .service_done(&mut rig.imu, &mut rig.dpram, Scope::Table)
@@ -2053,7 +2140,91 @@ mod tests {
         assert!(!rig.imu.status().done);
         let buf = rig.vim.take_object(ObjectId(0)).unwrap().into_data();
         assert_eq!(&buf[0..4], &0xDEAD_BEEFu32.to_le_bytes());
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
+        assert_eq!(rig.vim.counters().page_writeback, 1);
+    }
+
+    #[test]
+    fn invariants_catch_a_dirty_page_missing_from_user_memory() {
+        let mut rig = Rig::prototype();
+        rig.map(0, vec![0u8; 2 * PAGE], Direction::Out);
+        rig.vim
+            .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
+            .unwrap();
+        rig.start();
+        for (index, value) in [(0, 0xDEAD_BEEF), (PAGE as u32 / 4, 0xFEED_F00D)] {
+            rig.port.issue_write(ObjectId(0), index, value);
+            rig.step_until_complete(16); // preloaded → no fault
+        }
+        rig.finish();
+        rig.vim
+            .service_done(&mut rig.imu, &mut rig.dpram, Scope::Table)
+            .unwrap();
+        assert_eq!(rig.vim.check_invariants(&rig.imu), Ok(()));
+        // Undo the write-back of page 1: its dirty bytes never reached
+        // user memory.
+        let object = rig.vim.objects.get_mut(&(Asid::SINGLE.0, 0)).unwrap();
+        object.data_mut()[PAGE] = 0;
+        let violation = rig.vim.check_invariants(&rig.imu).unwrap_err();
+        assert!(violation.contains("dirty page 1"), "{violation}");
+    }
+
+    #[test]
+    fn every_statistic_reads_back_by_name() {
+        let counts = VimCounts {
+            fault: 1,
+            page_load: 2,
+            page_writeback: 3,
+            eviction: 4,
+            prefetch: 5,
+            dma_transfer: 6,
+            param_freed: 7,
+            irq_poll: 8,
+            bus_stalled: 9,
+            transfer_retry: 10,
+            cross_asid_steal: 11,
+            dma_timeout: 12,
+            dma_lost: 13,
+            timeout_resubmit: 14,
+            install_committed: 15,
+            dma_cancelled: 16,
+            parity_fault: 17,
+            fault_on_loading: 18,
+            demand_deferred: 19,
+        };
+        let names = [
+            "fault",
+            "page_load",
+            "page_writeback",
+            "eviction",
+            "prefetch",
+            "dma_transfer",
+            "param_freed",
+            "irq_poll",
+            "bus_stalled",
+            "transfer_retry",
+            "cross_asid_steal",
+            "dma_timeout",
+            "dma_lost",
+            "timeout_resubmit",
+            "install_committed",
+            "dma_cancelled",
+            "parity_fault",
+            "fault_on_loading",
+            "demand_deferred",
+        ];
+        for (value, name) in (1..).zip(names) {
+            assert_eq!(counts.get(name), value, "{name}");
+        }
+        let times = VimTimes {
+            sw_dp: SimTime::from_ps(1),
+            sw_imu: SimTime::from_ps(2),
+            dma_hidden: SimTime::from_ps(3),
+        };
+        for (ps, name) in (1..).zip(["sw_dp", "sw_imu", "dma_hidden"]) {
+            assert_eq!(times.get(name), SimTime::from_ps(ps), "{name}");
+        }
+        assert_eq!(counts.get("faults"), 0, "an unknown name reads zero");
+        assert_eq!(times.get("hw"), SimTime::ZERO);
     }
 
     #[test]
@@ -2067,10 +2238,7 @@ mod tests {
             rig.vim
                 .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
                 .unwrap();
-            (
-                rig.vim.counters().get("page_load"),
-                rig.vim.times().get("sw_dp"),
-            )
+            (rig.vim.counters().page_load, rig.vim.times().sw_dp)
         };
         let (loads_copy, t_copy) = mk(false);
         let (loads_skip, t_skip) = mk(true);
@@ -2099,7 +2267,7 @@ mod tests {
         rig.port.issue_read(ObjectId(0), 0);
         rig.step_until_fault(16);
         rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
-        assert_eq!(rig.vim.counters().get("param_freed"), 1);
+        assert_eq!(rig.vim.counters().param_freed, 1);
         rig.step_until_complete(16);
     }
 
@@ -2113,7 +2281,7 @@ mod tests {
         rig.vim
             .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
-        assert_eq!(rig.vim.counters().get("page_load"), 0);
+        assert_eq!(rig.vim.counters().page_load, 0);
         assert!(rig.imu.tlb().valid_indices().is_empty());
     }
 
@@ -2124,8 +2292,8 @@ mod tests {
         rig.vim
             .prepare_execute(&mut rig.imu, &mut rig.dpram, &[1], Scope::Table)
             .unwrap();
-        let dp = rig.vim.times().get("sw_dp");
-        let imu_t = rig.vim.times().get("sw_imu");
+        let dp = rig.vim.times().sw_dp;
+        let imu_t = rig.vim.times().sw_imu;
         assert!(dp > SimTime::ZERO, "preload copies accounted");
         assert!(imu_t > SimTime::ZERO, "syscall + TLB updates accounted");
     }
@@ -2211,8 +2379,8 @@ mod tests {
         let got = rig.step_until_complete(16);
         let expect = u32::from_le_bytes(data[2400..2404].try_into().unwrap());
         assert_eq!(got, expect);
-        assert_eq!(rig.vim.counters().get("dma_transfer"), 1);
-        assert_eq!(rig.vim.counters().get("install_committed"), 1);
+        assert_eq!(rig.vim.counters().dma_transfer, 1);
+        assert_eq!(rig.vim.counters().install_committed, 1);
     }
 
     #[test]
@@ -2232,7 +2400,7 @@ mod tests {
             rig.port.issue_read(ObjectId(0), vp * elems_per_page);
             rig.step_until_complete_async(100_000);
         }
-        assert_eq!(rig.vim.counters().get("eviction"), 0);
+        assert_eq!(rig.vim.counters().eviction, 0);
 
         // Page 7 faults: FIFO picks dirty page 0; its write-back and the
         // incoming load run back-to-back on the same frame (the frame
@@ -2245,8 +2413,8 @@ mod tests {
                 .unwrap()
                 .pending
         );
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
-        assert_eq!(rig.vim.counters().get("eviction"), 1);
+        assert_eq!(rig.vim.counters().page_writeback, 1);
+        assert_eq!(rig.vim.counters().eviction, 1);
         assert_eq!(rig.vim.pinned_frames(), 1);
         rig.pump_dma_until_ready(200_000);
         rig.imu.resume();
@@ -2290,21 +2458,17 @@ mod tests {
             }
         }
         let c = rig.vim.counters();
-        assert!(c.get("prefetch") > 0, "speculative loads happened");
+        assert!(c.prefetch > 0, "speculative loads happened");
         assert!(
-            c.get("fault") < 10,
+            c.fault < 10,
             "prefetch hid some faults ({} of 10 pages faulted)",
-            c.get("fault")
+            c.fault
         );
         assert!(
-            c.get("eviction") > 0,
+            c.eviction > 0,
             "with all frames warm, speculation stole clean cold frames"
         );
-        assert_eq!(
-            c.get("page_writeback"),
-            0,
-            "speculation never pays a write-back"
-        );
+        assert_eq!(c.page_writeback, 0, "speculation never pays a write-back");
         assert_eq!(rig.vim.pinned_frames(), 0);
     }
 
@@ -2336,8 +2500,8 @@ mod tests {
         let (rig, late, got) = overlap_demand_under(plan.once(FaultSite::DmaTimeout, 1));
 
         assert_eq!(got, want, "the re-submitted page carries the right data");
-        assert_eq!(rig.vim.counters().get("timeout_resubmit"), 1);
-        assert_eq!(rig.vim.counters().get("transfer_retry"), 1);
+        assert_eq!(rig.vim.counters().timeout_resubmit, 1);
+        assert_eq!(rig.vim.counters().transfer_retry, 1);
         assert_eq!(rig.vim.pinned_frames(), 0);
         assert!(!rig.vim.demand_lost_for(Asid::SINGLE));
         // Detection costs one nominal transfer time: the deadline fires
@@ -2372,8 +2536,8 @@ mod tests {
             }
         }
         assert!(!rig.vim.dma_busy());
-        assert_eq!(rig.vim.counters().get("timeout_resubmit"), 2);
-        assert_eq!(rig.vim.counters().get("dma_lost"), 1);
+        assert_eq!(rig.vim.counters().timeout_resubmit, 2);
+        assert_eq!(rig.vim.counters().dma_lost, 1);
         assert!(rig.vim.demand_lost_for(Asid::SINGLE));
         assert_eq!(rig.vim.pinned_frames(), 1, "the lost page keeps its frame");
     }
@@ -2406,8 +2570,8 @@ mod tests {
             .unwrap();
         assert!(!rig.vim.dma_busy());
         assert_eq!(rig.vim.pinned_frames(), 0);
-        assert_eq!(rig.vim.counters().get("dma_cancelled"), 3);
-        assert_eq!(rig.vim.counters().get("install_committed"), 0);
+        assert_eq!(rig.vim.counters().dma_cancelled, 3);
+        assert_eq!(rig.vim.counters().install_committed, 0);
         let far = rig.now + SimTime::from_ms(10);
         assert!(
             rig.vim

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: full applications through the complete
 //! platform (fabric + IMU + VIM + syscalls).
 
-use vcop::{Direction, ElemSize, Error, MapHints, SystemBuilder};
+use vcop::{Direction, ElemSize, Error, MapHints, PrefetchMode, SystemBuilder};
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT as ADPCM_IN, OBJ_OUTPUT as ADPCM_OUT};
 use vcop_apps::idea::cipher as idea;
@@ -154,6 +154,64 @@ fn adpcm_end_to_end_matches_reference() {
     system.fpga_execute(&[coded.len() as u32]).unwrap();
     let out = adpcm_codec::samples_from_bytes(&system.take_object(ADPCM_OUT).unwrap());
     assert_eq!(out, expected);
+}
+
+/// The statistics the benchmark selects by name. Each reads back its
+/// typed field and is nonzero on an overlapped, prefetching run that
+/// evicts, so a renamed field cannot silently read zero there.
+#[test]
+fn by_name_statistics_read_their_fields() {
+    let pcm = adpcm_codec::synthetic_pcm(16 * 1024);
+    let coded = adpcm_codec::encode(&pcm, &mut ());
+    let mut system = SystemBuilder::epxa1()
+        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
+        .overlap(true)
+        .prefetch(PrefetchMode::NextPage { degree: 1 })
+        .build();
+    let bs = Bitstream::builder("adpcmdecode").build();
+    system
+        .fpga_load(&bs.to_bytes(), Box::new(AdpcmCoprocessor::new()))
+        .unwrap();
+    for (id, data, elem, direction) in [
+        (ADPCM_IN, coded.clone(), ElemSize::U8, Direction::In),
+        (
+            ADPCM_OUT,
+            vec![0; coded.len() * 4],
+            ElemSize::U16,
+            Direction::Out,
+        ),
+    ] {
+        system
+            .fpga_map_object(id, data, elem, direction, MapHints::default())
+            .unwrap();
+    }
+    system.fpga_execute(&[coded.len() as u32]).unwrap();
+
+    let (c, t, imu) = (
+        system.vim().counters(),
+        system.vim().times(),
+        system.imu().counters(),
+    );
+    for (name, field) in [
+        ("fault", c.fault),
+        ("page_load", c.page_load),
+        ("page_writeback", c.page_writeback),
+        ("eviction", c.eviction),
+        ("prefetch", c.prefetch),
+        ("dma_transfer", c.dma_transfer),
+    ] {
+        assert_eq!(c.get(name), field, "{name}");
+        assert!(field > 0, "{name} never counted");
+    }
+    for (name, field) in [("sw_dp", t.sw_dp), ("sw_imu", t.sw_imu)] {
+        assert_eq!(t.get(name), field, "{name}");
+        assert!(field > SimTime::ZERO, "{name} never charged");
+    }
+    for (name, field) in [("tlb_hit", imu.tlb_hit), ("tlb_miss", imu.tlb_miss)] {
+        assert_eq!(imu.get(name), field, "{name}");
+        assert!(field > 0, "{name} never counted");
+    }
+    assert_eq!(c.get("faults"), 0, "an unknown name reads zero");
 }
 
 #[test]

@@ -16,8 +16,9 @@ use vcop_fabric::device::DeviceKind;
 use vcop_fabric::loader::LoadError;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, Wake};
 use vcop_fabric::resources::Resources;
+use vcop_imu::imu::ImuStats;
 use vcop_sim::time::{Frequency, SimTime};
-use vcop_vim::VimError;
+use vcop_vim::{VimCounts, VimError, VimTimes};
 
 /// Synthetic adpcm workload: (coded input, expected output bytes).
 fn adpcm_input() -> (Vec<u8>, Vec<u8>) {
@@ -32,6 +33,16 @@ fn adpcm_input() -> (Vec<u8>, Vec<u8>) {
 }
 
 /// An adpcm system with `coded` mapped, optionally faulty/overlapped.
+/// The lifetime VIM and IMU statistics of `sys`, for comparing two
+/// runs beyond their reports.
+fn lifetime_stats(sys: &System) -> (VimCounts, VimTimes, ImuStats) {
+    (
+        sys.vim().counters().clone(),
+        sys.vim().times().clone(),
+        sys.imu().counters().clone(),
+    )
+}
+
 fn build_adpcm(coded: &[u8], plan: Option<FaultPlan>, overlap: bool) -> System {
     build_adpcm_on(coded, plan, overlap, Kernel::default())
 }
@@ -116,6 +127,7 @@ fn zero_rate_injector_is_byte_identical_to_plain_run() {
     // normalise it and demand full equality of everything else.
     r_armed.execute_attempts = r_plain.execute_attempts;
     assert_eq!(r_plain, r_armed);
+    assert_eq!(lifetime_stats(&plain), lifetime_stats(&armed));
 
     let out_plain = plain.take_object(OBJ_OUTPUT).expect("mapped");
     let out_armed = armed.take_object(OBJ_OUTPUT).expect("mapped");
@@ -414,12 +426,12 @@ fn kernels_agree_under_every_fault_site() {
                     sys.set_software_fallback(Box::new(adpcm_fallback()));
                     let report = sys.fpga_execute(&[n]).expect("served");
                     assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
-                    report
+                    (report, lifetime_stats(&sys))
                 })
                 .collect();
             assert_eq!(reports[0], reports[1], "overlap {overlap}, seed {seed}");
-            polled += reports[0].lost_irqs_polled;
-            resubmitted += reports[0].lost_transfers_resubmitted;
+            polled += reports[0].0.lost_irqs_polled;
+            resubmitted += reports[0].0.lost_transfers_resubmitted;
         }
     }
     assert!(polled > 0, "some dropped IRQ was polled");

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use vcop::{Direction, ElemSize, Kernel, MapHints, PolicyKind, PrefetchMode, SystemBuilder};
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, Wake};
+use vcop_imu::imu::ImuStats;
 use vcop_vim::policy::{FrameView, ReplacementPolicy};
+use vcop_vim::{VimCounts, VimTimes};
 
 /// One scripted access of the stress coprocessor.
 #[derive(Debug, Clone, Copy)]
@@ -256,9 +258,13 @@ fn initial_buffers(sizes: &[u32]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// An execution report with the system's lifetime VIM and IMU
+/// statistics: two runs agree only if all four do.
+type Observed = (vcop::ExecutionReport, VimCounts, VimTimes, ImuStats);
+
 /// Runs `script` through a freshly built system under the given paging
 /// configuration and simulation kernel, returning the final object
-/// buffers and the execution report.
+/// buffers and what was observed of the execution.
 fn run_scripted(
     script: &[Op],
     buffers: &[Vec<u8>],
@@ -267,7 +273,7 @@ fn run_scripted(
     overlap: bool,
     channels: usize,
     kernel: Kernel,
-) -> (Vec<Vec<u8>>, vcop::ExecutionReport) {
+) -> (Vec<Vec<u8>>, Observed) {
     let mut system = SystemBuilder::epxa1()
         .policy(policy)
         .prefetch(prefetch)
@@ -295,10 +301,16 @@ fn run_scripted(
     }
     let report = system.fpga_execute(&[0xC0FF_EE00]).expect("execute");
     assert_eq!(system.vim().check_invariants(system.imu()), Ok(()));
+    let observed = (
+        report,
+        system.vim().counters().clone(),
+        system.vim().times().clone(),
+        system.imu().counters().clone(),
+    );
     let finals = (0..buffers.len())
         .map(|o| system.take_object(ObjectId(o as u8)).expect("mapped"))
         .collect();
-    (finals, report)
+    (finals, observed)
 }
 
 proptest! {
@@ -338,7 +350,7 @@ proptest! {
                 let mut paging = vec![(false, 1usize)];
                 paging.extend((1..=4).map(|c| (true, c)));
                 for (overlap, channels) in paging {
-                    let (stepped, stepped_report) = run_scripted(
+                    let (stepped, stepped_seen) = run_scripted(
                         &script, &initial, policy, prefetch, overlap, channels, Kernel::Stepped,
                     );
                     for (o, (g, e)) in stepped.iter().zip(&expected).enumerate() {
@@ -348,13 +360,13 @@ proptest! {
                             policy, prefetch, overlap, channels, o
                         );
                     }
-                    let (event, event_report) = run_scripted(
+                    let (event, event_seen) = run_scripted(
                         &script, &initial, policy, prefetch, overlap, channels,
                         Kernel::EventDriven,
                     );
                     prop_assert_eq!(&event, &stepped);
                     prop_assert_eq!(
-                        &event_report, &stepped_report,
+                        &event_seen, &stepped_seen,
                         "{:?}/{:?} overlap={} channels={} kernels diverged",
                         policy, prefetch, overlap, channels
                     );

@@ -38,10 +38,11 @@ use vcop_apps::adpcm::hw as adpcm_hw;
 use vcop_apps::idea::cipher as idea_cipher;
 use vcop_apps::idea::hw as idea_hw;
 use vcop_apps::timing;
-use vcop_bench::table::{percentile, Table};
+use vcop_bench::table::Table;
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
+use vcop_sim::histogram::percentile;
 use vcop_sim::time::{Frequency, SimTime};
 
 const INPUT_BYTES: usize = 4096;

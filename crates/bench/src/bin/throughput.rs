@@ -16,7 +16,8 @@ use vcop_bench::serving::{
     run_serial_baseline, run_serving, ServingOutcome, ServingSpec, ADPCM_REQUEST_BYTES,
     IDEA_REQUEST_BYTES,
 };
-use vcop_bench::table::{percentile, Table};
+use vcop_bench::table::Table;
+use vcop_sim::histogram::percentile;
 use vcop_sim::time::SimTime;
 
 /// Total requests across all tenants, split equally (a multiple of 8).

@@ -1,30 +1,4 @@
-//! Plain-text table rendering for the figure binaries, and the
-//! nearest-rank percentile their latency columns report.
-
-use vcop_sim::time::SimTime;
-
-/// Nearest-rank percentile of kept samples: always an observed value
-/// (zero when there are none).
-///
-/// # Examples
-///
-/// ```
-/// use vcop_bench::table::percentile;
-/// use vcop_sim::time::SimTime;
-///
-/// let samples = [30, 10, 20].map(SimTime::from_us);
-/// assert_eq!(percentile(&samples, 0.5), SimTime::from_us(20));
-/// assert_eq!(percentile(&samples, 0.99), SimTime::from_us(30));
-/// assert_eq!(percentile(&[], 0.5), SimTime::ZERO);
-/// ```
-pub fn percentile(samples: &[SimTime], q: f64) -> SimTime {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    match sorted.len() {
-        0 => SimTime::ZERO,
-        n => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
-    }
-}
+//! Plain-text table rendering for the figure binaries.
 
 /// A simple aligned-column table builder.
 ///

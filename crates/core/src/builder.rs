@@ -7,6 +7,7 @@ use vcop_sim::bus::BurstKind;
 use vcop_sim::fault::{FaultInjector, FaultPlan};
 use vcop_sim::irq::InterruptController;
 use vcop_sim::mem::DualPortRam;
+use vcop_sim::time::Frequency;
 use vcop_sim::trace::TraceSink;
 use vcop_vim::cost::{OsCostModel, OsOverheads};
 use vcop_vim::manager::{Scope, Vim, VimConfig};
@@ -15,6 +16,27 @@ use vcop_vim::TransferMode;
 
 use crate::engine::{Engine, Kernel, DEFAULT_EDGE_BUDGET};
 use crate::fallback::RecoveryPolicy;
+
+/// Clock-domain-crossing synchroniser depth, in IMU edges, for a
+/// coprocessor clocked at `cp` talking to an IMU clocked at `imu`: a
+/// two-flop synchroniser into the faster IMU domain, none when both
+/// share a clock.
+///
+/// # Panics
+///
+/// Panics if `imu` is not an integer multiple of `cp`, the only clock
+/// pairs the prototype supports.
+pub(crate) fn cdc_sync_edges(cp: Frequency, imu: Frequency) -> u32 {
+    assert!(
+        imu.hz().is_multiple_of(cp.hz()),
+        "IMU clock {imu} must be an integer multiple of the coprocessor clock {cp}"
+    );
+    if imu == cp {
+        0
+    } else {
+        2
+    }
+}
 
 /// Builder for either front end of the platform. The knobs both share
 /// are defined here; `K` carries the front end's own knobs and decides

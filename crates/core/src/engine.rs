@@ -86,9 +86,7 @@ pub(crate) enum Yield {
 /// Coprocessor stall bookkeeping of one segment.
 #[derive(Debug, Default)]
 pub(crate) struct Stalls {
-    /// Summed coprocessor stall over all serviced misses.
-    pub(crate) fault_stall: SimTime,
-    /// Per-miss stall distribution.
+    /// Coprocessor stall of each serviced miss.
     pub(crate) fault_latency: LatencyHistogram,
     /// Overlapped paging: fault time and CPU service time of the demand
     /// transfer the coprocessor is currently stalled on.
@@ -282,11 +280,8 @@ impl Engine {
         let (imu_clk, cp_clk) = (seg.imu_clk, seg.cp_clk);
         while self.edges < self.edge_budget {
             if let Some(limit) = seg.watchdog {
-                let marker = (
-                    self.imu.tlb().hits(),
-                    self.imu.tlb().misses(),
-                    self.vim.progress_epoch(),
-                );
+                let imu = self.imu.counters();
+                let marker = (imu.tlb_hit, imu.tlb_miss, self.vim.progress_epoch());
                 if marker != seg.progress_marker {
                     seg.progress_marker = marker;
                     seg.progress_edges = self.edges;
@@ -611,7 +606,6 @@ impl Engine {
         let resume_at = t_service + svc_total;
         let stall = resume_at.saturating_sub(t_fault);
         seg.stalls.fault_latency.record(stall);
-        seg.stalls.fault_stall += stall;
         Ok(Some(resume_at))
     }
 
@@ -638,7 +632,6 @@ impl Engine {
         });
         let stall = resume_at.saturating_sub(t_fault);
         seg.stalls.fault_latency.record(stall);
-        seg.stalls.fault_stall += stall;
         resume_at
     }
 

@@ -48,14 +48,13 @@ use vcop_fabric::DeviceProfile;
 use vcop_imu::imu::{ElemSize, Imu, ImuConfig, ImuExecContext};
 use vcop_imu::tlb::Asid;
 use vcop_sim::fault::FaultInjector;
-use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::TraceSink;
 use vcop_vim::manager::{DemandReady, Scope, ServiceTimes, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
 use vcop_vim::prefetch::PrefetchMode;
 
-use crate::builder::Builder;
+use crate::builder::{cdc_sync_edges, Builder};
 use crate::engine::{self, Engine, Segment, Yield};
 use crate::error::Error;
 use crate::fallback::{FallbackIo, SoftwareFallback};
@@ -231,8 +230,6 @@ pub struct TenantStats {
     pub stall: SimTime,
     /// Coprocessor cycles executed.
     pub cp_cycles: u64,
-    /// Per-request service latency (setup start → write-back end).
-    pub latency: LatencyHistogram,
     /// Requests served by the tenant's software fallback after the
     /// tenant was degraded.
     pub fallbacks: u64,
@@ -519,15 +516,12 @@ impl MultiSystem {
         bitstream_bytes: &[u8],
         core: Box<dyn Coprocessor>,
     ) -> Result<Asid, Error> {
-        assert!(
-            imu_freq.hz().is_multiple_of(cp_freq.hz()),
-            "IMU clock {imu_freq} must be an integer multiple of the coprocessor clock {cp_freq}"
-        );
+        let sync_edges = cdc_sync_edges(cp_freq, imu_freq);
         let mut ctl = ConfigController::new(self.device);
         let (loaded, passes) = self.engine.load(&mut ctl, bitstream_bytes)?;
         // One configuration port: cores are programmed serially before
         // any execution starts.
-        let load_time = SimTime::from_ps(loaded.load_time.as_ps() * u64::from(passes));
+        let load_time = loaded.load_time * u64::from(passes);
         self.config_time += load_time;
         self.cpu_free_at += load_time;
         let asid = Asid(u16::try_from(self.tenants.len() + 1).expect("tenant count fits u16"));
@@ -537,7 +531,7 @@ impl MultiSystem {
             asid,
             cp_freq,
             imu_freq,
-            sync_edges: if imu_freq == cp_freq { 0 } else { 2 },
+            sync_edges,
             coprocessor: core,
             port: CoprocessorPort::new(1),
             ctx: None,
@@ -781,7 +775,7 @@ impl MultiSystem {
         let t = &mut self.tenants[idx];
         t.stats.cp_cycles += seg.cp_cycles;
         t.stats.faults += seg.faults;
-        t.stats.stall += seg.stalls.fault_stall;
+        t.stats.stall += seg.stalls.fault_latency.sum();
         let at = match outcome {
             Yield::Parked { at } => {
                 let (t_fault, svc_cpu) = seg
@@ -823,7 +817,6 @@ impl MultiSystem {
         let t = &mut self.tenants[idx];
         t.stats.completed += 1;
         t.stats.fallbacks += u64::from(fallback);
-        t.stats.latency.record(finish.saturating_sub(started));
         t.completed.push(CompletedRequest {
             started,
             finished: finish,

@@ -252,6 +252,23 @@ mod tests {
     }
 
     #[test]
+    fn display_prints_observed_stall_percentiles() {
+        let stalls = [41, 37, 142, 38, 52, 39, 40].map(SimTime::from_us);
+        let mut r = report();
+        for &s in &stalls {
+            r.fault_latency.record(s);
+        }
+        let text = r.to_string();
+        for key in ["p50=", "p90=", "p99="] {
+            assert!(
+                stalls.iter().any(|s| text.contains(&format!("{key}{s} "))),
+                "{key} is not a recorded stall in {text:?}"
+            );
+        }
+        assert!(text.contains("p50=40.000 us p90=142.000 us"), "{text}");
+    }
+
+    #[test]
     fn displays() {
         let r = report();
         let s = r.to_string();

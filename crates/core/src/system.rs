@@ -26,7 +26,7 @@ use vcop_fabric::loader::ConfigController;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId};
 use vcop_fabric::DeviceProfile;
 use vcop_imu::imu::{ElemSize, Imu, ImuConfig};
-use vcop_sim::fault::{FaultInjector, FaultPlan, FaultSite};
+use vcop_sim::fault::FaultInjector;
 use vcop_sim::irq::InterruptController;
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::{TraceSink, WaveTracer};
@@ -34,9 +34,8 @@ use vcop_vim::manager::{Scope, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
 use vcop_vim::policy::PolicyKind;
 use vcop_vim::prefetch::PrefetchMode;
-use vcop_vim::process::{MiniScheduler, Pid};
 
-use crate::builder::Builder;
+use crate::builder::{cdc_sync_edges, Builder};
 use crate::engine::{self, Engine, Segment, Yield};
 pub use crate::engine::{Kernel, DEFAULT_EDGE_BUDGET};
 use crate::error::Error;
@@ -63,11 +62,10 @@ pub type SystemBuilder = Builder<SingleTenant>;
 pub struct SingleTenant {
     cp_freq: Frequency,
     imu_freq: Frequency,
+    sync_edges: u32,
     pipeline_depth: usize,
     prefetch: PrefetchMode,
-    preload: bool,
     overlap: bool,
-    sync_edges: Option<u32>,
     trace: bool,
 }
 
@@ -79,11 +77,10 @@ impl Builder<SingleTenant> {
             SingleTenant {
                 cp_freq: Frequency::from_mhz(40),
                 imu_freq: Frequency::from_mhz(40),
+                sync_edges: 0,
                 pipeline_depth: 1,
                 prefetch: PrefetchMode::None,
-                preload: true,
                 overlap: false,
-                sync_edges: None,
                 trace: false,
             },
         )
@@ -96,16 +93,15 @@ impl Builder<SingleTenant> {
 
     /// Sets the coprocessor and IMU clock frequencies. The IMU clock
     /// must be the coprocessor clock or an integer multiple of it, as on
-    /// the prototype.
+    /// the prototype. A two-flop synchroniser (2 IMU edges) is inserted
+    /// when the coprocessor runs slower than the IMU, none when they
+    /// share a clock.
     ///
     /// # Panics
     ///
     /// Panics if `imu` is not an integer multiple of `cp`.
     pub fn clocks(mut self, cp: Frequency, imu: Frequency) -> Self {
-        assert!(
-            imu.hz().is_multiple_of(cp.hz()),
-            "IMU clock {imu} must be an integer multiple of the coprocessor clock {cp}"
-        );
+        self.mode.sync_edges = cdc_sync_edges(cp, imu);
         self.mode.cp_freq = cp;
         self.mode.imu_freq = imu;
         self
@@ -124,13 +120,6 @@ impl Builder<SingleTenant> {
         self
     }
 
-    /// Enables or disables the initial page mapping performed by
-    /// `FPGA_EXECUTE` (enabled on the prototype).
-    pub fn preload(mut self, preload: bool) -> Self {
-        self.mode.preload = preload;
-        self
-    }
-
     /// Enables overlapped paging (the paper's announced future work):
     /// page movements run on an asynchronous multi-channel DMA engine
     /// that raises completion interrupts, so prefetches and write-backs
@@ -138,20 +127,6 @@ impl Builder<SingleTenant> {
     /// a DMA transfer rather than a CPU copy loop.
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.mode.overlap = overlap;
-        self
-    }
-
-    /// Compatibility alias for [`SystemBuilder::overlap`].
-    pub fn overlap_prefetch(self, overlap: bool) -> Self {
-        self.overlap(overlap)
-    }
-
-    /// Overrides the clock-domain-crossing synchroniser depth. By
-    /// default a two-flop synchroniser (2 IMU edges) is inserted when
-    /// the coprocessor runs slower than the IMU, and none when they
-    /// share a clock.
-    pub fn sync_edges(mut self, edges: u32) -> Self {
-        self.mode.sync_edges = Some(edges);
         self
     }
 
@@ -171,12 +146,7 @@ impl Builder<SingleTenant> {
         } else {
             ImuConfig::prototype(frames, device.page_bytes)
         };
-        let sync = k.sync_edges.unwrap_or(if k.imu_freq == k.cp_freq {
-            0
-        } else {
-            2 // two-flop synchroniser into the faster IMU domain
-        });
-        let mut imu = Imu::new(base.with_sync_edges(sync));
+        let mut imu = Imu::new(base.with_sync_edges(k.sync_edges));
         let mut trace = if k.trace {
             TraceSink::enabled()
         } else {
@@ -185,18 +155,10 @@ impl Builder<SingleTenant> {
         imu.attach_trace(&mut trace);
         let paging = VimConfig {
             prefetch: k.prefetch,
-            preload: k.preload,
             overlap: k.overlap,
             ..VimConfig::prototype(frames, device.page_bytes)
         };
         let (engine, k) = self.engine(imu, trace, paging, Scope::Table);
-
-        // The calling process plus one background process, so the CPU
-        // time freed by sleeping in FPGA_EXECUTE is observable.
-        let mut sched = MiniScheduler::new();
-        let caller = sched.spawn("fpga-app");
-        sched.spawn("background");
-
         System {
             cp_freq: k.cp_freq,
             imu_freq: k.imu_freq,
@@ -206,8 +168,7 @@ impl Builder<SingleTenant> {
             coprocessor: None,
             device,
             load_time: SimTime::ZERO,
-            sched,
-            caller,
+            caller_sleep: SimTime::ZERO,
             fallback: None,
             config_time: SimTime::ZERO,
         }
@@ -225,8 +186,8 @@ pub struct System {
     config_ctl: ConfigController,
     coprocessor: Option<Box<dyn Coprocessor>>,
     load_time: SimTime,
-    sched: MiniScheduler,
-    caller: Pid,
+    /// Time the calling process has slept in `FPGA_EXECUTE`.
+    caller_sleep: SimTime,
     fallback: Option<Box<dyn SoftwareFallback>>,
     config_time: SimTime,
 }
@@ -272,34 +233,18 @@ impl System {
         self.load_time
     }
 
-    /// The process scheduler model: the caller's accumulated sleep time
-    /// and the CPU time made available to other processes while the
-    /// coprocessor ran (`FPGA_EXECUTE` sleeps rather than busy-waits,
-    /// Section 3.1).
-    pub fn scheduler(&self) -> &MiniScheduler {
-        &self.sched
-    }
-
-    /// Accumulated time the calling process has slept across executes.
+    /// Accumulated time the calling process has slept across executes:
+    /// `FPGA_EXECUTE` sleeps rather than busy-waits (Section 3.1), from
+    /// the coprocessor's start to the end of its end-of-operation
+    /// service or its failure. This is also the CPU time made available
+    /// to other runnable processes meanwhile.
     pub fn caller_sleep_time(&self) -> SimTime {
-        self.sched.total_sleep(self.caller)
+        self.caller_sleep
     }
 
     /// The fault injector (opportunity and fired counts per site).
     pub fn fault_injector(&self) -> &FaultInjector {
         self.engine.vim.fault_injector()
-    }
-
-    /// Replaces the fault plan between runs (e.g. to schedule a
-    /// one-shot fault for the next execution) without rebuilding the
-    /// system. Does not change the recovery policy.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.engine.vim.set_fault_injector(FaultInjector::new(plan));
-    }
-
-    /// The active recovery policy, if armed.
-    pub fn recovery_policy(&self) -> Option<RecoveryPolicy> {
-        self.engine.recovery
     }
 
     /// Arms (`Some`) or disarms (`None`) recovery between runs.
@@ -318,8 +263,9 @@ impl System {
     /// `FPGA_LOAD`: validates and programs `bitstream_bytes`, attaching
     /// `core` as the synthesised coprocessor. Returns the configuration
     /// time. When fault injection is armed, each programming pass rolls
-    /// [`FaultSite::BitstreamLoad`] and a failed pass is retried (and
-    /// charged) up to the recovery policy's load-attempt budget.
+    /// [`FaultSite::BitstreamLoad`](vcop_sim::fault::FaultSite) and a
+    /// failed pass is retried (and charged) up to the recovery policy's
+    /// load-attempt budget.
     ///
     /// # Errors
     ///
@@ -334,7 +280,7 @@ impl System {
         let (loaded, attempts) = self.engine.load(&mut self.config_ctl, bitstream_bytes)?;
         self.coprocessor = Some(core);
         self.config_time = loaded.load_time;
-        self.load_time = SimTime::from_ps(loaded.load_time.as_ps() * attempts as u64);
+        self.load_time = loaded.load_time * u64::from(attempts);
         Ok(self.load_time)
     }
 
@@ -367,11 +313,6 @@ impl System {
     /// application reads results after `FPGA_EXECUTE`.
     pub fn take_object(&mut self, id: ObjectId) -> Option<Vec<u8>> {
         self.engine.vim.take_object(id).map(|o| o.into_data())
-    }
-
-    /// Borrows the buffer of object `id` without unmapping.
-    pub fn object_data(&self, id: ObjectId) -> Option<&[u8]> {
-        self.engine.vim.object(id).map(|o| o.data())
     }
 
     /// Re-tunes the VIM paging knobs between executions, so a warmed-up
@@ -457,11 +398,12 @@ impl System {
                     // Reset the fabric before the next attempt: the
                     // bitstream is reprogrammed (each pass can itself
                     // fault) and linear backoff is charged.
-                    match self.reprogram_fabric(policy.max_load_attempts) {
-                        Some(t_cfg) => {
+                    let injector = self.engine.vim.fault_injector_mut();
+                    match injector.clean_bitstream_pass(policy.max_load_attempts) {
+                        Some(passes) => {
                             resets += 1;
-                            recovery_time += t_cfg
-                                + SimTime::from_ps(policy.backoff.as_ps() * u64::from(attempt));
+                            recovery_time += self.config_time * u64::from(passes)
+                                + policy.backoff * u64::from(attempt);
                         }
                         // The fabric no longer accepts its bitstream:
                         // hardware is gone for good, go straight to
@@ -508,25 +450,6 @@ impl System {
         Ok(report)
     }
 
-    /// Reprograms the fabric after a failed attempt, rolling
-    /// [`FaultSite::BitstreamLoad`] per pass. Returns the configuration
-    /// time charged, or `None` when every pass failed (fabric dead).
-    fn reprogram_fabric(&mut self, max_attempts: u32) -> Option<SimTime> {
-        let mut t = SimTime::ZERO;
-        for _ in 0..max_attempts.max(1) {
-            t += self.config_time;
-            if !self
-                .engine
-                .vim
-                .fault_injector_mut()
-                .roll(FaultSite::BitstreamLoad)
-            {
-                return Some(t);
-            }
-        }
-        None
-    }
-
     /// One hardware attempt of `FPGA_EXECUTE`: the engine's platform
     /// loop from time zero, waiting in place whenever the coprocessor
     /// parks on a demand page. `elapsed` receives the simulated time the
@@ -544,8 +467,6 @@ impl System {
 
         let before = engine.snapshot();
         let setup = engine.start(cp, &mut self.port, params)?;
-        // The caller sleeps for the duration of the operation.
-        self.sched.sleep(self.caller, SimTime::ZERO);
         engine.edges = 0;
         let mut seg = Segment::new(engine, self.imu_freq, self.cp_freq, None, SimTime::ZERO);
         let (t_done, done_svc) = loop {
@@ -553,20 +474,20 @@ impl System {
                 Yield::Parked { .. } => {}
                 Yield::Done { at, service } => break (at, service),
                 Yield::Failed { error, at } => {
-                    // Even a hung coprocessor must not leave the caller
-                    // asleep.
-                    self.sched.wake(self.caller, at);
+                    self.caller_sleep += at;
                     *elapsed = setup + at;
                     return Err(error);
                 }
             }
         };
-        self.sched.wake(self.caller, t_done + done_svc.total());
+        // The caller slept from the coprocessor's start, time zero of the
+        // segment, to the end of the end-of-operation service.
+        self.caller_sleep += t_done + done_svc.total();
 
         let d = engine.snapshot() - before;
         let report = ExecutionReport {
             wall: setup + t_done + done_svc.total(),
-            hw: t_done.saturating_sub(seg.stalls.fault_stall),
+            hw: t_done.saturating_sub(seg.stalls.fault_latency.sum()),
             sw_dp: d.times.sw_dp,
             sw_imu: d.times.sw_imu,
             setup,
@@ -610,11 +531,6 @@ mod tests {
             .clocks(Frequency::from_mhz(6), Frequency::from_mhz(24))
             .build();
         assert_eq!(cross.imu().config().sync_edges, 2, "two-flop synchroniser");
-        let forced = SystemBuilder::epxa1()
-            .clocks(Frequency::from_mhz(6), Frequency::from_mhz(24))
-            .sync_edges(0)
-            .build();
-        assert_eq!(forced.imu().config().sync_edges, 0);
     }
 
     #[test]

@@ -213,7 +213,6 @@ fn two_tenants_produce_reference_outputs() {
     for t in &report.tenants {
         assert!(t.stats.faults > 0, "{} never faulted", t.name);
         assert_eq!(t.stats.completed, 1);
-        assert_eq!(t.stats.latency.count(), 1);
     }
 }
 

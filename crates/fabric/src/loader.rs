@@ -197,16 +197,12 @@ impl ConfigController {
         faults: &mut vcop_sim::fault::FaultInjector,
         max_attempts: u32,
     ) -> Result<(LoadedCore, u32), LoadError> {
-        let max_attempts = max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            if faults.roll(vcop_sim::fault::FaultSite::BitstreamLoad) {
-                continue;
-            }
-            return self.load(bytes).map(|core| (core, attempt));
+        match faults.clean_bitstream_pass(max_attempts) {
+            Some(pass) => self.load(bytes).map(|core| (core, pass)),
+            None => Err(LoadError::ConfigurationFault {
+                attempts: max_attempts.max(1),
+            }),
         }
-        Err(LoadError::ConfigurationFault {
-            attempts: max_attempts,
-        })
     }
 
     /// Releases exclusive ownership, returning the fabric to the

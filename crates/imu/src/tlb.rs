@@ -124,15 +124,13 @@ pub struct EntryUsage {
 ///     vpage: vp,
 ///     frame: PageIndex(5),
 /// });
-/// assert_eq!(tlb.lookup(Asid::SINGLE, vp).expect("mapped").frame, PageIndex(5));
-/// assert!(tlb.lookup(Asid(7), vp).is_none(), "other address spaces never alias");
+/// assert_eq!(tlb.probe(Asid::SINGLE, vp).expect("mapped").frame, PageIndex(5));
+/// assert!(tlb.probe(Asid(7), vp).is_none(), "other address spaces never alias");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
     usage: Vec<EntryUsage>,
-    lookups: u64,
-    hits: u64,
     /// Entry that matched most recently, checked before the full scan.
     /// A CAM matches all entries in parallel, so the probe order is
     /// unobservable; this only short-circuits the software model on the
@@ -151,8 +149,6 @@ impl Tlb {
         Tlb {
             entries: vec![TlbEntry::invalid(); entries],
             usage: vec![EntryUsage::default(); entries],
-            lookups: 0,
-            hits: 0,
             mru: Cell::new(0),
         }
     }
@@ -181,29 +177,13 @@ impl Tlb {
         &self.entries[index]
     }
 
-    /// CAM match of `(asid, vpage)` against all valid entries.
+    /// CAM match of `(asid, vpage)` against all valid entries. The ASID
+    /// tag is part of the match, so entries of other address spaces are
+    /// invisible. The IMU counts datapath hits and misses in
+    /// [`ImuStats`](crate::imu::ImuStats); a probe counts nothing.
     ///
     /// The model asserts the CAM invariant — at most one valid entry per
     /// `(asid, vpage)` pair — which [`Tlb::set_entry`] maintains.
-    pub fn lookup(&mut self, asid: Asid, vpage: VirtualPage) -> Option<TlbHit> {
-        let hit = self.probe(asid, vpage);
-        self.count_lookup(hit.is_some());
-        hit
-    }
-
-    /// Records the statistics of one datapath lookup whose match was
-    /// already performed via [`Tlb::probe`] (the lean translation path
-    /// probes first and commits the statistics on acceptance).
-    pub fn count_lookup(&mut self, hit: bool) {
-        self.lookups += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Lookup without touching statistics (used by the OS when probing).
-    /// The ASID tag is part of the match, so entries of other address
-    /// spaces are invisible.
     pub fn probe(&self, asid: Asid, vpage: VirtualPage) -> Option<TlbHit> {
         let mru = self.mru.get();
         if let Some(e) = self.entries.get(mru) {
@@ -336,21 +316,6 @@ impl Tlb {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Total lookups performed by the datapath.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Datapath lookups that hit.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Datapath lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.lookups - self.hits
-    }
 }
 
 #[cfg(test)]
@@ -382,35 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn lookup_hits_and_misses_count() {
-        let mut tlb = Tlb::new(4);
-        tlb.set_entry(0, valid(0, 0, 0));
-        assert!(tlb.lookup(Asid::SINGLE, vp(0, 0)).is_some());
-        assert!(tlb.lookup(Asid::SINGLE, vp(0, 1)).is_none());
-        assert!(tlb.lookup(Asid::SINGLE, vp(1, 0)).is_none());
-        assert_eq!(tlb.lookups(), 3);
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 2);
-    }
-
-    #[test]
-    fn probe_does_not_count() {
-        let mut tlb = Tlb::new(2);
-        tlb.set_entry(1, valid(3, 9, 1));
-        assert_eq!(
-            tlb.probe(Asid::SINGLE, vp(3, 9)).unwrap().frame,
-            PageIndex(1)
-        );
-        assert_eq!(tlb.lookups(), 0);
-    }
-
-    #[test]
     fn invalid_entries_never_match() {
         let mut tlb = Tlb::new(2);
         let mut e = valid(0, 0, 0);
         e.valid = false;
         tlb.set_entry(0, e);
-        assert!(tlb.lookup(Asid::SINGLE, vp(0, 0)).is_none());
+        assert!(tlb.probe(Asid::SINGLE, vp(0, 0)).is_none());
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl AsyncDmaEngine {
         }
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Whether any transfer is queued or in flight.
     pub fn busy(&self) -> bool {
         self.channels.iter().any(|c| !c.queue.is_empty())

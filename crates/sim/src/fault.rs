@@ -239,6 +239,13 @@ impl FaultInjector {
         self.roll_tagged(site, 0)
     }
 
+    /// Rolls [`FaultSite::BitstreamLoad`] once per configuration pass,
+    /// up to `max_passes` (at least one), and returns the 1-based pass
+    /// that programmed cleanly, or `None` when every pass faulted.
+    pub fn clean_bitstream_pass(&mut self, max_passes: u32) -> Option<u32> {
+        (1..=max_passes.max(1)).find(|_| !self.roll(FaultSite::BitstreamLoad))
+    }
+
     /// Rolls an opportunity at `site` owned by `tag`. Returns `true`
     /// when the opportunity faults. Opportunities are counted per site
     /// whether or not they fire, so one-shot indices are stable; when a
@@ -396,5 +403,19 @@ mod tests {
             assert!(inj.roll(FaultSite::BitstreamLoad));
         }
         assert_eq!(inj.fired(FaultSite::BitstreamLoad), 10);
+    }
+
+    #[test]
+    fn clean_bitstream_pass_rolls_once_per_pass() {
+        let plan = FaultPlan::new(1)
+            .once(FaultSite::BitstreamLoad, 1)
+            .once(FaultSite::BitstreamLoad, 2);
+        let mut inj = FaultInjector::new(plan);
+        assert_eq!(inj.clean_bitstream_pass(4), Some(3));
+        assert_eq!(inj.opportunities(FaultSite::BitstreamLoad), 3);
+        let mut dead = FaultInjector::new(FaultPlan::new(1).rate(FaultSite::BitstreamLoad, 1.0));
+        assert_eq!(dead.clean_bitstream_pass(0), None, "at least one pass");
+        assert_eq!(dead.opportunities(FaultSite::BitstreamLoad), 1);
+        assert_eq!(FaultInjector::disabled().clean_bitstream_pass(3), Some(1));
     }
 }

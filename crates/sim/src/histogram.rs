@@ -2,20 +2,46 @@
 //!
 //! Averages hide the structure of OS service times: a fault that only
 //! repairs one TLB entry costs microseconds, one that evicts a dirty
-//! page and reloads costs tens. [`LatencyHistogram`] records
-//! [`SimTime`] samples in logarithmic buckets and answers percentile
-//! queries, so reports can state "p50 fault service 38 µs, p99 142 µs"
-//! instead of a single mean.
+//! page and reloads costs tens. [`LatencyHistogram`] keeps every
+//! [`SimTime`] sample it records and answers percentile queries with
+//! [`percentile`], so reports can state "p50 fault service 38 µs, p99
+//! 142 µs" instead of a single mean, and each figure is a sample that
+//! was observed.
 
 use core::fmt;
 
 use crate::time::SimTime;
 
-/// Number of logarithmic buckets (1 ps to ~1.15 s, one per power of
-/// two plus an overflow bucket).
-const BUCKETS: usize = 41;
+/// Nearest-rank percentile of `samples`: the smallest sample such that
+/// at least a `q` fraction (0.0–1.0) of them are at most it. Always an
+/// observed value, never an interpolation (zero when there are none).
+///
+/// # Panics
+///
+/// Panics if `q` is outside `0.0..=1.0`.
+///
+/// # Examples
+///
+/// ```
+/// use vcop_sim::histogram::percentile;
+/// use vcop_sim::time::SimTime;
+///
+/// let samples = [30, 10, 20].map(SimTime::from_us);
+/// assert_eq!(percentile(&samples, 0.5), SimTime::from_us(20));
+/// assert_eq!(percentile(&samples, 0.99), SimTime::from_us(30));
+/// assert_eq!(percentile(&[], 0.5), SimTime::ZERO);
+/// ```
+pub fn percentile(samples: &[SimTime], q: f64) -> SimTime {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range");
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    match sorted.len() {
+        0 => SimTime::ZERO,
+        n => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+    }
+}
 
-/// A fixed-memory log₂ histogram over [`SimTime`] samples.
+/// The [`SimTime`] samples of one distribution, kept as observed.
 ///
 /// # Examples
 ///
@@ -28,142 +54,67 @@ const BUCKETS: usize = 41;
 ///     h.record(SimTime::from_us(us));
 /// }
 /// assert_eq!(h.count(), 4);
-/// assert!(h.percentile(0.50) <= h.percentile(0.99));
+/// assert_eq!(h.percentile(0.50), SimTime::from_us(12));
+/// assert_eq!(h.percentile(0.99), SimTime::from_us(100));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: SimTime,
-    min: SimTime,
-    max: SimTime,
+    samples: Vec<SimTime>,
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
+    /// Creates an empty distribution.
     pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: SimTime::ZERO,
-            min: SimTime::MAX,
-            max: SimTime::ZERO,
-        }
-    }
-
-    fn bucket_of(t: SimTime) -> usize {
-        let ps = t.as_ps();
-        if ps == 0 {
-            0
-        } else {
-            (63 - u64::leading_zeros(ps) as usize + 1).min(BUCKETS - 1)
-        }
-    }
-
-    /// Upper bound of bucket `i` (inclusive).
-    fn bucket_limit(i: usize) -> SimTime {
-        if i >= BUCKETS - 1 {
-            SimTime::MAX
-        } else if i == 0 {
-            SimTime::from_ps(1)
-        } else {
-            SimTime::from_ps(1u64 << i)
-        }
+        LatencyHistogram::default()
     }
 
     /// Records one sample.
     pub fn record(&mut self, t: SimTime) {
-        self.buckets[Self::bucket_of(t)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(t);
-        self.min = self.min.min(t);
-        self.max = self.max.max(t);
+        self.samples.push(t);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.samples.len() as u64
     }
 
     /// Whether no sample was recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.samples.is_empty()
     }
 
     /// Sum of all samples.
     pub fn sum(&self) -> SimTime {
-        self.sum
+        self.samples.iter().copied().sum()
     }
 
     /// Mean sample (zero when empty).
     pub fn mean(&self) -> SimTime {
-        if self.count == 0 {
+        if self.is_empty() {
             SimTime::ZERO
         } else {
-            self.sum / self.count
+            self.sum() / self.count()
         }
     }
 
     /// Smallest recorded sample (zero when empty).
     pub fn min(&self) -> SimTime {
-        if self.count == 0 {
-            SimTime::ZERO
-        } else {
-            self.min
-        }
+        self.samples.iter().copied().min().unwrap_or(SimTime::ZERO)
     }
 
-    /// Largest recorded sample.
+    /// Largest recorded sample (zero when empty).
     pub fn max(&self) -> SimTime {
-        self.max
+        self.samples.iter().copied().max().unwrap_or(SimTime::ZERO)
     }
 
-    /// The `q`-quantile (0.0–1.0) as the upper bound of the bucket the
-    /// quantile falls in — exact samples are not retained, so this is an
-    /// upper estimate with ≤ 2× resolution, except for the exact `max`
-    /// returned at `q == 1.0`.
-    ///
-    /// Returns zero when empty.
+    /// The nearest-rank `q`-quantile (0.0–1.0) of the recorded samples;
+    /// see [`percentile`].
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `0.0..=1.0`.
     pub fn percentile(&self, q: f64) -> SimTime {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return SimTime::ZERO;
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Self::bucket_limit(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
+        percentile(&self.samples, q)
     }
 }
 
@@ -175,7 +126,7 @@ impl fmt::Display for LatencyHistogram {
         write!(
             f,
             "n={} min={} p50={} p90={} p99={} max={} mean={}",
-            self.count,
+            self.count(),
             self.min(),
             self.percentile(0.50),
             self.percentile(0.90),
@@ -195,6 +146,7 @@ mod tests {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.mean(), SimTime::ZERO);
+        assert_eq!(h.max(), SimTime::ZERO);
         assert_eq!(h.percentile(0.5), SimTime::ZERO);
         assert_eq!(h.to_string(), "(no samples)");
     }
@@ -208,9 +160,7 @@ mod tests {
         assert_eq!(h.min(), SimTime::from_us(7));
         assert_eq!(h.max(), SimTime::from_us(7));
         assert_eq!(h.percentile(1.0), SimTime::from_us(7));
-        // Bucketed percentile is an upper estimate within 2×.
-        let p50 = h.percentile(0.5);
-        assert!(p50 >= SimTime::from_us(7) && p50 <= SimTime::from_us(14));
+        assert_eq!(h.percentile(0.5), SimTime::from_us(7));
     }
 
     #[test]
@@ -225,6 +175,7 @@ mod tests {
             assert!(p >= last, "q={q}");
             last = p;
         }
+        assert_eq!(h.percentile(0.5), SimTime::from_ns(500));
         assert_eq!(h.percentile(1.0), SimTime::from_ns(1000));
     }
 
@@ -235,13 +186,14 @@ mod tests {
             h.record(SimTime::from_us(10));
         }
         h.record(SimTime::from_ms(5));
-        assert!(h.percentile(0.5) < SimTime::from_us(25));
+        assert_eq!(h.percentile(0.5), SimTime::from_us(10));
+        assert_eq!(h.percentile(0.99), SimTime::from_us(10));
         assert_eq!(h.percentile(1.0), SimTime::from_ms(5));
         assert!(h.mean() > SimTime::from_us(55));
     }
 
     #[test]
-    fn zero_sample_goes_to_bucket_zero() {
+    fn zero_sample_is_recorded() {
         let mut h = LatencyHistogram::new();
         h.record(SimTime::ZERO);
         assert_eq!(h.count(), 1);
@@ -249,19 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = LatencyHistogram::new();
-        a.record(SimTime::from_us(1));
-        let mut b = LatencyHistogram::new();
-        b.record(SimTime::from_us(100));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimTime::from_us(100));
-        assert_eq!(a.min(), SimTime::from_us(1));
-        // Merging an empty histogram changes nothing.
-        let snapshot = a.count();
-        a.merge(&LatencyHistogram::new());
-        assert_eq!(a.count(), snapshot);
+    fn nearest_rank_picks_observed_samples_in_any_order() {
+        let samples = [40, 10, 30, 20].map(SimTime::from_us);
+        assert_eq!(percentile(&samples, 0.0), SimTime::from_us(10));
+        assert_eq!(percentile(&samples, 0.25), SimTime::from_us(10));
+        assert_eq!(percentile(&samples, 0.26), SimTime::from_us(20));
+        assert_eq!(percentile(&samples, 0.5), SimTime::from_us(20));
+        assert_eq!(percentile(&samples, 1.0), SimTime::from_us(40));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`fault`] — deterministic, seeded fault injection for reliability
 //!   experiments;
 //! * [`sched`] — wake hints behind the event-driven simulation kernel;
-//! * [`histogram`] — log-bucketed latency distributions for reports;
+//! * [`histogram`] — observed latency samples and their nearest-rank
+//!   percentiles, for reports;
 //! * [`cpu`] — the ARM cost model used by pure-software baselines;
 //! * [`trace`] — waveform capture with VCD and ASCII rendering;
 //! * [`stats`](mod@stats) — typed statistics structs, declared with [`stats!`].

@@ -70,12 +70,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Time as fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Time as fractional milliseconds (the unit of the paper's figures).
     #[inline]
     pub fn as_ms_f64(self) -> f64 {
@@ -241,12 +235,6 @@ impl Frequency {
     #[inline]
     pub const fn hz(self) -> u64 {
         self.hz
-    }
-
-    /// Frequency in (fractional) megahertz.
-    #[inline]
-    pub fn mhz_f64(self) -> f64 {
-        self.hz as f64 / 1e6
     }
 
     /// The clock period (truncated to whole picoseconds).

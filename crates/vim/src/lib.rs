@@ -12,8 +12,6 @@
 //!   action, including the prototype's double-transfer copies;
 //! * [`manager`] — [`manager::Vim`]: the page-fault and end-of-operation
 //!   services;
-//! * [`process`] — the caller's interruptible sleep during
-//!   `FPGA_EXECUTE` and the CPU time it frees for other processes;
 //! * [`error`] — [`error::VimError`].
 //!
 //! The crate is deliberately *mechanism only*: it never advances
@@ -31,7 +29,6 @@ pub mod manager;
 pub mod object;
 pub mod policy;
 pub mod prefetch;
-pub mod process;
 
 pub use cost::{OsCostModel, OsOverheads, TransferMode};
 pub use error::VimError;

@@ -371,11 +371,6 @@ impl Vim {
         );
     }
 
-    /// Returns to fully shared frame ownership.
-    pub fn clear_partition(&mut self) {
-        self.partition = None;
-    }
-
     /// The frame range tenant `asid` may allocate from.
     fn alloc_range(&self, asid: Asid) -> core::ops::Range<usize> {
         match self

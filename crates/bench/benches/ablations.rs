@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use vcop::{PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::experiments::{idea_vim, AdpcmHarness, ExperimentOptions, IdeaHarness};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{idea_vim, ExperimentOptions, Harness};
 use vcop_fabric::DeviceProfile;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -71,7 +72,7 @@ fn bench_overlap(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations_overlap");
     group.sample_size(10);
     for (name, opts) in [("sync", sync), ("overlap", overlap)] {
-        let mut adpcm = AdpcmHarness::new(8, &opts);
+        let mut adpcm = Harness::new(AppKind::Adpcm, 8, &opts);
         let warm = adpcm.run().report;
         group.throughput(Throughput::Elements(warm.imu_edges + warm.cp_cycles));
         group.bench_function(format!("adpcm_8KB/{name}"), |b| {
@@ -79,7 +80,7 @@ fn bench_overlap(c: &mut Criterion) {
         });
     }
     for (name, opts) in [("sync", sync), ("overlap", overlap)] {
-        let mut idea = IdeaHarness::new(32, &opts);
+        let mut idea = Harness::new(AppKind::Idea, 32, &opts);
         let warm = idea.run().report;
         group.throughput(Throughput::Elements(warm.imu_edges + warm.cp_cycles));
         group.bench_function(format!("idea_32KB/{name}"), |b| {

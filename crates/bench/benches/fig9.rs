@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use vcop::Kernel;
-use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions, IdeaHarness};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{idea_vim, typical, ExperimentOptions, Harness};
 
 fn bench_fig9(c: &mut Criterion) {
     let opts = ExperimentOptions::default();
@@ -23,7 +24,7 @@ fn bench_fig9(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("typical", format!("{kb}KB")),
             &kb,
-            |b, &kb| b.iter(|| black_box(idea_typical(kb).expect("fits").total())),
+            |b, &kb| b.iter(|| black_box(typical(AppKind::Idea, kb).expect("fits").total())),
         );
     }
     group.finish();
@@ -43,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
             kernel,
             ..Default::default()
         };
-        let mut harness = IdeaHarness::new(32, &opts);
+        let mut harness = Harness::new(AppKind::Idea, 32, &opts);
         let warm = harness.run().report;
         let cycles = warm.imu_edges + warm.cp_cycles;
         assert_eq!(

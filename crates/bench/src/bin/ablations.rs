@@ -16,9 +16,8 @@
 use std::env;
 
 use vcop::{ExecutionReport, PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::experiments::{
-    adpcm_vim, idea_vim, matmul_vim, AdpcmHarness, ExperimentOptions, IdeaHarness,
-};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{adpcm_vim, idea_vim, matmul_vim, ExperimentOptions, Harness};
 use vcop_bench::table::{ms, speedup, Table};
 use vcop_fabric::DeviceProfile;
 
@@ -224,7 +223,7 @@ fn overlap() {
 
     let base = ExperimentOptions::default();
 
-    let mut adpcm = AdpcmHarness::new(8, &base);
+    let mut adpcm = Harness::new(AppKind::Adpcm, 8, &base);
     overlap_app("adpcm 8 KB", |opts| {
         adpcm.reconfigure(opts);
         let run = adpcm.run();
@@ -232,7 +231,7 @@ fn overlap() {
         (run.report, sp)
     });
 
-    let mut idea = IdeaHarness::new(32, &base);
+    let mut idea = Harness::new(AppKind::Idea, 32, &base);
     overlap_app("IDEA 32 KB", |opts| {
         idea.reconfigure(opts);
         let run = idea.run();

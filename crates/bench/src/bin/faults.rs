@@ -30,27 +30,19 @@
 //! `--quick` cuts the seed count.
 
 use vcop::{
-    Direction, ElemSize, FallbackFn, FaultPlan, FaultSite, MapHints, MultiSystemBuilder, Request,
-    RequestObject, SchedulerKind, SoftwareFallback, System, SystemBuilder,
+    FaultPlan, FaultSite, MultiSystem, MultiSystemBuilder, SchedulerKind, System, SystemBuilder,
 };
-use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw as adpcm_hw;
-use vcop_apps::idea::cipher as idea_cipher;
-use vcop_apps::idea::hw as idea_hw;
 use vcop_apps::timing;
-use vcop_bench::table::Table;
+use vcop_bench::app::{adpcm_fallback, AppKind, Job};
+use vcop_bench::table::{us, Table};
 use vcop_fabric::bitstream::Bitstream;
-use vcop_fabric::device::DeviceKind;
-use vcop_fabric::resources::Resources;
+use vcop_imu::tlb::Asid;
 use vcop_sim::histogram::percentile;
-use vcop_sim::time::{Frequency, SimTime};
+use vcop_sim::time::SimTime;
 
 const INPUT_BYTES: usize = 4096;
 const RATES: [f64; 5] = [0.0, 0.05, 0.2, 0.5, 1.0];
-
-fn us(t: SimTime) -> f64 {
-    t.as_ms_f64() * 1e3
-}
 
 /// The swept sites and the paging mode that exposes each of them.
 fn sites() -> [(FaultSite, bool); 4] {
@@ -62,34 +54,10 @@ fn sites() -> [(FaultSite, bool); 4] {
     ]
 }
 
-/// Synthetic adpcm workload: (coded input, expected output bytes).
-fn workload() -> (Vec<u8>, Vec<u8>) {
-    let pcm = adpcm_codec::synthetic_pcm(INPUT_BYTES * 2);
-    let coded = adpcm_codec::encode(&pcm, &mut ());
-    let (expected, _) = timing::adpcm_sw(&coded);
-    let expect_bytes = expected
-        .iter()
-        .flat_map(|s| (*s as u16).to_le_bytes())
-        .collect();
-    (coded, expect_bytes)
-}
-
-fn adpcm_fallback() -> Box<dyn SoftwareFallback> {
-    Box::new(FallbackFn::new("adpcm-sw", |io, params| {
-        let n = params[0] as usize;
-        let input = io.object(adpcm_hw::OBJ_INPUT).ok_or("input not mapped")?[..n].to_vec();
-        let (samples, cpu) = timing::adpcm_sw(&input);
-        let out = io
-            .object_mut(adpcm_hw::OBJ_OUTPUT)
-            .ok_or("output not mapped")?;
-        for (chunk, s) in out.chunks_exact_mut(2).zip(&samples) {
-            chunk.copy_from_slice(&(*s as u16).to_le_bytes());
-        }
-        Ok(cpu)
-    }))
-}
-
-fn build_system(coded: &[u8], plan: Option<FaultPlan>, overlap: bool) -> System {
+/// An adpcm system with `job` mapped. The bitstream keeps a 2 KiB
+/// payload: recovery charges the configuration time once per pass, so
+/// the sweep's latencies depend on its size.
+fn build_system(job: &Job, plan: Option<FaultPlan>, overlap: bool) -> System {
     let mut builder =
         SystemBuilder::epxa1().clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ);
     if overlap {
@@ -103,30 +71,9 @@ fn build_system(coded: &[u8], plan: Option<FaultPlan>, overlap: bool) -> System 
         .synthetic_payload(2048)
         .build();
     system
-        .fpga_load(&bs.to_bytes(), Box::new(adpcm_hw::AdpcmCoprocessor::new()))
+        .fpga_load(&bs.to_bytes(), AppKind::Adpcm.core())
         .expect("load");
-    let hints = MapHints {
-        sequential: true,
-        ..Default::default()
-    };
-    system
-        .fpga_map_object(
-            adpcm_hw::OBJ_INPUT,
-            coded.to_vec(),
-            ElemSize::U8,
-            Direction::In,
-            hints,
-        )
-        .expect("map input");
-    system
-        .fpga_map_object(
-            adpcm_hw::OBJ_OUTPUT,
-            vec![0; coded.len() * 4],
-            ElemSize::U16,
-            Direction::Out,
-            hints,
-        )
-        .expect("map output");
+    job.map(&mut system).expect("map objects");
     system
 }
 
@@ -156,22 +103,24 @@ impl Point {
     }
 }
 
-fn run_point(coded: &[u8], expect: &[u8], site: FaultSite, rate: f64, seeds: u64) -> Point {
+fn run_point(job: &Job, site: FaultSite, rate: f64, seeds: u64) -> Point {
     let (_, overlap) = sites()
         .into_iter()
         .find(|(s, _)| *s == site)
         .expect("known site");
-    let n = coded.len() as u32;
     let mut point = Point::default();
     for seed in 0..seeds {
         let plan = FaultPlan::new(0xFA17 + seed * 7919).rate(site, rate);
-        let mut sys = build_system(coded, Some(plan), overlap);
+        let mut sys = build_system(job, Some(plan), overlap);
         sys.set_software_fallback(adpcm_fallback());
         point.runs += 1;
-        match sys.fpga_execute(&[n]) {
+        match sys.fpga_execute(&job.request.params) {
             Ok(report) => {
                 let out = sys.take_object(adpcm_hw::OBJ_OUTPUT).expect("mapped");
-                assert_eq!(out, expect, "transparency violated: wrong bytes delivered");
+                assert_eq!(
+                    out, job.expect,
+                    "transparency violated: wrong bytes delivered"
+                );
                 point.served += 1;
                 if report.fallback_taken {
                     point.fallbacks += 1;
@@ -193,14 +142,14 @@ fn run_point(coded: &[u8], expect: &[u8], site: FaultSite, rate: f64, seeds: u64
 
 /// Acceptance: with every rate at zero, an armed injector is
 /// observationally identical to a plain system.
-fn zero_rate_identity(coded: &[u8]) -> bool {
-    let n = coded.len() as u32;
+fn zero_rate_identity(job: &Job) -> bool {
+    let params = &job.request.params;
     let mut identical = true;
     for overlap in [false, true] {
-        let mut plain = build_system(coded, None, overlap);
-        let r_plain = plain.fpga_execute(&[n]).expect("plain run");
-        let mut armed = build_system(coded, Some(FaultPlan::new(1)), overlap);
-        let mut r_armed = armed.fpga_execute(&[n]).expect("armed run");
+        let mut plain = build_system(job, None, overlap);
+        let r_plain = plain.fpga_execute(params).expect("plain run");
+        let mut armed = build_system(job, Some(FaultPlan::new(1)), overlap);
+        let mut r_armed = armed.fpga_execute(params).expect("armed run");
         // The attempt counter is pure bookkeeping (0 when recovery is
         // off); everything else must match exactly.
         r_armed.execute_attempts = r_plain.execute_attempts;
@@ -218,131 +167,35 @@ fn zero_rate_identity(coded: &[u8]) -> bool {
 /// lost DMA transfer (overlapped paging) under the default recovery
 /// policy are each recovered within the first hardware attempt — served
 /// by the coprocessor, no fabric reset, correct bytes.
-fn in_place_recovery(coded: &[u8], expect: &[u8]) -> bool {
-    let n = coded.len() as u32;
+fn in_place_recovery(job: &Job) -> bool {
     let mut in_place = true;
     for (site, overlap) in [(FaultSite::IrqDrop, false), (FaultSite::DmaTimeout, true)] {
         let plan = FaultPlan::new(0xFA17).once(site, 1);
-        let mut sys = build_system(coded, Some(plan), overlap);
+        let mut sys = build_system(job, Some(plan), overlap);
         sys.set_software_fallback(adpcm_fallback());
-        let report = sys.fpga_execute(&[n]).expect("fallback registered");
+        let report = sys
+            .fpga_execute(&job.request.params)
+            .expect("fallback registered");
         let recovered = report.lost_irqs_polled + report.lost_transfers_resubmitted;
         in_place &= report.injected_faults == 1
             && recovered == 1
             && !report.fallback_taken
             && report.watchdog_resets == 0
             && report.execute_attempts == 1;
-        in_place &= sys.take_object(adpcm_hw::OBJ_OUTPUT).as_deref() == Some(expect);
+        in_place &= sys.take_object(adpcm_hw::OBJ_OUTPUT).as_ref() == Some(&job.expect);
     }
     in_place
 }
 
-fn adpcm_request(n: usize) -> (Request, Vec<u8>) {
-    let pcm = adpcm_codec::synthetic_pcm(n * 2);
-    let input = adpcm_codec::encode(&pcm, &mut ());
-    let expect = adpcm_codec::decode(&input, &mut ())
-        .iter()
-        .flat_map(|s| (*s as u16).to_le_bytes())
-        .collect();
-    let hints = MapHints {
-        sequential: true,
-        ..Default::default()
-    };
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: adpcm_hw::OBJ_INPUT,
-                data: input,
-                elem: ElemSize::U8,
-                direction: Direction::In,
-                hints,
-            },
-            RequestObject {
-                id: adpcm_hw::OBJ_OUTPUT,
-                data: vec![0u8; n * 4],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints,
-            },
-        ],
-        params: vec![n as u32],
-    };
-    (req, expect)
-}
-
-fn idea_request(n: usize) -> (Request, Vec<u8>) {
-    let pt = idea_cipher::synthetic_plaintext(n);
-    let ek = idea_cipher::expand_key(idea_cipher::IdeaKey([1, 2, 3, 4, 5, 6, 7, 8]));
-    let ct = idea_cipher::crypt_buffer(&pt, &ek, &mut ());
-    let expect = idea_cipher::pack_words(&ct);
-    let mut params = vec![(n / idea_cipher::BLOCK_BYTES) as u32];
-    params.extend(ek.iter().map(|&k| u32::from(k)));
-    let hints = MapHints {
-        sequential: true,
-        ..Default::default()
-    };
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: idea_hw::OBJ_INPUT,
-                data: idea_cipher::pack_words(&pt),
-                elem: ElemSize::U16,
-                direction: Direction::In,
-                hints,
-            },
-            RequestObject {
-                id: idea_hw::OBJ_OUTPUT,
-                data: vec![0u8; n],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints,
-            },
-        ],
-        params,
-    };
-    (req, expect)
-}
-
-fn mixed_system(
-    plan: Option<FaultPlan>,
-) -> (vcop::MultiSystem, vcop_imu::tlb::Asid, vcop_imu::tlb::Asid) {
+/// An adpcm and an IDEA tenant, admitted in that order to an EPXA4.
+fn mixed_system(plan: Option<FaultPlan>) -> (MultiSystem, Asid, Asid) {
     let mut builder = MultiSystemBuilder::epxa4().scheduler(SchedulerKind::RoundRobin);
     if let Some(plan) = plan {
         builder = builder.faults(plan);
     }
     let mut sys = builder.build();
-    let adpcm = sys
-        .add_tenant(
-            "adpcm",
-            1,
-            Frequency::from_mhz(40),
-            Frequency::from_mhz(40),
-            &Bitstream::builder("adpcmdecode")
-                .device(DeviceKind::Epxa4)
-                .resources(Resources::new(1_100, 6_144))
-                .core_clock(timing::ADPCM_CORE_FREQ)
-                .synthetic_payload(48 * 1024)
-                .build()
-                .to_bytes(),
-            Box::new(adpcm_hw::AdpcmCoprocessor::new()),
-        )
-        .expect("admit adpcm");
-    let idea = sys
-        .add_tenant(
-            "idea",
-            1,
-            Frequency::from_mhz(6),
-            Frequency::from_mhz(24),
-            &Bitstream::builder("idea")
-                .device(DeviceKind::Epxa4)
-                .resources(Resources::new(3_600, 24_576))
-                .core_clock(timing::IDEA_CORE_FREQ)
-                .synthetic_payload(96 * 1024)
-                .build()
-                .to_bytes(),
-            Box::new(idea_hw::IdeaCoprocessor::new()),
-        )
-        .expect("admit idea");
+    let mut admit = |kind: AppKind| kind.admit(&mut sys, kind.name()).expect("admit tenant");
+    let (adpcm, idea) = (admit(AppKind::Adpcm), admit(AppKind::Idea));
     (sys, adpcm, idea)
 }
 
@@ -351,15 +204,15 @@ fn mixed_system(
 fn isolation_spot_check() -> (bool, u64) {
     // Solo reference: the idea tenant alone on a healthy system.
     let (mut solo, _, idea) = mixed_system(None);
-    let (ireq, iexp) = idea_request(2048);
-    solo.submit(idea, ireq);
+    let idea_job = AppKind::Idea.synthetic_job(2048);
+    solo.submit(idea, idea_job.request.clone());
     solo.run().expect("solo run");
     let solo_out: Vec<Vec<u8>> = solo
         .take_completed(idea)
         .into_iter()
         .map(|c| c.outputs.into_iter().next().expect("one output").1)
         .collect();
-    assert_eq!(solo_out, vec![iexp.clone()]);
+    assert_eq!(solo_out, vec![idea_job.expect.clone()]);
 
     // Faulted mixed run: every adpcm transfer corrupt until abort.
     let plan = FaultPlan::new(99)
@@ -367,10 +220,9 @@ fn isolation_spot_check() -> (bool, u64) {
         .target(1);
     let (mut sys, adpcm, idea) = mixed_system(Some(plan));
     sys.set_software_fallback(adpcm, adpcm_fallback());
-    let (areq, aexp) = adpcm_request(2048);
-    let (ireq, _) = idea_request(2048);
-    sys.submit(adpcm, areq);
-    sys.submit(idea, ireq);
+    let adpcm_job = AppKind::Adpcm.synthetic_job(2048);
+    sys.submit(adpcm, adpcm_job.request);
+    sys.submit(idea, idea_job.request);
     let report = sys.run().expect("degraded run completes");
     let a_out: Vec<Vec<u8>> = sys
         .take_completed(adpcm)
@@ -382,7 +234,7 @@ fn isolation_spot_check() -> (bool, u64) {
         .into_iter()
         .map(|c| c.outputs.into_iter().next().expect("one output").1)
         .collect();
-    let isolated = i_out == solo_out && a_out == vec![aexp] && sys.is_degraded(adpcm);
+    let isolated = i_out == solo_out && a_out == vec![adpcm_job.expect] && sys.is_degraded(adpcm);
     (isolated, report.fallbacks)
 }
 
@@ -398,7 +250,7 @@ fn main() {
         }
     }
 
-    let (coded, expect) = workload();
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
     println!(
         "Fault-injection sweep — EPXA1, {} KB adpcmdecode, {} seeds per point",
         INPUT_BYTES / 1024,
@@ -410,13 +262,13 @@ fn main() {
     );
 
     assert!(
-        zero_rate_identity(&coded),
+        zero_rate_identity(&job),
         "acceptance: a zero-rate armed injector must be byte-identical to a plain system"
     );
     println!("zero-rate identity: armed injector == plain system (reports and bytes)");
 
     assert!(
-        in_place_recovery(&coded, &expect),
+        in_place_recovery(&job),
         "acceptance: one dropped IRQ and one lost transfer must be recovered \
          in place (hardware-served, no reset)"
     );
@@ -451,7 +303,7 @@ fn main() {
     for (site, _) in sites() {
         let mut clean_wall = SimTime::ZERO;
         for rate in RATES {
-            let point = run_point(&coded, &expect, site, rate, seeds);
+            let point = run_point(&job, site, rate, seeds);
             if rate == 0.0 {
                 clean_wall = point.mean_wall();
             }

@@ -4,7 +4,8 @@
 //! per worker thread. Takes no arguments.
 
 use vcop::Error;
-use vcop_bench::experiments::{idea_typical, idea_vim, ExperimentOptions};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{idea_vim, typical, ExperimentOptions};
 use vcop_bench::runner::parallel_map;
 use vcop_bench::table::{ms, speedup, BarChart, Table};
 
@@ -31,7 +32,7 @@ fn main() {
     let mut chart = BarChart::new(64);
 
     let points = parallel_map(vec![4usize, 8, 16, 32], |kb| {
-        (kb, idea_vim(kb, &opts), idea_typical(kb))
+        (kb, idea_vim(kb, &opts), typical(AppKind::Idea, kb))
     });
     for (kb, run, typical) in &points {
         let r = &run.report;

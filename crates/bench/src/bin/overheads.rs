@@ -12,9 +12,8 @@
 //! runs once through the IMU and once on the direct (manually managed)
 //! interface; the hardware-time difference is what translation costs.
 
-use vcop_bench::experiments::{
-    adpcm_typical, adpcm_vim, idea_typical, idea_vim, ExperimentOptions,
-};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{adpcm_vim, idea_vim, typical, ExperimentOptions};
 use vcop_bench::table::Table;
 
 fn main() {
@@ -31,9 +30,9 @@ fn main() {
     // Points where the direct version also fits the dual-port memory,
     // so the translation overhead can be measured pairwise.
     let adpcm = adpcm_vim(2, &opts);
-    let adpcm_direct = adpcm_typical(2).expect("2 KB fits the dual-port RAM");
+    let adpcm_direct = typical(AppKind::Adpcm, 2).expect("2 KB fits the dual-port RAM");
     let idea = idea_vim(4, &opts);
-    let idea_direct = idea_typical(4).expect("4 KB fits the dual-port RAM");
+    let idea_direct = typical(AppKind::Idea, 4).expect("4 KB fits the dual-port RAM");
 
     for (name, run_hw, run, direct_hw) in [
         (

@@ -16,16 +16,12 @@ use vcop_bench::serving::{
     run_serial_baseline, run_serving, ServingOutcome, ServingSpec, ADPCM_REQUEST_BYTES,
     IDEA_REQUEST_BYTES,
 };
-use vcop_bench::table::Table;
+use vcop_bench::table::{us, Table};
 use vcop_sim::histogram::percentile;
 use vcop_sim::time::SimTime;
 
 /// Total requests across all tenants, split equally (a multiple of 8).
 const TOTAL_REQUESTS: usize = 48;
-
-fn us(t: SimTime) -> f64 {
-    t.as_ms_f64() * 1e3
-}
 
 fn table_row(table: &mut Table, o: &ServingOutcome) {
     let latency: Vec<SimTime> = o

@@ -11,7 +11,6 @@
 //!   --transfer T         double|single|dma           (default double)
 //!   --pipeline-depth D   IMU translations in flight  (default 1)
 //!   --skip-out-loads     do not load pages of pure-OUT objects
-//!   --vcd FILE           write the execution waveform to FILE
 //! ```
 
 use std::env;
@@ -42,7 +41,12 @@ fn parse_args() -> Result<Cli, String> {
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--size-kb" => cli.size_kb = value()?.parse().map_err(|e| format!("--size-kb: {e}"))?,
+            "--size-kb" => {
+                cli.size_kb = value()?.parse().map_err(|e| format!("--size-kb: {e}"))?;
+                if cli.size_kb == 0 {
+                    return Err("--size-kb must be at least 1".to_owned());
+                }
+            }
             "--n" => cli.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
             "--device" => {
                 cli.opts.device = match value()?.as_str() {

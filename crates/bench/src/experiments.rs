@@ -1,22 +1,17 @@
 //! End-to-end experiment runners for the paper's figures.
 
-use std::collections::BTreeMap;
-
 use vcop::{
     run_typical, BaselineReport, Direction, ElemSize, Error, ExecutionReport, Kernel, MapHints,
     PolicyKind, PrefetchMode, System, SystemBuilder, TransferMode, TypicalConfig, TypicalObject,
 };
-use vcop_apps::adpcm::codec as adpcm_codec;
-use vcop_apps::adpcm::hw as adpcm_hw;
-use vcop_apps::idea::cipher as idea_cipher;
-use vcop_apps::idea::hw as idea_hw;
-use vcop_apps::timing;
 use vcop_apps::vecadd::{VecAddCoprocessor, OBJ_A, OBJ_B, OBJ_C};
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::resources::Resources;
 use vcop_fabric::DeviceProfile;
 use vcop_sim::bus::BurstKind;
-use vcop_sim::time::SimTime;
+use vcop_sim::time::{Frequency, SimTime};
+
+use crate::app::{AppKind, Job};
 
 /// Knobs shared by all experiments; the default is the paper's
 /// prototype configuration.
@@ -78,7 +73,7 @@ impl ExperimentOptions {
         }
     }
 
-    fn build_system(&self, cp_mhz: u64, imu_mhz: u64) -> System {
+    fn build_system(&self, cp: Frequency, imu: Frequency) -> System {
         let scale = |v: u64| v * u64::from(self.os_overhead_pct) / 100;
         let base = vcop_vim::OsOverheads::paper_era();
         let overheads = vcop_vim::OsOverheads {
@@ -94,10 +89,7 @@ impl ExperimentOptions {
         };
         SystemBuilder::new(self.device)
             .os_overheads(overheads)
-            .clocks(
-                vcop_sim::time::Frequency::from_mhz(cp_mhz),
-                vcop_sim::time::Frequency::from_mhz(imu_mhz),
-            )
+            .clocks(cp, imu)
             .policy(self.policy)
             .prefetch(self.prefetch)
             .transfer(self.transfer)
@@ -111,133 +103,76 @@ impl ExperimentOptions {
     }
 }
 
-/// Result of one adpcmdecode experiment point.
+/// Result of one experiment point.
 #[derive(Debug, Clone)]
-pub struct AdpcmRun {
-    /// ADPCM input size in bytes.
-    pub input_bytes: usize,
+pub struct Run {
     /// Pure-software execution time.
     pub sw: SimTime,
     /// VIM-based execution decomposition.
     pub report: ExecutionReport,
 }
 
-impl AdpcmRun {
+impl Run {
     /// Speedup of the VIM-based version over pure software.
     pub fn speedup(&self) -> f64 {
         self.report.speedup_vs(self.sw)
     }
 }
 
-/// A warmed-up adpcmdecode system: bitstream configured, software
-/// reference computed once. [`AdpcmHarness::run`] can then be called
-/// repeatedly — with [`AdpcmHarness::reconfigure`] in between to sweep
-/// paging configurations — without paying workload generation, the
-/// software baseline, or `FPGA_LOAD` per data point.
+/// A warmed-up system for one paper kernel: bitstream configured,
+/// request and software reference computed once. [`Harness::run`] can
+/// then be called repeatedly — with [`Harness::reconfigure`] in between
+/// to sweep paging configurations — without paying workload generation,
+/// the software baseline, or `FPGA_LOAD` per data point.
 #[derive(Debug)]
-pub struct AdpcmHarness {
+pub struct Harness {
     system: System,
-    input: Vec<u8>,
-    input_bytes: usize,
-    sw_samples: Vec<i16>,
-    sw: SimTime,
+    job: Job,
 }
 
-impl AdpcmHarness {
-    /// Builds the system, loads the adpcmdecode core and computes the
-    /// software reference for `input_kb` KB of input.
+impl Harness {
+    /// Builds the system at `kind`'s clocks, loads its core and prepares
+    /// the request over `input_kb` KB of the synthetic input.
     ///
     /// # Panics
     ///
     /// Panics if the system rejects the canonical setup (a model bug).
-    pub fn new(input_kb: usize, opts: &ExperimentOptions) -> Self {
-        let input_bytes = input_kb * 1024;
-        let pcm = adpcm_codec::synthetic_pcm(input_bytes * 2);
-        let input = adpcm_codec::encode(&pcm, &mut ());
-        assert_eq!(input.len(), input_bytes);
-
-        let (sw_samples, sw) = timing::adpcm_sw(&input);
-
-        let mut system = opts.build_system(40, 40);
-        let bitstream = Bitstream::builder("adpcmdecode")
-            .device(opts.device.kind)
-            .resources(Resources::new(1_100, 6_144))
-            .core_clock(timing::ADPCM_CORE_FREQ)
-            .synthetic_payload(48 * 1024)
-            .build();
-        system
-            .fpga_load(
-                &bitstream.to_bytes(),
-                Box::new(adpcm_hw::AdpcmCoprocessor::new()),
-            )
-            .expect("load adpcm core");
-
-        AdpcmHarness {
-            system,
-            input,
-            input_bytes,
-            sw_samples,
-            sw,
-        }
+    pub fn new(kind: AppKind, input_kb: usize, opts: &ExperimentOptions) -> Self {
+        let job = kind.synthetic_job(input_kb * 1024);
+        let mut system = opts.build_system(kind.cp_freq(), kind.imu_freq());
+        kind.load(&mut system).expect("load the canonical core");
+        Harness { system, job }
     }
 
-    /// Re-tunes the paging knobs for the next [`AdpcmHarness::run`].
+    /// Re-tunes the paging knobs for the next [`Harness::run`].
     pub fn reconfigure(&mut self, opts: &ExperimentOptions) {
         self.system
             .reconfigure_paging(opts.policy, opts.prefetch, opts.overlap, opts.dma_channels);
     }
 
-    /// Maps the objects, executes, verifies the decoded output
-    /// bit-exactly and unmaps.
+    /// Maps the objects, executes, verifies the output bit-exactly and
+    /// unmaps.
     ///
     /// # Panics
     ///
     /// Panics if the coprocessor output mismatches the software
     /// reference (a model bug, not an experiment outcome).
-    pub fn run(&mut self) -> AdpcmRun {
-        self.system
-            .fpga_map_object(
-                adpcm_hw::OBJ_INPUT,
-                self.input.clone(),
-                ElemSize::U8,
-                Direction::In,
-                MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            )
-            .expect("map input");
-        self.system
-            .fpga_map_object(
-                adpcm_hw::OBJ_OUTPUT,
-                vec![0u8; self.input_bytes * 4],
-                ElemSize::U16,
-                Direction::Out,
-                MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            )
-            .expect("map output");
+    pub fn run(&mut self) -> Run {
+        let objects = &self.job.request.objects;
+        let (input, output) = (objects[0].id, objects[1].id);
+        self.job.map(&mut self.system).expect("map objects");
         let report = self
             .system
-            .fpga_execute(&[self.input_bytes as u32])
-            .expect("execute adpcmdecode");
-
-        let out = self
-            .system
-            .take_object(adpcm_hw::OBJ_OUTPUT)
-            .expect("output mapped");
-        self.system.take_object(adpcm_hw::OBJ_INPUT);
+            .fpga_execute(&self.job.request.params)
+            .expect("execute");
+        let out = self.system.take_object(output).expect("output mapped");
+        self.system.take_object(input);
         assert_eq!(
-            adpcm_codec::samples_from_bytes(&out),
-            self.sw_samples,
+            out, self.job.expect,
             "coprocessor output diverged from the software reference"
         );
-
-        AdpcmRun {
-            input_bytes: self.input_bytes,
-            sw: self.sw,
+        Run {
+            sw: self.job.sw,
             report,
         }
     }
@@ -251,153 +186,8 @@ impl AdpcmHarness {
 /// Panics if the system rejects the canonical setup or the coprocessor
 /// output mismatches the software reference (either would be a model
 /// bug, not an experiment outcome).
-pub fn adpcm_vim(input_kb: usize, opts: &ExperimentOptions) -> AdpcmRun {
-    AdpcmHarness::new(input_kb, opts).run()
-}
-
-/// Result of one IDEA experiment point.
-#[derive(Debug, Clone)]
-pub struct IdeaRun {
-    /// Plaintext size in bytes.
-    pub input_bytes: usize,
-    /// Pure-software execution time.
-    pub sw: SimTime,
-    /// VIM-based execution decomposition.
-    pub report: ExecutionReport,
-}
-
-impl IdeaRun {
-    /// Speedup of the VIM-based version over pure software.
-    pub fn speedup(&self) -> f64 {
-        self.report.speedup_vs(self.sw)
-    }
-}
-
-fn idea_key() -> idea_cipher::IdeaKey {
-    idea_cipher::IdeaKey([1, 2, 3, 4, 5, 6, 7, 8])
-}
-
-fn idea_params(blocks: u32) -> Vec<u32> {
-    let ek = idea_cipher::expand_key(idea_key());
-    let mut params = Vec::with_capacity(1 + idea_cipher::SUBKEYS);
-    params.push(blocks);
-    params.extend(ek.iter().map(|&k| u32::from(k)));
-    params
-}
-
-/// The pure-software IDEA baseline for `input_kb` KB.
-pub fn idea_sw_baseline(input_kb: usize) -> SimTime {
-    let pt = idea_cipher::synthetic_plaintext(input_kb * 1024);
-    timing::idea_sw(&pt, idea_key()).1
-}
-
-/// A warmed-up IDEA system (core at 6 MHz, IMU + memory at 24 MHz):
-/// bitstream configured, software reference computed once. See
-/// [`AdpcmHarness`] for the usage pattern.
-#[derive(Debug)]
-pub struct IdeaHarness {
-    system: System,
-    packed_pt: Vec<u8>,
-    input_bytes: usize,
-    sw_ct: Vec<u8>,
-    sw: SimTime,
-}
-
-impl IdeaHarness {
-    /// Builds the system, loads the IDEA core and computes the software
-    /// reference for `input_kb` KB of plaintext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system rejects the canonical setup (a model bug).
-    pub fn new(input_kb: usize, opts: &ExperimentOptions) -> Self {
-        let input_bytes = input_kb * 1024;
-        let pt = idea_cipher::synthetic_plaintext(input_bytes);
-        let (sw_ct, sw) = timing::idea_sw(&pt, idea_key());
-
-        let mut system = opts.build_system(6, 24);
-        let bitstream = Bitstream::builder("idea")
-            .device(opts.device.kind)
-            .resources(Resources::new(3_600, 24_576))
-            .core_clock(timing::IDEA_CORE_FREQ)
-            .synthetic_payload(96 * 1024)
-            .build();
-        system
-            .fpga_load(
-                &bitstream.to_bytes(),
-                Box::new(idea_hw::IdeaCoprocessor::new()),
-            )
-            .expect("load idea core");
-
-        IdeaHarness {
-            system,
-            packed_pt: idea_cipher::pack_words(&pt),
-            input_bytes,
-            sw_ct,
-            sw,
-        }
-    }
-
-    /// Re-tunes the paging knobs for the next [`IdeaHarness::run`].
-    pub fn reconfigure(&mut self, opts: &ExperimentOptions) {
-        self.system
-            .reconfigure_paging(opts.policy, opts.prefetch, opts.overlap, opts.dma_channels);
-    }
-
-    /// Maps the objects, executes, verifies the ciphertext bit-exactly
-    /// and unmaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics on ciphertext mismatch (a model bug).
-    pub fn run(&mut self) -> IdeaRun {
-        self.system
-            .fpga_map_object(
-                idea_hw::OBJ_INPUT,
-                self.packed_pt.clone(),
-                ElemSize::U16,
-                Direction::In,
-                MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            )
-            .expect("map plaintext");
-        self.system
-            .fpga_map_object(
-                idea_hw::OBJ_OUTPUT,
-                vec![0u8; self.input_bytes],
-                ElemSize::U16,
-                Direction::Out,
-                MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            )
-            .expect("map ciphertext");
-        let blocks = (self.input_bytes / idea_cipher::BLOCK_BYTES) as u32;
-        let report = self
-            .system
-            .fpga_execute(&idea_params(blocks))
-            .expect("execute idea");
-
-        let out = self
-            .system
-            .take_object(idea_hw::OBJ_OUTPUT)
-            .expect("output mapped");
-        self.system.take_object(idea_hw::OBJ_INPUT);
-        assert_eq!(
-            idea_cipher::unpack_words(&out),
-            self.sw_ct,
-            "coprocessor ciphertext diverged from the software reference"
-        );
-
-        IdeaRun {
-            input_bytes: self.input_bytes,
-            sw: self.sw,
-            report,
-        }
-    }
+pub fn adpcm_vim(input_kb: usize, opts: &ExperimentOptions) -> Run {
+    Harness::new(AppKind::Adpcm, input_kb, opts).run()
 }
 
 /// Runs the Fig. 9 IDEA point for `input_kb` KB through the full system
@@ -406,101 +196,49 @@ impl IdeaHarness {
 /// # Panics
 ///
 /// Panics on setup failure or ciphertext mismatch (model bugs).
-pub fn idea_vim(input_kb: usize, opts: &ExperimentOptions) -> IdeaRun {
-    IdeaHarness::new(input_kb, opts).run()
+pub fn idea_vim(input_kb: usize, opts: &ExperimentOptions) -> Run {
+    Harness::new(AppKind::Idea, input_kb, opts).run()
 }
 
-/// Runs the "normal coprocessor" (manually managed, no OS) IDEA version.
-/// Fails with [`Error::ExceedsMemory`] when plaintext + ciphertext do
-/// not fit the dual-port memory — the grey bars of Fig. 9.
+/// The pure-software IDEA baseline for `input_kb` KB.
+pub fn idea_sw_baseline(input_kb: usize) -> SimTime {
+    AppKind::Idea.synthetic_job(input_kb * 1024).sw
+}
+
+/// Runs the "normal coprocessor" (manually managed, no OS) version of
+/// `kind` over `input_kb` KB. Fails with [`Error::ExceedsMemory`] when
+/// input + output do not fit the dual-port memory — the grey bars of
+/// Fig. 9 (adpcmdecode is not shown in Fig. 8: input + 4× output quickly
+/// exceeds 16 KB).
 ///
 /// # Errors
 ///
-/// [`Error::ExceedsMemory`] past 8 KB of input on the EPXA1;
-/// [`Error::Timeout`] on a hung core.
-pub fn idea_typical(input_kb: usize) -> Result<BaselineReport, Error> {
-    let input_bytes = input_kb * 1024;
-    let pt = idea_cipher::synthetic_plaintext(input_bytes);
-    let ek = idea_cipher::expand_key(idea_key());
-    let expect = idea_cipher::crypt_buffer(&pt, &ek, &mut ());
-
-    let mut objects = BTreeMap::new();
-    objects.insert(
-        idea_hw::OBJ_INPUT.0,
-        TypicalObject::new(idea_cipher::pack_words(&pt), ElemSize::U16, Direction::In),
-    );
-    objects.insert(
-        idea_hw::OBJ_OUTPUT.0,
-        TypicalObject::new(vec![0u8; input_bytes], ElemSize::U16, Direction::Out),
-    );
-    let mut core = idea_hw::IdeaCoprocessor::new();
-    let blocks = (input_bytes / idea_cipher::BLOCK_BYTES) as u32;
+/// [`Error::ExceedsMemory`] past 8 KB of IDEA input, or past ~3 KB of
+/// adpcm input, on the EPXA1; [`Error::Timeout`] on a hung core.
+///
+/// # Panics
+///
+/// Panics if the output mismatches the software reference (a model bug).
+pub fn typical(kind: AppKind, input_kb: usize) -> Result<BaselineReport, Error> {
+    let job = kind.synthetic_job(input_kb * 1024);
+    let output = job.request.objects[1].id.0;
+    let objects = job
+        .request
+        .objects
+        .into_iter()
+        .map(|o| (o.id.0, TypicalObject::new(o.data, o.elem, o.direction)))
+        .collect();
     let (out, report) = run_typical(
-        &mut core,
+        kind.core().as_mut(),
         objects,
-        &idea_params(blocks),
-        TypicalConfig::epxa1(timing::IDEA_CORE_FREQ),
+        &job.request.params,
+        TypicalConfig::epxa1(kind.cp_freq()),
     )?;
     assert_eq!(
-        idea_cipher::unpack_words(&out[&idea_hw::OBJ_OUTPUT.0]),
-        expect,
-        "normal coprocessor ciphertext diverged"
-    );
-    Ok(report)
-}
-
-/// The adpcmdecode counterpart of [`idea_typical`] (not shown in Fig. 8,
-/// provided for completeness: input + 4× output quickly exceeds 16 KB).
-///
-/// # Errors
-///
-/// [`Error::ExceedsMemory`] past ~3 KB of input on the EPXA1.
-pub fn adpcm_typical(input_kb: usize) -> Result<BaselineReport, Error> {
-    let input_bytes = input_kb * 1024;
-    let pcm = adpcm_codec::synthetic_pcm(input_bytes * 2);
-    let input = adpcm_codec::encode(&pcm, &mut ());
-    let expect = adpcm_codec::decode(&input, &mut ());
-
-    let mut objects = BTreeMap::new();
-    objects.insert(
-        adpcm_hw::OBJ_INPUT.0,
-        TypicalObject::new(input.clone(), ElemSize::U8, Direction::In),
-    );
-    objects.insert(
-        adpcm_hw::OBJ_OUTPUT.0,
-        TypicalObject::new(vec![0u8; input_bytes * 4], ElemSize::U16, Direction::Out),
-    );
-    let mut core = adpcm_hw::AdpcmCoprocessor::new();
-    let (out, report) = run_typical(
-        &mut core,
-        objects,
-        &[input_bytes as u32],
-        TypicalConfig::epxa1(timing::ADPCM_CORE_FREQ),
-    )?;
-    assert_eq!(
-        adpcm_codec::samples_from_bytes(&out[&adpcm_hw::OBJ_OUTPUT.0]),
-        expect,
+        out[&output], job.expect,
         "normal coprocessor output diverged"
     );
     Ok(report)
-}
-
-/// Result of one matrix-multiply experiment point (extension workload).
-#[derive(Debug, Clone)]
-pub struct MatMulRun {
-    /// Matrix dimension.
-    pub n: usize,
-    /// Pure-software execution time.
-    pub sw: SimTime,
-    /// VIM-based execution decomposition.
-    pub report: ExecutionReport,
-}
-
-impl MatMulRun {
-    /// Speedup of the VIM-based version over pure software.
-    pub fn speedup(&self) -> f64 {
-        self.report.speedup_vs(self.sw)
-    }
 }
 
 /// Runs the extension matrix-multiply workload (`n × n`, wrapping `u32`)
@@ -511,7 +249,7 @@ impl MatMulRun {
 /// # Panics
 ///
 /// Panics on setup failure or product mismatch (model bugs).
-pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> MatMulRun {
+pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> Run {
     use vcop_apps::matmul::{self, MatMulCoprocessor, OBJ_A, OBJ_B, OBJ_C};
     let a = matmul::synthetic_matrix(n, 17);
     let b = matmul::synthetic_matrix(n, 23);
@@ -522,7 +260,7 @@ pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> MatMulRun {
         (c, cpu.cycles_to_time(cc.cycles()))
     };
 
-    let mut system = opts.build_system(40, 40);
+    let mut system = opts.build_system(Frequency::from_mhz(40), Frequency::from_mhz(40));
     let bitstream = Bitstream::builder("matmul")
         .device(opts.device.kind)
         .resources(Resources::new(2_000, 8_192))
@@ -567,8 +305,7 @@ pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> MatMulRun {
         .collect();
     assert_eq!(got, expect.0, "coprocessor product diverged");
 
-    MatMulRun {
-        n,
+    Run {
         sw: expect.1,
         report,
     }
@@ -579,10 +316,7 @@ pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> MatMulRun {
 /// the full VCD document.
 pub fn fig7_waveform() -> (String, String) {
     let mut system = SystemBuilder::epxa1()
-        .clocks(
-            vcop_sim::time::Frequency::from_mhz(40),
-            vcop_sim::time::Frequency::from_mhz(40),
-        )
+        .clocks(Frequency::from_mhz(40), Frequency::from_mhz(40))
         .trace(true)
         .build();
     let bitstream = Bitstream::builder("vecadd").synthetic_payload(1024).build();
@@ -660,7 +394,7 @@ mod tests {
             prefetch: PrefetchMode::NextPage { degree: 1 },
             ..base
         };
-        let mut harness = AdpcmHarness::new(8, &base);
+        let mut harness = Harness::new(AppKind::Adpcm, 8, &base);
         for opts in [&base, &overlapped, &base] {
             harness.reconfigure(opts);
             let reused = harness.run();
@@ -672,10 +406,11 @@ mod tests {
 
     #[test]
     fn idea_typical_fits_then_exceeds() {
-        assert!(idea_typical(4).is_ok());
-        assert!(idea_typical(8).is_ok());
-        assert!(matches!(idea_typical(16), Err(Error::ExceedsMemory { .. })));
-        assert!(matches!(idea_typical(32), Err(Error::ExceedsMemory { .. })));
+        let idea = |kb| typical(AppKind::Idea, kb);
+        assert!(idea(4).is_ok());
+        assert!(idea(8).is_ok());
+        assert!(matches!(idea(16), Err(Error::ExceedsMemory { .. })));
+        assert!(matches!(idea(32), Err(Error::ExceedsMemory { .. })));
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! # vcop-bench — experiment harnesses
 //!
-//! Reusable experiment runners behind the figure-regeneration binaries
-//! (`fig7`, `fig8`, `fig9`, `overheads`, `ablations`) and the Criterion
-//! benches. Each runner builds a full [`vcop::System`], executes a
-//! workload end to end, **verifies the outputs bit-exactly against the
-//! software reference**, and returns the time decomposition.
+//! The application catalogue ([`app`]) and the reusable experiment
+//! runners behind the figure-regeneration binaries (`fig7`, `fig8`,
+//! `fig9`, `overheads`, `ablations`) and the Criterion benches. Each
+//! runner builds a full [`vcop::System`], executes a workload end to
+//! end, **verifies the outputs bit-exactly against the software
+//! reference**, and returns the time decomposition.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod app;
 pub mod experiments;
 pub mod json;
 pub mod runner;
 pub mod serving;
 pub mod table;
-
-pub use experiments::{
-    adpcm_typical, adpcm_vim, fig7_waveform, idea_sw_baseline, idea_typical, idea_vim, matmul_vim,
-    AdpcmHarness, AdpcmRun, ExperimentOptions, IdeaHarness, IdeaRun, MatMulRun,
-};

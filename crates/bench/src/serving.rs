@@ -8,145 +8,27 @@
 //! verify every output byte against the software references, so the
 //! throughput numbers always describe correct executions.
 
-use vcop::{
-    Direction, ElemSize, MapHints, MultiSystem, MultiSystemBuilder, Request, RequestObject,
-    SchedulerKind, SystemBuilder,
-};
+use vcop::{MultiSystem, MultiSystemBuilder, Request, SchedulerKind, SystemBuilder};
 use vcop_apps::adpcm::codec as adpcm_codec;
-use vcop_apps::adpcm::hw as adpcm_hw;
 use vcop_apps::idea::cipher as idea_cipher;
-use vcop_apps::idea::hw as idea_hw;
-use vcop_apps::timing;
-use vcop_fabric::bitstream::Bitstream;
-use vcop_fabric::resources::Resources;
 use vcop_fabric::DeviceProfile;
 use vcop_imu::tlb::Asid;
-use vcop_sim::time::{Frequency, SimTime};
+use vcop_sim::time::SimTime;
+
+pub use crate::app::AppKind;
 
 /// Input bytes of one adpcmdecode serving request.
 pub const ADPCM_REQUEST_BYTES: usize = 1024;
 /// Plaintext bytes of one IDEA serving request.
 pub const IDEA_REQUEST_BYTES: usize = 1024;
 
-/// The two request kinds of the mixed serving workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppKind {
-    /// IMA-ADPCM decode, core and IMU at 40 MHz.
-    Adpcm,
-    /// IDEA encryption, core at 6 MHz, IMU at 24 MHz.
-    Idea,
-}
-
-impl AppKind {
-    /// Tenant/arm label.
-    pub fn name(self) -> &'static str {
-        match self {
-            AppKind::Adpcm => "adpcm",
-            AppKind::Idea => "idea",
-        }
-    }
-
-    /// Coprocessor clock.
-    pub fn cp_freq(self) -> Frequency {
-        match self {
-            AppKind::Adpcm => Frequency::from_mhz(40),
-            AppKind::Idea => Frequency::from_mhz(6),
-        }
-    }
-
-    /// IMU clock.
-    pub fn imu_freq(self) -> Frequency {
-        match self {
-            AppKind::Adpcm => Frequency::from_mhz(40),
-            AppKind::Idea => Frequency::from_mhz(24),
-        }
-    }
-
-    /// The application bitstream, targeted at the serving device.
-    pub fn bitstream(self, device: &DeviceProfile) -> Vec<u8> {
-        match self {
-            AppKind::Adpcm => Bitstream::builder("adpcmdecode")
-                .device(device.kind)
-                .resources(Resources::new(1_100, 6_144))
-                .core_clock(timing::ADPCM_CORE_FREQ)
-                .synthetic_payload(48 * 1024)
-                .build()
-                .to_bytes(),
-            AppKind::Idea => Bitstream::builder("idea")
-                .device(device.kind)
-                .resources(Resources::new(3_600, 24_576))
-                .core_clock(timing::IDEA_CORE_FREQ)
-                .synthetic_payload(96 * 1024)
-                .build()
-                .to_bytes(),
-        }
-    }
-
-    /// A fresh coprocessor instance.
-    pub fn core(self) -> Box<dyn vcop::Coprocessor> {
-        match self {
-            AppKind::Adpcm => Box::new(adpcm_hw::AdpcmCoprocessor::new()),
-            AppKind::Idea => Box::new(idea_hw::IdeaCoprocessor::new()),
-        }
-    }
-
-    /// Builds the `salt`-th request of this kind together with its
-    /// expected output bytes.
-    pub fn request(self, salt: usize) -> (Request, Vec<u8>) {
-        match self {
-            AppKind::Adpcm => adpcm_request(ADPCM_REQUEST_BYTES, salt),
-            AppKind::Idea => idea_request(IDEA_REQUEST_BYTES, salt),
-        }
-    }
-}
-
-fn idea_key() -> idea_cipher::IdeaKey {
-    idea_cipher::IdeaKey([1, 2, 3, 4, 5, 6, 7, 8])
-}
-
-fn idea_params(blocks: u32) -> Vec<u32> {
-    let ek = idea_cipher::expand_key(idea_key());
-    let mut params = Vec::with_capacity(1 + idea_cipher::SUBKEYS);
-    params.push(blocks);
-    params.extend(ek.iter().map(|&k| u32::from(k)));
-    params
-}
-
 /// An adpcmdecode request over `input_bytes` of synthetic input (the
 /// `salt` varies the data between requests), plus its expected output.
 pub fn adpcm_request(input_bytes: usize, salt: usize) -> (Request, Vec<u8>) {
     let pcm = adpcm_codec::synthetic_pcm(input_bytes * 2 + salt * 16);
-    let input = adpcm_codec::encode(&pcm[salt * 16..salt * 16 + input_bytes * 2], &mut ());
-    let expect: Vec<u8> = adpcm_codec::decode(&input, &mut ())
-        .iter()
-        .flat_map(|s| (*s as u16).to_le_bytes())
-        .collect();
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: adpcm_hw::OBJ_INPUT,
-                data: input,
-                elem: ElemSize::U8,
-                direction: Direction::In,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-            RequestObject {
-                id: adpcm_hw::OBJ_OUTPUT,
-                data: vec![0u8; input_bytes * 4],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-        ],
-        params: vec![input_bytes as u32],
-    };
-    (req, expect)
+    let input = adpcm_codec::encode(&pcm[salt * 16..], &mut ());
+    let job = AppKind::Adpcm.job(input);
+    (job.request, job.expect)
 }
 
 /// An IDEA request over `input_bytes` of synthetic plaintext, plus its
@@ -156,35 +38,16 @@ pub fn idea_request(input_bytes: usize, salt: usize) -> (Request, Vec<u8>) {
     for (i, b) in pt.iter_mut().enumerate() {
         *b = b.wrapping_add((salt * 31 + i % 7) as u8);
     }
-    let ek = idea_cipher::expand_key(idea_key());
-    let expect = idea_cipher::pack_words(&idea_cipher::crypt_buffer(&pt, &ek, &mut ()));
-    let blocks = (input_bytes / idea_cipher::BLOCK_BYTES) as u32;
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: idea_hw::OBJ_INPUT,
-                data: idea_cipher::pack_words(&pt),
-                elem: ElemSize::U16,
-                direction: Direction::In,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-            RequestObject {
-                id: idea_hw::OBJ_OUTPUT,
-                data: vec![0u8; input_bytes],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-        ],
-        params: idea_params(blocks),
-    };
-    (req, expect)
+    let job = AppKind::Idea.job(pt);
+    (job.request, job.expect)
+}
+
+/// The `salt`-th serving request of `kind`, with its expected output.
+fn request(kind: AppKind, salt: usize) -> (Request, Vec<u8>) {
+    match kind {
+        AppKind::Adpcm => adpcm_request(ADPCM_REQUEST_BYTES, salt),
+        AppKind::Idea => idea_request(IDEA_REQUEST_BYTES, salt),
+    }
 }
 
 /// One serving arm's configuration.
@@ -319,9 +182,7 @@ pub fn run_serial_baseline(total_requests: usize) -> ServingOutcome {
             .clocks(kind.cp_freq(), kind.imu_freq())
             .overlap(true)
             .build();
-        let load = system
-            .fpga_load(&kind.bitstream(&device), kind.core())
-            .expect("load serving core");
+        let load = kind.load(&mut system).expect("load serving core");
         if current.is_none() {
             // Deployment-time configuration, like the multi engine's
             // up-front loads.
@@ -333,7 +194,7 @@ pub fn run_serial_baseline(total_requests: usize) -> ServingOutcome {
             wall += load;
         }
         current = Some(kind);
-        let (req, expect) = kind.request(i / 2);
+        let (req, expect) = request(kind, i / 2);
         let out_id = req.objects[1].id;
         let params = req.params.clone();
         for o in req.objects {
@@ -396,7 +257,6 @@ fn build_serving_system(spec: &ServingSpec) -> (MultiSystem, ExpectedOutputs) {
         builder = builder.frame_limit(limit);
     }
     let mut sys = builder.build();
-    let device = *sys.device();
     let mut expected = Vec::new();
     for t in 0..spec.tenants {
         let kind = if t % 2 == 0 {
@@ -404,19 +264,12 @@ fn build_serving_system(spec: &ServingSpec) -> (MultiSystem, ExpectedOutputs) {
         } else {
             AppKind::Idea
         };
-        let asid = sys
-            .add_tenant(
-                &format!("{}{}", kind.name(), t),
-                1,
-                kind.cp_freq(),
-                kind.imu_freq(),
-                &kind.bitstream(&device),
-                kind.core(),
-            )
+        let asid = kind
+            .admit(&mut sys, &format!("{}{}", kind.name(), t))
             .expect("admit serving tenant");
         let mut expects = Vec::with_capacity(per_tenant);
         for r in 0..per_tenant {
-            let (req, expect) = kind.request(t * per_tenant + r);
+            let (req, expect) = request(kind, t * per_tenant + r);
             sys.submit(asid, req);
             expects.push(expect);
         }

@@ -82,6 +82,11 @@ pub fn ms(t: vcop_sim::time::SimTime) -> String {
     format!("{:.2} ms", t.as_ms_f64())
 }
 
+/// A duration in microseconds.
+pub fn us(t: vcop_sim::time::SimTime) -> f64 {
+    t.as_ms_f64() * 1e3
+}
+
 /// Formats a speedup factor like the figure annotations ("11x").
 pub fn speedup(s: f64) -> String {
     format!("{s:.1}x")

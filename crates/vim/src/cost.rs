@@ -253,6 +253,11 @@ impl OsCostModel {
                 .transfer_cycles(words, SlaveProfile::DPRAM, BurstKind::Single))
     }
 
+    /// Whether `len` bytes at user address `addr` fit the SDRAM.
+    pub fn fits_user_memory(&self, addr: usize, len: usize) -> bool {
+        self.sdram.check_range(addr, len).is_ok()
+    }
+
     /// SDRAM row-hit statistics accumulated by page copies (diagnostics).
     pub fn sdram_stats(&self) -> (u64, u64) {
         (self.sdram.row_hits(), self.sdram.row_misses())

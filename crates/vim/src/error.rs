@@ -14,6 +14,8 @@ pub enum VimError {
     ReservedObject,
     /// A mapped object was declared with a zero length.
     EmptyObject(ObjectId),
+    /// A mapped object does not fit the rest of user SDRAM.
+    ExceedsUserMemory(ObjectId),
     /// An object's byte length is not a multiple of its element size.
     UnalignedObject(ObjectId),
     /// The coprocessor accessed an object the application never mapped.
@@ -69,6 +71,7 @@ impl fmt::Display for VimError {
             VimError::DuplicateObject(o) => write!(f, "object {o} mapped twice"),
             VimError::ReservedObject => write!(f, "object id 0xFF is reserved for parameters"),
             VimError::EmptyObject(o) => write!(f, "object {o} has zero length"),
+            VimError::ExceedsUserMemory(o) => write!(f, "object {o} does not fit user SDRAM"),
             VimError::UnalignedObject(o) => {
                 write!(f, "object {o} length is not a multiple of its element size")
             }

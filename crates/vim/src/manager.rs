@@ -594,8 +594,9 @@ impl Vim {
     ///
     /// # Errors
     ///
-    /// Rejects the reserved id, duplicates, empty buffers, and lengths
-    /// that are not a multiple of the element size.
+    /// Rejects the reserved id, duplicates, empty buffers, lengths that
+    /// are not a multiple of the element size, and objects that do not
+    /// fit the rest of user SDRAM.
     pub fn map_object(
         &mut self,
         id: ObjectId,
@@ -616,9 +617,13 @@ impl Vim {
         if !data.len().is_multiple_of(elem.bytes()) {
             return Err(VimError::UnalignedObject(id));
         }
-        self.done_dirty.clear();
         let user_base = self.user_alloc_next;
-        self.user_alloc_next += data.len().next_multiple_of(64);
+        let reserved = data.len().next_multiple_of(64);
+        if !self.cost.fits_user_memory(user_base, reserved) {
+            return Err(VimError::ExceedsUserMemory(id));
+        }
+        self.done_dirty.clear();
+        self.user_alloc_next += reserved;
         self.objects.insert(
             (self.current_asid.0, id.0),
             MappedObject::new(id, direction, elem, data, user_base, hints),

@@ -4,6 +4,7 @@
 # output against the committed snapshots in crates/bench/snapshots/:
 #
 # - the stdout of every figure binary, plus the fig7 VCD waveform;
+# - the stdout of four `vcop_run` invocations, one per workload;
 # - the modeled lines of one traced perfbench pass per workload
 #   (`sim*`, `sim.*`, `speedup_vs_sw`, `hw_served_fraction`). Host
 #   metrics are left out: BENCHMARK.json bounds those.
@@ -33,6 +34,12 @@ perfbench="$root/perfbench/target/release/vcop-perfbench"
         "$bin/$b" > "$b.txt"
     done
     "$bin/faults" --quick > faults.txt
+    {
+        "$bin/vcop_run" adpcm --size-kb 8
+        "$bin/vcop_run" idea --size-kb 16 --policy lru --transfer dma
+        "$bin/vcop_run" matmul
+        "$bin/vcop_run" vecadd --n 1024
+    } > vcop_run.txt
     for w in "${workloads[@]}"; do
         "$perfbench" --workload "$w" --seed 1 --seconds 0 --trace 1 \
             | grep -E '^  (sim|speedup_vs_sw|hw_served_fraction)' > "perfbench_$w.txt"
@@ -46,7 +53,8 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 status=0
-files=(fig7.txt fig8.txt fig9.txt overheads.txt ablations.txt throughput.txt faults.txt fig7.vcd)
+files=(fig7.txt fig8.txt fig9.txt overheads.txt ablations.txt throughput.txt faults.txt vcop_run.txt
+    fig7.vcd)
 for w in "${workloads[@]}"; do
     files+=("perfbench_$w.txt")
 done

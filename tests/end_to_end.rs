@@ -8,6 +8,7 @@ use vcop_apps::idea::cipher as idea;
 use vcop_apps::idea::hw::{IdeaCoprocessor, OBJ_INPUT as IDEA_IN, OBJ_OUTPUT as IDEA_OUT};
 use vcop_apps::timing;
 use vcop_apps::vecadd::{VecAddCoprocessor, OBJ_A, OBJ_B, OBJ_C};
+use vcop_bench::app::AppKind;
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::port::ObjectId;
 use vcop_sim::time::SimTime;
@@ -651,4 +652,43 @@ fn hung_coprocessor_times_out() {
     assert!(matches!(err, Error::Timeout { budget: 10_000 }));
     // The caller's sleep ends at the failure.
     assert!(system.caller_sleep_time() > SimTime::ZERO);
+}
+
+#[test]
+fn object_past_user_sdram_is_rejected_without_side_effects() {
+    // EPXA1 user SDRAM is 64 MiB: a 65 MiB object cannot be mapped, and
+    // the rejected call leaves nothing behind — the next request on the
+    // same system behaves exactly as on a fresh one.
+    let kind = AppKind::Idea;
+    let fresh = || {
+        let mut system = SystemBuilder::epxa1()
+            .clocks(kind.cp_freq(), kind.imu_freq())
+            .build();
+        kind.load(&mut system).expect("load");
+        system
+    };
+    let job = kind.synthetic_job(4096);
+    let serve = |system: &mut vcop::System| {
+        job.map(system).expect("map");
+        let report = system.fpga_execute(&job.request.params).expect("run");
+        assert_eq!(system.take_object(IDEA_OUT).expect("mapped"), job.expect);
+        system.take_object(IDEA_IN);
+        report
+    };
+
+    let mut system = fresh();
+    let err = system
+        .fpga_map_object(
+            IDEA_IN,
+            vec![0; 65 << 20],
+            ElemSize::U16,
+            Direction::In,
+            MapHints::default(),
+        )
+        .expect_err("65 MiB exceeds user SDRAM");
+    assert!(matches!(
+        err,
+        Error::Vim(VimError::ExceedsUserMemory(IDEA_IN))
+    ));
+    assert_eq!(serve(&mut system), serve(&mut fresh()));
 }

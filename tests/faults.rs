@@ -5,34 +5,22 @@
 //! report's recovery counters.
 
 use vcop::{
-    Direction, ElemSize, Error, FallbackFn, FaultInjector, FaultPlan, FaultSite, Kernel, MapHints,
-    MultiSystemBuilder, RecoveryPolicy, Request, RequestObject, System, SystemBuilder,
+    Direction, ElemSize, Error, FaultInjector, FaultPlan, FaultSite, Kernel, MapHints,
+    MultiSystemBuilder, RecoveryPolicy, System, SystemBuilder,
 };
-use vcop_apps::adpcm::codec as adpcm_codec;
-use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT, OBJ_OUTPUT};
+use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_OUTPUT};
 use vcop_apps::timing;
+use vcop_bench::app::{adpcm_fallback, AppKind, Job};
 use vcop_fabric::bitstream::Bitstream;
-use vcop_fabric::device::DeviceKind;
 use vcop_fabric::loader::LoadError;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, Wake};
-use vcop_fabric::resources::Resources;
 use vcop_imu::imu::ImuStats;
-use vcop_sim::time::{Frequency, SimTime};
+use vcop_sim::time::SimTime;
 use vcop_vim::{VimCounts, VimError, VimTimes};
 
-/// Synthetic adpcm workload: (coded input, expected output bytes).
-fn adpcm_input() -> (Vec<u8>, Vec<u8>) {
-    let pcm = adpcm_codec::synthetic_pcm(6 * 1024);
-    let coded = adpcm_codec::encode(&pcm, &mut ());
-    let (expected, _) = timing::adpcm_sw(&coded);
-    let expect_bytes = expected
-        .iter()
-        .flat_map(|s| (*s as u16).to_le_bytes())
-        .collect();
-    (coded, expect_bytes)
-}
+/// Bytes of adpcm input every single-request test decodes.
+const INPUT_BYTES: usize = 3 * 1024;
 
-/// An adpcm system with `coded` mapped, optionally faulty/overlapped.
 /// The lifetime VIM and IMU statistics of `sys`, for comparing two
 /// runs beyond their reports.
 fn lifetime_stats(sys: &System) -> (VimCounts, VimTimes, ImuStats) {
@@ -43,12 +31,13 @@ fn lifetime_stats(sys: &System) -> (VimCounts, VimTimes, ImuStats) {
     )
 }
 
-fn build_adpcm(coded: &[u8], plan: Option<FaultPlan>, overlap: bool) -> System {
-    build_adpcm_on(coded, plan, overlap, Kernel::default())
+/// An adpcm system with `job` mapped, optionally faulty/overlapped.
+fn build_adpcm(job: &Job, plan: Option<FaultPlan>, overlap: bool) -> System {
+    build_adpcm_on(job, plan, overlap, Kernel::default())
 }
 
 /// [`build_adpcm`] on a chosen simulation kernel.
-fn build_adpcm_on(coded: &[u8], plan: Option<FaultPlan>, overlap: bool, kernel: Kernel) -> System {
+fn build_adpcm_on(job: &Job, plan: Option<FaultPlan>, overlap: bool, kernel: Kernel) -> System {
     let mut builder = SystemBuilder::epxa1()
         .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
         .kernel(kernel);
@@ -65,58 +54,22 @@ fn build_adpcm_on(coded: &[u8], plan: Option<FaultPlan>, overlap: bool, kernel: 
     system
         .fpga_load(&bs.to_bytes(), Box::new(AdpcmCoprocessor::new()))
         .expect("load");
-    let hints = MapHints {
-        sequential: true,
-        ..Default::default()
-    };
+    job.map(&mut system).expect("map objects");
     system
-        .fpga_map_object(
-            OBJ_INPUT,
-            coded.to_vec(),
-            ElemSize::U8,
-            Direction::In,
-            hints,
-        )
-        .expect("map input");
-    system
-        .fpga_map_object(
-            OBJ_OUTPUT,
-            vec![0; coded.len() * 4],
-            ElemSize::U16,
-            Direction::Out,
-            hints,
-        )
-        .expect("map output");
-    system
-}
-
-/// The software twin of the adpcm core, as a registrable fallback.
-fn adpcm_fallback() -> FallbackFn {
-    FallbackFn::new("adpcm-sw", |io, params| {
-        let n = params[0] as usize;
-        let input = io.object(OBJ_INPUT).ok_or("input not mapped")?[..n].to_vec();
-        let (samples, cpu) = timing::adpcm_sw(&input);
-        let out = io.object_mut(OBJ_OUTPUT).ok_or("output not mapped")?;
-        for (chunk, s) in out.chunks_exact_mut(2).zip(&samples) {
-            chunk.copy_from_slice(&(*s as u16).to_le_bytes());
-        }
-        Ok(cpu)
-    })
 }
 
 #[test]
 fn zero_rate_injector_is_byte_identical_to_plain_run() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
-    let mut plain = build_adpcm(&coded, None, false);
-    let r_plain = plain.fpga_execute(&[n]).expect("plain run");
+    let mut plain = build_adpcm(&job, None, false);
+    let r_plain = plain.fpga_execute(&job.request.params).expect("plain run");
 
     // An armed injector whose plan never fires must be observationally
     // invisible: same report, same bytes, no PRNG-induced drift.
-    let mut armed = build_adpcm(&coded, Some(FaultPlan::new(0xDEAD_BEEF)), false);
+    let mut armed = build_adpcm(&job, Some(FaultPlan::new(0xDEAD_BEEF)), false);
     assert!(armed.fault_injector().is_enabled());
-    let mut r_armed = armed.fpga_execute(&[n]).expect("armed run");
+    let mut r_armed = armed.fpga_execute(&job.request.params).expect("armed run");
 
     assert_eq!(r_armed.execute_attempts, 1, "clean first attempt");
     assert_eq!(r_armed.injected_faults, 0);
@@ -132,7 +85,7 @@ fn zero_rate_injector_is_byte_identical_to_plain_run() {
     let out_plain = plain.take_object(OBJ_OUTPUT).expect("mapped");
     let out_armed = armed.take_object(OBJ_OUTPUT).expect("mapped");
     assert_eq!(out_plain, out_armed);
-    assert_eq!(out_plain, expect);
+    assert_eq!(out_plain, job.expect);
 }
 
 /// A coprocessor that writes one element in each of a scripted list of
@@ -276,15 +229,16 @@ fn watchdog_recovers_lost_dma_mid_burst() {
 
 #[test]
 fn watchdog_recovers_lost_demand_page() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // The adpcm stream's one demand transfer is silently dropped: the
     // coprocessor stalls on a page that will not arrive until the
     // deadline re-submits its transfer.
     let plan = FaultPlan::new(5).once(FaultSite::DmaTimeout, 1);
-    let mut sys = build_adpcm(&coded, Some(plan), true);
-    let report = sys.fpga_execute(&[n]).expect("recovered run");
+    let mut sys = build_adpcm(&job, Some(plan), true);
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("recovered run");
 
     assert_eq!(report.injected_faults, 1);
     assert_eq!(report.execute_attempts, 1, "recovered within the attempt");
@@ -295,21 +249,22 @@ fn watchdog_recovers_lost_demand_page() {
         "the deadline the coprocessor sat out is recovery time"
     );
     assert!(!report.fallback_taken);
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn lost_transfers_escalate_when_the_retry_budget_is_spent() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Every submission and every re-submission is lost: the retry
     // budget runs out, the watchdog resets the fabric, and after the
     // last hardware attempt the software twin serves the request.
     let plan = FaultPlan::new(13).rate(FaultSite::DmaTimeout, 1.0);
-    let mut sys = build_adpcm(&coded, Some(plan), true);
-    sys.set_software_fallback(Box::new(adpcm_fallback()));
-    let report = sys.fpga_execute(&[n]).expect("fallback serves the app");
+    let mut sys = build_adpcm(&job, Some(plan), true);
+    sys.set_software_fallback(adpcm_fallback());
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("fallback serves the app");
 
     assert!(report.fallback_taken);
     assert_eq!(
@@ -323,44 +278,46 @@ fn lost_transfers_escalate_when_the_retry_budget_is_spent() {
         "re-submission was tried first"
     );
     assert!(report.recovery_time > SimTime::ZERO);
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn dropped_fault_irq_is_caught_by_watchdog() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Drop the very first translation-fault interrupt: the IMU sits
     // faulted and the OS is never told, until the no-progress watchdog
     // reads the status register, finds the latched miss and serves it.
     let plan = FaultPlan::new(7).once(FaultSite::IrqDrop, 1);
-    let mut sys = build_adpcm(&coded, Some(plan), false);
+    let mut sys = build_adpcm(&job, Some(plan), false);
     sys.set_recovery(Some(RecoveryPolicy {
         watchdog_edges: Some(20_000),
         ..RecoveryPolicy::default()
     }));
-    let report = sys.fpga_execute(&[n]).expect("recovered run");
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("recovered run");
 
     assert_eq!(report.injected_faults, 1);
     assert_eq!(report.execute_attempts, 1, "recovered within the attempt");
     assert_eq!(report.watchdog_resets, 0, "no fabric reset");
     assert_eq!(report.lost_irqs_polled, 1);
     assert!(!report.fallback_taken);
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn dropped_irq_window_closes_the_layer_sum() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Synchronous paging with one dropped fault interrupt under the
     // default policy: the watchdog's detection window is recovery time,
     // charged once, so the layers add up to the wall time exactly.
     let plan = FaultPlan::new(7).once(FaultSite::IrqDrop, 1);
-    let mut sys = build_adpcm(&coded, Some(plan), false);
-    let report = sys.fpga_execute(&[n]).expect("recovered run");
+    let mut sys = build_adpcm(&job, Some(plan), false);
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("recovered run");
 
     assert_eq!(report.lost_irqs_polled, 1);
     assert_eq!(report.watchdog_resets, 0);
@@ -370,12 +327,12 @@ fn dropped_irq_window_closes_the_layer_sum() {
         report.hw + report.sw_dp + report.sw_imu + report.recovery_time,
         "layers must add up to the picosecond"
     );
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 
     // Every other layer equals the fault-free run's: the window moved
     // out of `hw` and into recovery, nothing else changed.
-    let mut clean = build_adpcm(&coded, None, false);
-    let r_clean = clean.fpga_execute(&[n]).expect("clean run");
+    let mut clean = build_adpcm(&job, None, false);
+    let r_clean = clean.fpga_execute(&job.request.params).expect("clean run");
     assert_eq!(r_clean.wall, r_clean.hw + r_clean.sw_dp + r_clean.sw_imu);
     assert_eq!(report.hw, r_clean.hw);
     assert_eq!(report.sw_dp, r_clean.sw_dp);
@@ -385,8 +342,10 @@ fn dropped_irq_window_closes_the_layer_sum() {
     // One delayed fault interrupt: the late delivery lengthens the
     // stall and is charged to recovery, once, to the picosecond.
     let plan = FaultPlan::new(7).once(FaultSite::IrqDelay, 1);
-    let mut delayed = build_adpcm(&coded, Some(plan), false);
-    let r_delay = delayed.fpga_execute(&[n]).expect("delayed run");
+    let mut delayed = build_adpcm(&job, Some(plan), false);
+    let r_delay = delayed
+        .fpga_execute(&job.request.params)
+        .expect("delayed run");
     let delay = SimTime::from_ps(
         timing::ADPCM_IMU_FREQ.period().as_ps() * delayed.fault_injector().irq_delay_edges(),
     );
@@ -400,13 +359,12 @@ fn dropped_irq_window_closes_the_layer_sum() {
     assert_eq!(r_delay.hw, r_clean.hw);
     assert_eq!(r_delay.sw_dp, r_clean.sw_dp);
     assert_eq!(r_delay.sw_imu, r_clean.sw_imu);
-    assert_eq!(delayed.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(delayed.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn kernels_agree_under_every_fault_site() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Every site armed at once, in both paging modes: the stepped
     // reference kernel and the event-driven one must take the same
@@ -422,10 +380,10 @@ fn kernels_agree_under_every_fault_site() {
                     let plan = FaultSite::ALL
                         .into_iter()
                         .fold(FaultPlan::new(seed), |p, site| p.rate(site, 0.1));
-                    let mut sys = build_adpcm_on(&coded, Some(plan), overlap, kernel);
-                    sys.set_software_fallback(Box::new(adpcm_fallback()));
-                    let report = sys.fpga_execute(&[n]).expect("served");
-                    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+                    let mut sys = build_adpcm_on(&job, Some(plan), overlap, kernel);
+                    sys.set_software_fallback(adpcm_fallback());
+                    let report = sys.fpga_execute(&job.request.params).expect("served");
+                    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
                     (report, lifetime_stats(&sys))
                 })
                 .collect();
@@ -440,16 +398,17 @@ fn kernels_agree_under_every_fault_site() {
 
 #[test]
 fn exhausted_retries_fall_back_to_software() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Every page transfer arrives corrupt: bounded retries exhaust,
     // every hardware attempt dies, and the registered software twin
     // serves the request transparently.
     let plan = FaultPlan::new(11).rate(FaultSite::DmaCorrupt, 1.0);
-    let mut sys = build_adpcm(&coded, Some(plan), false);
-    sys.set_software_fallback(Box::new(adpcm_fallback()));
-    let report = sys.fpga_execute(&[n]).expect("fallback serves the app");
+    let mut sys = build_adpcm(&job, Some(plan), false);
+    sys.set_software_fallback(adpcm_fallback());
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("fallback serves the app");
 
     assert!(report.fallback_taken);
     assert_eq!(
@@ -464,17 +423,18 @@ fn exhausted_retries_fall_back_to_software() {
         report.wall > report.recovery_time,
         "fallback CPU time added"
     );
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn exhausted_retries_without_fallback_surface_the_error() {
-    let (coded, _) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     let plan = FaultPlan::new(11).rate(FaultSite::DmaCorrupt, 1.0);
-    let mut sys = build_adpcm(&coded, Some(plan), false);
-    let err = sys.fpga_execute(&[n]).expect_err("no fallback registered");
+    let mut sys = build_adpcm(&job, Some(plan), false);
+    let err = sys
+        .fpga_execute(&job.request.params)
+        .expect_err("no fallback registered");
     assert!(
         matches!(err, Error::Vim(VimError::TransferFault { .. })),
         "the original hardware cause is surfaced, got: {err}"
@@ -483,33 +443,33 @@ fn exhausted_retries_without_fallback_surface_the_error() {
 
 #[test]
 fn parity_upsets_are_absorbed_or_served_in_software() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
     // Flip a translation entry after every synchronous fault service.
     // Upsets on clean pages re-resolve; an upset on a dirty page loses
     // data and burns the whole attempt. Either way the application
     // sees the right bytes.
     let plan = FaultPlan::new(23).rate(FaultSite::TlbParity, 1.0);
-    let mut sys = build_adpcm(&coded, Some(plan), false);
-    sys.set_software_fallback(Box::new(adpcm_fallback()));
-    let report = sys.fpga_execute(&[n]).expect("run completes");
+    let mut sys = build_adpcm(&job, Some(plan), false);
+    sys.set_software_fallback(adpcm_fallback());
+    let report = sys
+        .fpga_execute(&job.request.params)
+        .expect("run completes");
 
     assert!(report.injected_faults > 0, "upsets actually fired");
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
 fn bus_stalls_delay_but_never_corrupt() {
-    let (coded, expect) = adpcm_input();
-    let n = coded.len() as u32;
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
 
-    let mut clean = build_adpcm(&coded, None, true);
-    let r_clean = clean.fpga_execute(&[n]).expect("clean run");
+    let mut clean = build_adpcm(&job, None, true);
+    let r_clean = clean.fpga_execute(&job.request.params).expect("clean run");
 
     let plan = FaultPlan::new(31).rate(FaultSite::BusStall, 0.5);
-    let mut sys = build_adpcm(&coded, Some(plan), true);
-    let report = sys.fpga_execute(&[n]).expect("stalled run");
+    let mut sys = build_adpcm(&job, Some(plan), true);
+    let report = sys.fpga_execute(&job.request.params).expect("stalled run");
 
     assert!(report.injected_faults > 0, "stalls actually fired");
     assert!(!report.fallback_taken);
@@ -518,7 +478,7 @@ fn bus_stalls_delay_but_never_corrupt() {
         report.wall >= r_clean.wall,
         "starved transfers cannot speed things up"
     );
-    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), expect);
+    assert_eq!(sys.take_object(OBJ_OUTPUT).expect("mapped"), job.expect);
 }
 
 #[test]
@@ -560,55 +520,21 @@ enum Mode {
 fn serve_under(
     plan: FaultPlan,
     mode: Mode,
-    coded: &[u8],
+    job: &Job,
 ) -> (Vec<Result<Vec<u8>, Error>>, FaultInjector) {
-    let n = coded.len() as u32;
-    let hints = MapHints {
-        sequential: true,
-        ..Default::default()
-    };
+    let kind = AppKind::Adpcm;
     if mode == Mode::MultiTenant {
         let mut sys = MultiSystemBuilder::epxa4().faults(plan).build();
-        let bitstream = Bitstream::builder("adpcmdecode")
-            .device(DeviceKind::Epxa4)
-            .resources(Resources::new(1_100, 6_144))
-            .core_clock(timing::ADPCM_CORE_FREQ)
-            .synthetic_payload(8 * 1024)
-            .build()
-            .to_bytes();
         let mut tenants = Vec::new();
         for name in ["adpcm0", "adpcm1"] {
-            let mhz = Frequency::from_mhz(40);
-            let core = Box::new(AdpcmCoprocessor::new());
-            match sys.add_tenant(name, 1, mhz, mhz, &bitstream, core) {
+            match kind.admit(&mut sys, name) {
                 Ok(asid) => tenants.push(asid),
                 Err(e) => return (vec![Err(e)], sys.fault_injector().clone()),
             }
         }
         for &asid in &tenants {
-            sys.set_software_fallback(asid, Box::new(adpcm_fallback()));
-            let object = |id, data, elem, direction| RequestObject {
-                id,
-                data,
-                elem,
-                direction,
-                hints,
-            };
-            sys.submit(
-                asid,
-                Request {
-                    objects: vec![
-                        object(OBJ_INPUT, coded.to_vec(), ElemSize::U8, Direction::In),
-                        object(
-                            OBJ_OUTPUT,
-                            vec![0; coded.len() * 4],
-                            ElemSize::U16,
-                            Direction::Out,
-                        ),
-                    ],
-                    params: vec![n],
-                },
-            );
+            sys.set_software_fallback(asid, adpcm_fallback());
+            sys.submit(asid, job.request.clone());
         }
         let outcome = match sys.run() {
             Ok(_) => tenants
@@ -624,29 +550,21 @@ fn serve_under(
         return (outcome, sys.fault_injector().clone());
     }
     let mut builder = SystemBuilder::epxa1()
-        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
+        .clocks(kind.cp_freq(), kind.imu_freq())
         .faults(plan);
     if mode == Mode::SingleOverlap {
         builder = builder.overlap(true).dma_channels(2);
     }
     let mut sys = builder.build();
-    sys.set_software_fallback(Box::new(adpcm_fallback()));
+    sys.set_software_fallback(adpcm_fallback());
     let bs = Bitstream::builder("adpcmdecode")
         .synthetic_payload(2048)
         .build();
     let outcome = sys
-        .fpga_load(&bs.to_bytes(), Box::new(AdpcmCoprocessor::new()))
+        .fpga_load(&bs.to_bytes(), kind.core())
         .and_then(|_| {
-            let out = vec![0; coded.len() * 4];
-            sys.fpga_map_object(
-                OBJ_INPUT,
-                coded.to_vec(),
-                ElemSize::U8,
-                Direction::In,
-                hints,
-            )?;
-            sys.fpga_map_object(OBJ_OUTPUT, out, ElemSize::U16, Direction::Out, hints)?;
-            sys.fpga_execute(&[n])
+            job.map(&mut sys)?;
+            sys.fpga_execute(&job.request.params)
         })
         .map(|_| sys.take_object(OBJ_OUTPUT).expect("mapped"));
     (vec![outcome], sys.fault_injector().clone())
@@ -654,7 +572,7 @@ fn serve_under(
 
 #[test]
 fn every_fault_site_in_every_mode_serves_correct_bytes_or_a_typed_error() {
-    let (coded, expect) = adpcm_input();
+    let job = AppKind::Adpcm.synthetic_job(INPUT_BYTES);
     for mode in [Mode::SingleSync, Mode::SingleOverlap, Mode::MultiTenant] {
         for site in FaultSite::ALL {
             let mut fired = 0;
@@ -664,9 +582,9 @@ fn every_fault_site_in_every_mode_serves_correct_bytes_or_a_typed_error() {
                 // A panic or a hang past the edge budget fails the test
                 // here; anything else must be the right bytes or an
                 // error value.
-                let (outcomes, injector) = serve_under(plan, mode, &coded);
+                let (outcomes, injector) = serve_under(plan, mode, &job);
                 for bytes in outcomes.into_iter().flatten() {
-                    assert_eq!(bytes, expect, "{mode:?}, {site:?}, seed {seed}");
+                    assert_eq!(bytes, job.expect, "{mode:?}, {site:?}, seed {seed}");
                 }
                 fired += injector.fired(site);
                 opportunities += injector.opportunities(site);

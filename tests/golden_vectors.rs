@@ -7,13 +7,15 @@
 
 use vcop::{Direction, ElemSize, MapHints, SystemBuilder};
 use vcop_apps::adpcm::codec as adpcm_codec;
-use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT as DEC_IN, OBJ_OUTPUT as DEC_OUT};
+use vcop_apps::adpcm::hw::{OBJ_INPUT as DEC_IN, OBJ_OUTPUT as DEC_OUT};
 use vcop_apps::adpcm::hw_enc::{AdpcmEncCoprocessor, OBJ_INPUT as ENC_IN, OBJ_OUTPUT as ENC_OUT};
 use vcop_apps::idea::cipher as idea;
-use vcop_apps::idea::hw::{IdeaCoprocessor, OBJ_INPUT as IDEA_IN, OBJ_OUTPUT as IDEA_OUT};
+use vcop_apps::idea::hw::{OBJ_INPUT as IDEA_IN, OBJ_OUTPUT as IDEA_OUT};
 use vcop_apps::timing;
+use vcop_bench::app::AppKind;
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::resources::Resources;
+use vcop_fabric::DeviceProfile;
 
 fn seq() -> MapHints {
     MapHints {
@@ -39,14 +41,7 @@ fn idea_system(overlap: bool) -> vcop::System {
 /// Runs the hardware decoder on `coded` and returns the PCM samples.
 fn hw_decode(coded: &[u8], overlap: bool) -> Vec<i16> {
     let mut system = adpcm_system(overlap);
-    let bs = Bitstream::builder("adpcmdecode")
-        .resources(Resources::new(1_100, 6_144))
-        .core_clock(timing::ADPCM_CORE_FREQ)
-        .synthetic_payload(48 * 1024)
-        .build();
-    system
-        .fpga_load(&bs.to_bytes(), Box::new(AdpcmCoprocessor::new()))
-        .expect("load decoder");
+    AppKind::Adpcm.load(&mut system).expect("load decoder");
     system
         .fpga_map_object(DEC_IN, coded.to_vec(), ElemSize::U8, Direction::In, seq())
         .expect("map input");
@@ -104,14 +99,7 @@ fn hw_encode(pcm: &[i16], overlap: bool) -> Vec<u8> {
 /// (encryption or inverted-for-decryption) and returns the output bytes.
 fn hw_idea(data: &[u8], keys: &[u16; idea::SUBKEYS], overlap: bool) -> Vec<u8> {
     let mut system = idea_system(overlap);
-    let bs = Bitstream::builder("idea")
-        .resources(Resources::new(3_600, 24_576))
-        .core_clock(timing::IDEA_CORE_FREQ)
-        .synthetic_payload(96 * 1024)
-        .build();
-    system
-        .fpga_load(&bs.to_bytes(), Box::new(IdeaCoprocessor::new()))
-        .expect("load idea");
+    AppKind::Idea.load(&mut system).expect("load idea");
     system
         .fpga_map_object(
             IDEA_IN,
@@ -199,9 +187,7 @@ fn idea_hw_encrypt_decrypt_round_trips() {
 /// EPXA1 and EPXA4 share the configuration interface (8 bits at 33 MHz).
 #[test]
 fn configuration_load_time_is_pinned() {
-    use vcop_bench::serving::AppKind;
     use vcop_fabric::loader::ConfigController;
-    use vcop_fabric::DeviceProfile;
 
     for device in [DeviceProfile::epxa1(), DeviceProfile::epxa4()] {
         for (kind, ps) in [

@@ -9,130 +9,14 @@
 
 use proptest::prelude::*;
 use vcop::{
-    Direction, ElemSize, FallbackFn, FaultPlan, FaultSite, Kernel, MapHints, MultiReport,
-    MultiSystem, MultiSystemBuilder, Request, RequestObject, SchedulerKind,
+    FaultPlan, FaultSite, Kernel, MultiReport, MultiSystem, MultiSystemBuilder, SchedulerKind,
 };
-use vcop_apps::adpcm::codec as adpcm_codec;
-use vcop_apps::adpcm::hw as adpcm_hw;
-use vcop_apps::idea::cipher as idea_cipher;
-use vcop_apps::idea::hw as idea_hw;
-use vcop_apps::timing;
+use vcop_bench::app::{adpcm_fallback, AppKind};
+use vcop_bench::serving::{adpcm_request, idea_request};
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
 use vcop_imu::tlb::Asid;
-use vcop_sim::time::Frequency;
-
-fn adpcm_bitstream() -> Vec<u8> {
-    Bitstream::builder("adpcmdecode")
-        .device(DeviceKind::Epxa4)
-        .resources(Resources::new(1_100, 6_144))
-        .core_clock(timing::ADPCM_CORE_FREQ)
-        .synthetic_payload(48 * 1024)
-        .build()
-        .to_bytes()
-}
-
-fn idea_bitstream() -> Vec<u8> {
-    Bitstream::builder("idea")
-        .device(DeviceKind::Epxa4)
-        .resources(Resources::new(3_600, 24_576))
-        .core_clock(timing::IDEA_CORE_FREQ)
-        .synthetic_payload(96 * 1024)
-        .build()
-        .to_bytes()
-}
-
-fn idea_key() -> idea_cipher::IdeaKey {
-    idea_cipher::IdeaKey([1, 2, 3, 4, 5, 6, 7, 8])
-}
-
-fn idea_params(blocks: u32) -> Vec<u32> {
-    let ek = idea_cipher::expand_key(idea_key());
-    let mut params = Vec::with_capacity(1 + idea_cipher::SUBKEYS);
-    params.push(blocks);
-    params.extend(ek.iter().map(|&k| u32::from(k)));
-    params
-}
-
-/// An adpcm decode request over `input_bytes` of synthetic input
-/// (seeded by `salt` so distinct requests carry distinct data), plus
-/// the expected output bytes.
-fn adpcm_request(input_bytes: usize, salt: usize) -> (Request, Vec<u8>) {
-    let pcm = adpcm_codec::synthetic_pcm(input_bytes * 2 + salt * 16);
-    let input = adpcm_codec::encode(&pcm[salt * 16..salt * 16 + input_bytes * 2], &mut ());
-    assert_eq!(input.len(), input_bytes);
-    let expect_samples = adpcm_codec::decode(&input, &mut ());
-    let expect: Vec<u8> = expect_samples
-        .iter()
-        .flat_map(|s| (*s as u16).to_le_bytes())
-        .collect();
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: adpcm_hw::OBJ_INPUT,
-                data: input,
-                elem: ElemSize::U8,
-                direction: Direction::In,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-            RequestObject {
-                id: adpcm_hw::OBJ_OUTPUT,
-                data: vec![0u8; input_bytes * 4],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-        ],
-        params: vec![input_bytes as u32],
-    };
-    (req, expect)
-}
-
-/// An IDEA encryption request over `input_bytes` of synthetic
-/// plaintext, plus the expected ciphertext bytes.
-fn idea_request(input_bytes: usize, salt: usize) -> (Request, Vec<u8>) {
-    let mut pt = idea_cipher::synthetic_plaintext(input_bytes);
-    for (i, b) in pt.iter_mut().enumerate() {
-        *b = b.wrapping_add((salt * 31 + i % 7) as u8);
-    }
-    let ek = idea_cipher::expand_key(idea_key());
-    let ct = idea_cipher::crypt_buffer(&pt, &ek, &mut ());
-    let expect = idea_cipher::pack_words(&ct);
-    let blocks = (input_bytes / idea_cipher::BLOCK_BYTES) as u32;
-    let req = Request {
-        objects: vec![
-            RequestObject {
-                id: idea_hw::OBJ_INPUT,
-                data: idea_cipher::pack_words(&pt),
-                elem: ElemSize::U16,
-                direction: Direction::In,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-            RequestObject {
-                id: idea_hw::OBJ_OUTPUT,
-                data: vec![0u8; input_bytes],
-                elem: ElemSize::U16,
-                direction: Direction::Out,
-                hints: MapHints {
-                    sequential: true,
-                    ..Default::default()
-                },
-            },
-        ],
-        params: idea_params(blocks),
-    };
-    (req, expect)
-}
 
 fn mixed_system(scheduler: SchedulerKind, partition: bool) -> (MultiSystem, Asid, Asid) {
     mixed_system_with(scheduler, partition, None)
@@ -156,26 +40,8 @@ fn mixed_system_with(
 /// system `builder` assembles.
 fn mixed_system_from(builder: MultiSystemBuilder) -> (MultiSystem, Asid, Asid) {
     let mut sys = builder.build();
-    let adpcm = sys
-        .add_tenant(
-            "adpcm",
-            1,
-            Frequency::from_mhz(40),
-            Frequency::from_mhz(40),
-            &adpcm_bitstream(),
-            Box::new(adpcm_hw::AdpcmCoprocessor::new()),
-        )
-        .expect("admit adpcm tenant");
-    let idea = sys
-        .add_tenant(
-            "idea",
-            1,
-            Frequency::from_mhz(6),
-            Frequency::from_mhz(24),
-            &idea_bitstream(),
-            Box::new(idea_hw::IdeaCoprocessor::new()),
-        )
-        .expect("admit idea tenant");
+    let mut admit = |kind: AppKind| kind.admit(&mut sys, kind.name()).expect("admit tenant");
+    let (adpcm, idea) = (admit(AppKind::Adpcm), admit(AppKind::Idea));
     (sys, adpcm, idea)
 }
 
@@ -256,15 +122,8 @@ fn single_tenant_never_context_switches_mid_run() {
     // re-picked at every boundary: the IMU context is loaded exactly
     // once no matter how many faults and requests the run spans.
     let mut sys = MultiSystemBuilder::epxa4().build();
-    let adpcm = sys
-        .add_tenant(
-            "adpcm",
-            1,
-            Frequency::from_mhz(40),
-            Frequency::from_mhz(40),
-            &adpcm_bitstream(),
-            Box::new(adpcm_hw::AdpcmCoprocessor::new()),
-        )
+    let adpcm = AppKind::Adpcm
+        .admit(&mut sys, "adpcm")
         .expect("admit tenant");
     let mut expect = Vec::new();
     for salt in 0..3 {
@@ -379,22 +238,6 @@ proptest! {
     }
 }
 
-/// The software twin of the adpcm core as a registrable fallback.
-fn adpcm_fallback() -> FallbackFn {
-    FallbackFn::new("adpcm-sw", |io, params| {
-        let n = params[0] as usize;
-        let input = io.object(adpcm_hw::OBJ_INPUT).ok_or("input not mapped")?[..n].to_vec();
-        let (samples, cpu) = timing::adpcm_sw(&input);
-        let out = io
-            .object_mut(adpcm_hw::OBJ_OUTPUT)
-            .ok_or("output not mapped")?;
-        for (chunk, s) in out.chunks_exact_mut(2).zip(&samples) {
-            chunk.copy_from_slice(&(*s as u16).to_le_bytes());
-        }
-        Ok(cpu)
-    })
-}
-
 #[test]
 fn lost_transfer_is_resubmitted_without_degrading_the_tenant() {
     // The adpcm tenant's first DMA submission (its first demand page)
@@ -403,7 +246,7 @@ fn lost_transfer_is_resubmitted_without_degrading_the_tenant() {
     // completion instead of being aborted and degraded.
     let plan = FaultPlan::new(3).once(FaultSite::DmaTimeout, 1).target(1);
     let (mut sys, adpcm, idea) = mixed_system_with(SchedulerKind::RoundRobin, false, Some(plan));
-    sys.set_software_fallback(adpcm, Box::new(adpcm_fallback()));
+    sys.set_software_fallback(adpcm, adpcm_fallback());
     let (areq, aexp) = adpcm_request(2048, 0);
     let (ireq, iexp) = idea_request(2048, 0);
     sys.submit(adpcm, areq);
@@ -438,39 +281,29 @@ fn corrupted_transfers_during_cross_asid_steals_retry_clean() {
         .faults(plan)
         .build();
     let mut tenants = Vec::new();
-    for pair in 0..3u16 {
-        let adpcm = sys
-            .add_tenant(
-                ["adpcm0", "adpcm1", "adpcm2"][pair as usize],
+    for pair in 0..3 {
+        // Shrunken resources and payloads, so that six tenants fit.
+        let mut admit = |kind: AppKind, bitstream_name: &str, resources| {
+            let bitstream = Bitstream::builder(bitstream_name)
+                .device(DeviceKind::Epxa4)
+                .resources(resources)
+                .core_clock(kind.cp_freq())
+                .synthetic_payload(8 * 1024)
+                .build()
+                .to_bytes();
+            let name = format!("{}{pair}", kind.name());
+            sys.add_tenant(
+                &name,
                 1,
-                Frequency::from_mhz(40),
-                Frequency::from_mhz(40),
-                &Bitstream::builder("adpcmdecode")
-                    .device(DeviceKind::Epxa4)
-                    .resources(Resources::new(100, 614))
-                    .core_clock(timing::ADPCM_CORE_FREQ)
-                    .synthetic_payload(8 * 1024)
-                    .build()
-                    .to_bytes(),
-                Box::new(adpcm_hw::AdpcmCoprocessor::new()),
+                kind.cp_freq(),
+                kind.imu_freq(),
+                &bitstream,
+                kind.core(),
             )
-            .expect("admit adpcm tenant");
-        let idea = sys
-            .add_tenant(
-                ["idea0", "idea1", "idea2"][pair as usize],
-                1,
-                Frequency::from_mhz(6),
-                Frequency::from_mhz(24),
-                &Bitstream::builder("idea")
-                    .device(DeviceKind::Epxa4)
-                    .resources(Resources::new(360, 2_457))
-                    .core_clock(timing::IDEA_CORE_FREQ)
-                    .synthetic_payload(8 * 1024)
-                    .build()
-                    .to_bytes(),
-                Box::new(idea_hw::IdeaCoprocessor::new()),
-            )
-            .expect("admit idea tenant");
+            .expect("admit tenant")
+        };
+        let adpcm = admit(AppKind::Adpcm, "adpcmdecode", Resources::new(100, 614));
+        let idea = admit(AppKind::Idea, "idea", Resources::new(360, 2_457));
         tenants.push((adpcm, idea));
     }
     let mut expect = Vec::new();
@@ -531,7 +364,7 @@ proptest! {
         let (mut sys, adpcm, idea) =
             mixed_system_with(SchedulerKind::RoundRobin, false, Some(plan));
         prop_assert_eq!(adpcm, Asid(1), "plan targets the adpcm tenant");
-        sys.set_software_fallback(adpcm, Box::new(adpcm_fallback()));
+        sys.set_software_fallback(adpcm, adpcm_fallback());
 
         let mut expect_a = Vec::new();
         let mut expect_i = Vec::new();

@@ -3,8 +3,9 @@
 //! paper-vs-measured record).
 
 use vcop::Error;
+use vcop_bench::app::AppKind;
 use vcop_bench::experiments::{
-    adpcm_vim, fig7_waveform, idea_sw_baseline, idea_typical, idea_vim, ExperimentOptions,
+    adpcm_vim, fig7_waveform, idea_sw_baseline, idea_vim, typical, ExperimentOptions,
 };
 
 #[test]
@@ -73,10 +74,16 @@ fn fig9_speedups_and_memory_wall() {
 
     // The normal coprocessor runs at 4/8 KB and hits the memory wall at
     // 16/32 KB.
-    assert!(idea_typical(4).is_ok());
-    assert!(idea_typical(8).is_ok());
-    assert!(matches!(idea_typical(16), Err(Error::ExceedsMemory { .. })));
-    assert!(matches!(idea_typical(32), Err(Error::ExceedsMemory { .. })));
+    assert!(typical(AppKind::Idea, 4).is_ok());
+    assert!(typical(AppKind::Idea, 8).is_ok());
+    assert!(matches!(
+        typical(AppKind::Idea, 16),
+        Err(Error::ExceedsMemory { .. })
+    ));
+    assert!(matches!(
+        typical(AppKind::Idea, 32),
+        Err(Error::ExceedsMemory { .. })
+    ));
 }
 
 #[test]
@@ -95,9 +102,9 @@ fn normal_coprocessor_beats_vim_version() {
     // Fig. 9 annotations: ~18x for the normal coprocessor vs ~11x for
     // the VIM-based one; the gap is translation + management overhead.
     let sw = idea_sw_baseline(4);
-    let typical = idea_typical(4).expect("fits");
+    let direct = typical(AppKind::Idea, 4).expect("fits");
     let vim = idea_vim(4, &ExperimentOptions::default());
-    let s_typ = sw.as_ps() as f64 / typical.total().as_ps() as f64;
+    let s_typ = sw.as_ps() as f64 / direct.total().as_ps() as f64;
     let s_vim = vim.speedup();
     assert!(s_typ > s_vim, "normal {s_typ:.1}x !> VIM {s_vim:.1}x");
     assert!(
@@ -132,10 +139,10 @@ fn imu_management_is_a_small_fraction() {
 fn translation_overhead_band() {
     // Paper: "in the IDEA case around 20%" of hardware time. Measured as
     // the HW-time excess over the direct (manually managed) interface.
-    let typical = idea_typical(4).expect("fits");
+    let direct = typical(AppKind::Idea, 4).expect("fits");
     let vim = idea_vim(4, &ExperimentOptions::default());
     let frac =
-        (vim.report.hw.as_ps() as f64 - typical.hw.as_ps() as f64) / vim.report.hw.as_ps() as f64;
+        (vim.report.hw.as_ps() as f64 - direct.hw.as_ps() as f64) / vim.report.hw.as_ps() as f64;
     assert!(
         (0.10..=0.40).contains(&frac),
         "translation overhead {:.0}% outside the band",

@@ -1,14 +1,17 @@
-//! Software reference kernels against the versions they replaced.
+//! Set-up kernels against the versions they replaced.
 //!
-//! Three kernels are timed, each on the 32 KB input of its figure:
-//! the uninstrumented adpcm encoder (it generates every adpcm input),
-//! the counted adpcm decoder behind `timing::adpcm_sw` (the Fig. 8
-//! baseline) and the counted IDEA cipher behind `timing::idea_sw` (the
-//! Fig. 9 baseline). The old kernels — an add-and-clamp step index for
-//! adpcm, one block at a time with a branching multiply for IDEA — are
-//! reimplemented here, not kept in the crate, so the crate has exactly
-//! one implementation of each. Both sides charge identical operations;
-//! the crate's tests check that category by category.
+//! Four kernels are timed: the uninstrumented adpcm encoder (it
+//! generates every adpcm input), the counted adpcm decoder behind
+//! `timing::adpcm_sw` (the Fig. 8 baseline) and the counted IDEA cipher
+//! behind `timing::idea_sw` (the Fig. 9 baseline), each on the 32 KB
+//! input of its figure, and the synthetic bitstream payload every
+//! `FPGA_LOAD` of the figures and the serving workloads takes, at the
+//! 96 KB of the IDEA core. The old kernels — adpcm one code at a time
+//! with branches, IDEA one block at a time with a branching multiply, a
+//! serial xorshift64* payload — are reimplemented here, not kept in the
+//! crates, so each crate has exactly one implementation of each. Both
+//! sides of each reference kernel charge identical operations; the
+//! crate's tests check that category by category.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -18,12 +21,40 @@ use vcop_apps::adpcm::codec::{self as adpcm, AdpcmState, INDEX_TABLE, STEP_TABLE
 use vcop_apps::idea::cipher::{self as idea, IdeaKey, BLOCK_BYTES, ROUNDS, SUBKEYS};
 use vcop_apps::timing::{self, ADPCM_SW_SCALE_1024, ARM_FREQ, IDEA_SW_SCALE_1024};
 use vcop_apps::OpCounter;
+use vcop_fabric::bitstream::Bitstream;
 use vcop_sim::cpu::{ArmCpu, CycleCounter};
 use vcop_sim::time::SimTime;
 
 const BYTES: usize = 32 * 1024;
+const PAYLOAD_BYTES: usize = 96 * 1024;
 
-// ---- the old adpcm kernels: step index by add and clamp ----
+// ---- the old adpcm kernels: one code at a time, with branches ----
+
+/// The step index after `code` from `index`, by magnitude (`code & 7`).
+const NEXT_INDEX: [[u8; 8]; 89] = {
+    let mut table = [[0u8; 8]; 89];
+    let mut index = 0;
+    while index < 89 {
+        let mut magnitude = 0;
+        while magnitude < 8 {
+            let next = index as i32 + INDEX_TABLE[magnitude] as i32;
+            table[index][magnitude] = if next < 0 {
+                0
+            } else if next > 88 {
+                88
+            } else {
+                next as u8
+            };
+            magnitude += 1;
+        }
+        index += 1;
+    }
+    table
+};
+
+fn next_index(index: i32, code: u8) -> i32 {
+    i32::from(NEXT_INDEX[index as usize][usize::from(code & 7)])
+}
 
 fn old_encode(samples: &[i16]) -> Vec<u8> {
     // Uncounted: the `()` counter's charges compile to nothing, so the
@@ -53,7 +84,7 @@ fn old_encode(samples: &[i16]) -> Vec<u8> {
             state.predictor += vpdiff;
         }
         state.predictor = state.predictor.clamp(-32768, 32767);
-        state.index = (state.index + i32::from(INDEX_TABLE[code as usize])).clamp(0, 88);
+        state.index = next_index(state.index, code);
         code
     };
     samples
@@ -65,10 +96,10 @@ fn old_encode(samples: &[i16]) -> Vec<u8> {
         .collect()
 }
 
-// Out of line, as the old crate compiled it: `decode` called it once
-// per nibble. The new kernel is marked `#[inline]`.
-#[inline(never)]
+// Inlined into the per-byte loop, as the old crate compiled it.
+#[inline]
 fn old_decode_nibble<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C) -> i16 {
+    let code = code & 0x0F;
     let step = STEP_TABLE[state.index as usize];
     ops.load(2);
     let mut diff = step >> 3;
@@ -95,7 +126,7 @@ fn old_decode_nibble<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C
     ops.branch(1);
     state.predictor = state.predictor.clamp(-32768, 32767);
     ops.alu(2);
-    state.index = (state.index + i32::from(INDEX_TABLE[code as usize])).clamp(0, 88);
+    state.index = next_index(state.index, code);
     ops.alu(3);
     ops.store(1);
     state.predictor as i16
@@ -106,13 +137,13 @@ fn old_adpcm_sw(input: &[u8]) -> (Vec<i16>, SimTime) {
     let cpu = ArmCpu::new(ARM_FREQ);
     let mut cc = cpu.counter().with_scale_1024(ADPCM_SW_SCALE_1024);
     let mut state = AdpcmState::new();
-    let mut out = Vec::with_capacity(input.len() * 2);
+    let mut out = vec![0; input.len() * 2];
     OpCounter::call(&mut cc, 1);
-    for &byte in input {
+    for (&byte, pair) in input.iter().zip(out.chunks_exact_mut(2)) {
         OpCounter::load(&mut cc, 1);
         OpCounter::branch(&mut cc, 1);
-        out.push(old_decode_nibble(&mut state, byte & 0x0F, &mut cc));
-        out.push(old_decode_nibble(&mut state, byte >> 4, &mut cc));
+        pair[0] = old_decode_nibble(&mut state, byte & 0x0F, &mut cc);
+        pair[1] = old_decode_nibble(&mut state, byte >> 4, &mut cc);
     }
     (out, cpu.cycles_to_time(cc.cycles()))
 }
@@ -195,6 +226,24 @@ fn old_idea_sw(data: &[u8], key: IdeaKey) -> (Vec<u8>, SimTime) {
     (out, cpu.cycles_to_time(cc.cycles()))
 }
 
+// ---- the old synthetic payload: one xorshift64* step per byte ----
+
+fn old_synthetic_payload(len: usize) -> Vec<u8> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64 ^ len as u64;
+    (0..len)
+        .map(|_| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        })
+        .collect()
+}
+
+fn synthetic_payload(len: usize) -> Bitstream {
+    Bitstream::builder("payload").synthetic_payload(len).build()
+}
+
 // ---- inputs and timing ----
 
 struct Inputs {
@@ -212,6 +261,10 @@ fn inputs() -> Inputs {
     let plaintext = idea::synthetic_plaintext(BYTES);
     let key = IdeaKey([1, 2, 3, 4, 5, 6, 7, 8]);
     assert_eq!(old_encode(&pcm), coded);
+    assert_eq!(
+        synthetic_payload(PAYLOAD_BYTES).payload().len(),
+        PAYLOAD_BYTES
+    );
     assert_eq!(old_adpcm_sw(&coded), timing::adpcm_sw(&coded));
     assert_eq!(
         old_idea_sw(&plaintext, key),
@@ -230,16 +283,16 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(50);
     group.throughput(Throughput::Elements(x.pcm.len() as u64));
-    group.bench_function(BenchmarkId::new("encode", "fused_index"), |b| {
+    group.bench_function(BenchmarkId::new("encode", "branch_free"), |b| {
         b.iter(|| adpcm::encode(black_box(&x.pcm), &mut ()))
     });
-    group.bench_function(BenchmarkId::new("encode", "clamped_index"), |b| {
+    group.bench_function(BenchmarkId::new("encode", "branching"), |b| {
         b.iter(|| old_encode(black_box(&x.pcm)))
     });
-    group.bench_function(BenchmarkId::new("adpcm_sw", "fused_index"), |b| {
+    group.bench_function(BenchmarkId::new("adpcm_sw", "per_byte"), |b| {
         b.iter(|| timing::adpcm_sw(black_box(&x.coded)))
     });
-    group.bench_function(BenchmarkId::new("adpcm_sw", "clamped_index"), |b| {
+    group.bench_function(BenchmarkId::new("adpcm_sw", "per_nibble"), |b| {
         b.iter(|| old_adpcm_sw(black_box(&x.coded)))
     });
     group.throughput(Throughput::Elements((BYTES / BLOCK_BYTES) as u64));
@@ -248,6 +301,13 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("idea_sw", "per_block"), |b| {
         b.iter(|| old_idea_sw(black_box(&x.plaintext), x.key))
+    });
+    group.throughput(Throughput::Bytes(PAYLOAD_BYTES as u64));
+    group.bench_function(BenchmarkId::new("synthetic_payload", "counter"), |b| {
+        b.iter(|| synthetic_payload(black_box(PAYLOAD_BYTES)))
+    });
+    group.bench_function(BenchmarkId::new("synthetic_payload", "xorshift"), |b| {
+        b.iter(|| old_synthetic_payload(black_box(PAYLOAD_BYTES)))
     });
     group.finish();
 }
@@ -276,7 +336,8 @@ fn interleaved_ns<A, B>(
 
 /// Asserts no kernel got slower than the one it replaced. The margin
 /// absorbs timer noise on a shared machine; the expected gains are far
-/// larger (see EXPERIMENTS.md, "Host set-up: reference kernels").
+/// larger (see EXPERIMENTS.md, "Host set-up: reference kernels" and
+/// "Host set-up: payload and per-byte ADPCM").
 fn assert_kernels_not_slower(_c: &mut Criterion) {
     let x = inputs();
     let samples = x.pcm.len();
@@ -307,6 +368,15 @@ fn assert_kernels_not_slower(_c: &mut Criterion) {
                 blocks,
                 || timing::idea_sw(black_box(&x.plaintext), x.key),
                 || old_idea_sw(black_box(&x.plaintext), x.key),
+            ),
+        ),
+        (
+            "synthetic_payload",
+            "byte",
+            interleaved_ns(
+                PAYLOAD_BYTES,
+                || synthetic_payload(black_box(PAYLOAD_BYTES)),
+                || old_synthetic_payload(black_box(PAYLOAD_BYTES)),
             ),
         ),
     ];

@@ -7,17 +7,27 @@
 //! The encoder is implemented too, both to generate realistic inputs and
 //! to property-test the decoder against a round trip.
 //!
-//! ## The fused step-index table
+//! ## Tables and bulk charges
 //!
-//! Each sample ends by moving the step index by `INDEX_TABLE[code]` and
-//! clamping it to `0..=88`. That add-and-clamp sits on the
-//! sample-to-sample dependency chain, so both kernels instead read the
-//! next index from `NEXT_INDEX`, built at compile time from the same
-//! two rules. `INDEX_TABLE` ignores the sign bit, so the table is indexed
-//! by the code's magnitude (`code & 7`). The kernels still charge the
-//! add, compare and clamp of the reference C (`ops.alu(3)` in the
-//! decoder, inside `ops.alu(5)` in the encoder): the charges model the
-//! ARM baseline, not the host code.
+//! The kernels model the reference C's operations, not run them. Each
+//! sample ends by moving the step index by `INDEX_TABLE[code]` and
+//! clamping it to `0..=88`, and the decoder's difference is a shift-add
+//! of the step selected by the code's magnitude bits. Both sit on the
+//! sample-to-sample dependency chain, so the kernels read them from
+//! tables built at compile time from the same rules, indexed by the
+//! code's magnitude (`code & 7`; the sign bit changes neither):
+//! `NEXT_INDEX[index][code & 7]` and `DIFF[index][code & 7]`.
+//! [`decode`] goes one byte at a time, taking the index after both codes
+//! from `NEXT2[index][byte]`, so its step-index chain has one table load
+//! per byte instead of two per sample; [`encode`] reads the next step
+//! from `NEXT_STEP` beside the next index instead of after it. Both
+//! apply the sign by a mask rather than a branch.
+//!
+//! What the reference charges per code depends only on the code, so the
+//! buffer kernels count codes as they go and charge each category once
+//! per buffer; the totals are exactly what [`decode_nibble`] and
+//! [`encode_sample`] charge code by code (the `OpTally` tests below).
+//! The charges model the ARM baseline, not the host code.
 
 use crate::counter::OpCounter;
 
@@ -49,6 +59,10 @@ impl AdpcmState {
     }
 }
 
+fn clamp_sample(s: i32) -> i32 {
+    s.clamp(-32768, 32767)
+}
+
 /// `NEXT_INDEX[index][code & 7]` is `index + INDEX_TABLE[code]` clamped
 /// to `0..=88`, the step index after decoding or encoding `code`.
 const NEXT_INDEX: [[u8; 8]; 89] = {
@@ -72,13 +86,83 @@ const NEXT_INDEX: [[u8; 8]; 89] = {
     table
 };
 
-/// The step index that follows `index` after `code`.
-fn next_index(index: i32, code: u8) -> i32 {
-    i32::from(NEXT_INDEX[index as usize][usize::from(code & 7)])
+/// `DIFF[index][code & 7]` is the magnitude `code` moves the predictor
+/// by at step index `index`: the reference's shift-add
+/// `step/8 + step/4·b0 + step/2·b1 + step·b2`.
+const DIFF: [[i32; 8]; 89] = {
+    let mut table = [[0; 8]; 89];
+    let mut index = 0;
+    while index < 89 {
+        let step = STEP_TABLE[index];
+        let mut magnitude = 0;
+        while magnitude < 8 {
+            let mut diff = step >> 3;
+            if magnitude & 1 != 0 {
+                diff += step >> 2;
+            }
+            if magnitude & 2 != 0 {
+                diff += step >> 1;
+            }
+            if magnitude & 4 != 0 {
+                diff += step;
+            }
+            table[index][magnitude] = diff;
+            magnitude += 1;
+        }
+        index += 1;
+    }
+    table
+};
+
+/// `NEXT2[index][byte]` is the step index after decoding both codes of
+/// `byte` from step index `index`.
+static NEXT2: [[u8; 256]; 89] = {
+    let mut table = [[0u8; 256]; 89];
+    let mut index = 0;
+    while index < 89 {
+        let mut byte = 0;
+        while byte < 256 {
+            let mid = NEXT_INDEX[index][byte & 7] as usize;
+            table[index][byte] = NEXT_INDEX[mid][(byte >> 4) & 7];
+            byte += 1;
+        }
+        index += 1;
+    }
+    table
+};
+
+/// ALU operations the reference decoder charges for one code: the
+/// first shift (1), the shift-adds its magnitude bits select (2, 2 and
+/// 1), the add or subtract (1), the clamp (2) and the index update (3).
+const fn decode_alu(code: u8) -> u8 {
+    7 + 2 * (code & 1) + (code & 2) + ((code >> 2) & 1)
 }
 
-fn clamp_sample(s: i32) -> i32 {
-    s.clamp(-32768, 32767)
+/// `DECODE_ALU[byte]` is [`decode_alu`] of both codes of `byte`.
+const DECODE_ALU: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = decode_alu(byte as u8 & 0x0F) + decode_alu(byte as u8 >> 4);
+        byte += 1;
+    }
+    table
+};
+
+/// ALU operations the reference encoder charges for one code: the
+/// difference (1), its negation when negative (1), the first shift (1),
+/// one shift per tested bit (3) and three more per bit set, the add or
+/// subtract (1), and the clamp and index update (5).
+const fn encode_alu(code: u8) -> u64 {
+    11 + (code >> 3) as u64 + 3 * (code & 7).count_ones() as u64
+}
+
+/// `predictor` moved by `diff`, down if `code`'s sign bit is set (by a
+/// mask, not a branch), and clamped to 16 bits.
+#[inline]
+fn step_predictor(predictor: i32, diff: i32, code: u8) -> i32 {
+    let sign = -i32::from((code >> 3) & 1);
+    clamp_sample(predictor + ((diff ^ sign) - sign))
 }
 
 /// Decodes one 4-bit `code`, updating `state` and charging `ops`.
@@ -89,81 +173,96 @@ fn clamp_sample(s: i32) -> i32 {
 /// This is the exact IMA reference computation; the hardware FSM in
 /// [`crate::adpcm::hw`] calls the same function so software and
 /// coprocessor outputs are bit-identical.
-// Without the hint, `decode` calls it once per nibble, out of line.
 #[inline]
 pub fn decode_nibble<C: OpCounter>(state: &mut AdpcmState, code: u8, ops: &mut C) -> i16 {
     let code = code & 0x0F;
-    let step = STEP_TABLE[state.index as usize];
     ops.load(2); // step table + index table
-                 // diff = step/8 + step/4·b0 + step/2·b1 + step·b2 (shift-add form).
-    let mut diff = step >> 3;
-    ops.alu(1);
-    if code & 1 != 0 {
-        diff += step >> 2;
-        ops.alu(2);
-    }
-    if code & 2 != 0 {
-        diff += step >> 1;
-        ops.alu(2);
-    }
-    if code & 4 != 0 {
-        diff += step;
-        ops.alu(1);
-    }
-    ops.branch(3);
-    if code & 8 != 0 {
-        state.predictor -= diff;
-    } else {
-        state.predictor += diff;
-    }
-    ops.alu(1);
-    ops.branch(1);
-    state.predictor = clamp_sample(state.predictor);
-    ops.alu(2);
-    state.index = next_index(state.index, code);
-    ops.alu(3);
+    ops.alu(u64::from(decode_alu(code)));
+    ops.branch(4); // three magnitude bits + sign
     ops.store(1); // output sample
+    let (index, magnitude) = (state.index as usize, usize::from(code & 7));
+    state.predictor = step_predictor(state.predictor, DIFF[index][magnitude], code);
+    state.index = i32::from(NEXT_INDEX[index][magnitude]);
     state.predictor as i16
 }
 
-/// Encodes one 16-bit `sample`, updating `state` and charging `ops`.
-pub fn encode_sample<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mut C) -> u8 {
-    let step = STEP_TABLE[state.index as usize];
-    ops.load(2);
+/// Decodes both codes of `byte`, low nibble first, uncharged: what two
+/// [`decode_nibble`] calls compute, with one table load per byte on the
+/// step-index chain.
+#[inline]
+fn decode_byte(state: &mut AdpcmState, byte: u8) -> [i16; 2] {
+    let index = state.index as usize;
+    let (lo, hi) = (byte & 0x0F, byte >> 4);
+    let mid = usize::from(NEXT_INDEX[index][usize::from(lo & 7)]);
+    let first = step_predictor(state.predictor, DIFF[index][usize::from(lo & 7)], lo);
+    state.predictor = step_predictor(first, DIFF[mid][usize::from(hi & 7)], hi);
+    state.index = i32::from(NEXT2[index][usize::from(byte)]);
+    [first as i16, state.predictor as i16]
+}
+
+/// Charges what [`decode`] charges per input byte for `bytes` bytes
+/// whose [`DECODE_ALU`] entries sum to `alu`: the byte's load and loop
+/// branch, then two codes as [`decode_nibble`] charges them.
+fn charge_decoded_bytes<C: OpCounter>(bytes: u64, alu: u64, ops: &mut C) {
+    ops.load(5 * bytes);
+    ops.branch(9 * bytes);
+    ops.store(2 * bytes);
+    ops.alu(alu);
+}
+
+/// `NEXT_STEP[index][code & 7]` is `STEP_TABLE[NEXT_INDEX[index][code & 7]]`,
+/// the step after encoding `code`, read beside the next index instead of
+/// after it.
+const NEXT_STEP: [[i32; 8]; 89] = {
+    let mut table = [[0; 8]; 89];
+    let mut index = 0;
+    while index < 89 {
+        let mut magnitude = 0;
+        while magnitude < 8 {
+            table[index][magnitude] = STEP_TABLE[NEXT_INDEX[index][magnitude] as usize];
+            magnitude += 1;
+        }
+        index += 1;
+    }
+    table
+};
+
+/// Encodes one 16-bit `sample` at `step` (`STEP_TABLE[state.index]`),
+/// updating `state`, uncharged. Returns the code and the next step,
+/// which [`encode`] carries to the next sample so that its step-index
+/// chain has one table load per sample.
+#[inline]
+fn encode_code(state: &mut AdpcmState, step: i32, sample: i16) -> (u8, i32) {
+    let index = state.index as usize;
     let mut diff = i32::from(sample) - state.predictor;
-    ops.alu(1);
-    let mut code: u8 = 0;
+    let mut code = 0;
     if diff < 0 {
         code = 8;
         diff = -diff;
-        ops.alu(1);
     }
-    ops.branch(1);
     // Successive approximation against step, step/2, step/4.
     let mut tempstep = step;
     let mut vpdiff = step >> 3;
-    ops.alu(1);
     for bit in [4u8, 2, 1] {
         if diff >= tempstep {
             code |= bit;
             diff -= tempstep;
             vpdiff += tempstep;
-            ops.alu(3);
         }
         tempstep >>= 1;
-        ops.alu(1);
-        ops.branch(1);
     }
-    if code & 8 != 0 {
-        state.predictor -= vpdiff;
-    } else {
-        state.predictor += vpdiff;
-    }
-    ops.alu(1);
-    ops.branch(1);
-    state.predictor = clamp_sample(state.predictor);
-    state.index = next_index(state.index, code);
-    ops.alu(5);
+    let magnitude = usize::from(code & 7);
+    state.predictor = step_predictor(state.predictor, vpdiff, code);
+    state.index = i32::from(NEXT_INDEX[index][magnitude]);
+    (code, NEXT_STEP[index][magnitude])
+}
+
+/// Encodes one 16-bit `sample`, updating `state` and charging `ops`.
+pub fn encode_sample<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mut C) -> u8 {
+    let (code, _) = encode_code(state, STEP_TABLE[state.index as usize], sample);
+    ops.load(2); // step table + index table
+    ops.alu(encode_alu(code));
+    ops.branch(5); // sign, three approximation steps, sign
     ops.store(1);
     code
 }
@@ -174,13 +273,13 @@ pub fn encode_sample<C: OpCounter>(state: &mut AdpcmState, sample: i16, ops: &mu
 pub fn decode<C: OpCounter>(input: &[u8], ops: &mut C) -> Vec<i16> {
     let mut state = AdpcmState::new();
     let mut out = vec![0; input.len() * 2];
-    ops.call(1);
+    let mut alu = 0;
     for (&byte, pair) in input.iter().zip(out.chunks_exact_mut(2)) {
-        ops.load(1);
-        ops.branch(1);
-        pair[0] = decode_nibble(&mut state, byte & 0x0F, ops);
-        pair[1] = decode_nibble(&mut state, byte >> 4, ops);
+        pair.copy_from_slice(&decode_byte(&mut state, byte));
+        alu += u64::from(DECODE_ALU[usize::from(byte)]);
     }
+    ops.call(1);
+    charge_decoded_bytes(input.len() as u64, alu, ops);
     out
 }
 
@@ -188,21 +287,26 @@ pub fn decode<C: OpCounter>(input: &[u8], ops: &mut C) -> Vec<i16> {
 /// zero code if the sample count is odd).
 pub fn encode<C: OpCounter>(samples: &[i16], ops: &mut C) -> Vec<u8> {
     let mut state = AdpcmState::new();
-    let mut out = Vec::with_capacity(samples.len().div_ceil(2));
+    let mut step = STEP_TABLE[0];
+    let mut alu = 0;
+    let mut code = |sample| {
+        let (code, next) = encode_code(&mut state, step, sample);
+        step = next;
+        alu += encode_alu(code);
+        code
+    };
+    let out: Vec<u8> = samples
+        .chunks(2)
+        .map(|pair| code(pair[0]) | pair.get(1).map_or(0, |&s| code(s) << 4))
+        .collect();
+    // Per sample as `encode_sample` charges; per full pair, the packing
+    // (2 ALU), its store and the loop branch.
+    let (n, pairs) = (samples.len() as u64, samples.len() as u64 / 2);
     ops.call(1);
-    let mut chunks = samples.chunks_exact(2);
-    for pair in &mut chunks {
-        let lo = encode_sample(&mut state, pair[0], ops);
-        let hi = encode_sample(&mut state, pair[1], ops);
-        out.push(lo | (hi << 4));
-        ops.alu(2);
-        ops.store(1);
-        ops.branch(1);
-    }
-    if let [last] = chunks.remainder() {
-        let lo = encode_sample(&mut state, *last, ops);
-        out.push(lo);
-    }
+    ops.load(2 * n);
+    ops.alu(alu + 2 * pairs);
+    ops.branch(5 * n + pairs);
+    ops.store(n + pairs);
     out
 }
 
@@ -348,6 +452,30 @@ mod tests {
                     (out, fused, ops),
                     (expect, clamped, ref_ops),
                     "{start:?} code {code}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_byte_matches_two_nibbles_everywhere() {
+        for start in states() {
+            for byte in 0..=255u8 {
+                let (mut fused, mut nibbles) = (start, start);
+                let (mut ops, mut ref_ops) = (OpTally::default(), OpTally::default());
+                let out = decode_byte(&mut fused, byte);
+                charge_decoded_bytes(1, u64::from(DECODE_ALU[usize::from(byte)]), &mut ops);
+                // `decode`'s per-byte load and loop branch, then two codes.
+                ref_ops.load(1);
+                ref_ops.branch(1);
+                let expect = [
+                    decode_nibble(&mut nibbles, byte & 0x0F, &mut ref_ops),
+                    decode_nibble(&mut nibbles, byte >> 4, &mut ref_ops),
+                ];
+                assert_eq!(
+                    (out, fused, ops),
+                    (expect, nibbles, ref_ops),
+                    "{start:?} byte {byte:#04x}"
                 );
             }
         }

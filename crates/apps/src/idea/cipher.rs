@@ -16,10 +16,13 @@
 //! The rounds are written once, over `N` blocks held side by side in
 //! structure-of-arrays form: word `w` of block `l` is `x[w][l]`. Every
 //! operation of a round then runs across the lanes in a loop with no
-//! dependency between iterations, which the compiler turns into vector
-//! code; the multiply mod 2¹⁶ + 1 is a branch-free select for the same
-//! reason. [`crypt_buffer`] encrypts 16 blocks at a time and the
-//! remaining blocks one at a time; [`crypt_block`] is the one-lane case.
+//! dependency between iterations, so the lanes' dependency chains
+//! overlap in the CPU's pipeline; the multiply mod 2¹⁶ + 1 is a
+//! branch-free select, so no lane waits on a mispredicted branch. The
+//! compiler keeps the lanes scalar (the release build multiplies with
+//! scalar `imul`, not packed multiplies). [`crypt_buffer`] encrypts 16
+//! blocks at a time and the remaining blocks one at a time;
+//! [`crypt_block`] is the one-lane case.
 //!
 //! An IDEA round performs the same operations whatever the data, so the
 //! op tally of a round is a constant. Each group of operations is

@@ -140,6 +140,26 @@ impl AppKind {
     ///
     /// Panics if an IDEA input is not whole 8-byte blocks.
     pub fn job(self, input: Vec<u8>) -> Job {
+        let (expect, sw) = match self {
+            AppKind::Adpcm => {
+                let (samples, sw) = timing::adpcm_sw(&input);
+                (adpcm_codec::samples_to_bytes(&samples), sw)
+            }
+            AppKind::Idea => {
+                let (ct, sw) = timing::idea_sw(&input, IDEA_KEY);
+                (idea_cipher::pack_words(&ct), sw)
+            }
+        };
+        Job {
+            request: self.request(input),
+            expect,
+            sw,
+        }
+    }
+
+    /// The request of [`AppKind::job`] alone: the input and output
+    /// objects, in mapping order, and the scalar parameters.
+    pub(crate) fn request(self, input: Vec<u8>) -> Request {
         let sequential = MapHints {
             sequential: true,
             ..Default::default()
@@ -151,48 +171,39 @@ impl AppKind {
             direction,
             hints: sequential,
         };
+        let n = input.len();
         match self {
-            AppKind::Adpcm => {
-                let (samples, sw) = timing::adpcm_sw(&input);
-                let n = input.len();
-                Job {
-                    request: Request {
-                        objects: vec![
-                            object(adpcm_hw::OBJ_INPUT, input, ElemSize::U8, Direction::In),
-                            object(
-                                adpcm_hw::OBJ_OUTPUT,
-                                vec![0; n * 4],
-                                ElemSize::U16,
-                                Direction::Out,
-                            ),
-                        ],
-                        params: vec![n as u32],
-                    },
-                    expect: adpcm_codec::samples_to_bytes(&samples),
-                    sw,
-                }
-            }
+            AppKind::Adpcm => Request {
+                objects: vec![
+                    object(adpcm_hw::OBJ_INPUT, input, ElemSize::U8, Direction::In),
+                    object(
+                        adpcm_hw::OBJ_OUTPUT,
+                        vec![0; n * 4],
+                        ElemSize::U16,
+                        Direction::Out,
+                    ),
+                ],
+                params: vec![n as u32],
+            },
             AppKind::Idea => {
-                let (ct, sw) = timing::idea_sw(&input, IDEA_KEY);
-                let n = input.len();
                 let mut params = vec![(n / idea_cipher::BLOCK_BYTES) as u32];
                 params.extend(idea_cipher::expand_key(IDEA_KEY).map(u32::from));
-                let data = idea_cipher::pack_words(&input);
-                Job {
-                    request: Request {
-                        objects: vec![
-                            object(idea_hw::OBJ_INPUT, data, ElemSize::U16, Direction::In),
-                            object(
-                                idea_hw::OBJ_OUTPUT,
-                                vec![0; n],
-                                ElemSize::U16,
-                                Direction::Out,
-                            ),
-                        ],
-                        params,
-                    },
-                    expect: idea_cipher::pack_words(&ct),
-                    sw,
+                Request {
+                    objects: vec![
+                        object(
+                            idea_hw::OBJ_INPUT,
+                            idea_cipher::pack_words(&input),
+                            ElemSize::U16,
+                            Direction::In,
+                        ),
+                        object(
+                            idea_hw::OBJ_OUTPUT,
+                            vec![0; n],
+                            ElemSize::U16,
+                            Direction::Out,
+                        ),
+                    ],
+                    params,
                 }
             }
         }

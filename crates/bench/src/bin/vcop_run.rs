@@ -17,7 +17,8 @@ use std::env;
 use std::process::ExitCode;
 
 use vcop::{PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::experiments::{adpcm_vim, idea_vim, matmul_vim, ExperimentOptions};
+use vcop_bench::app::AppKind;
+use vcop_bench::experiments::{matmul_vim, ExperimentOptions, Harness};
 use vcop_bench::table::ms;
 use vcop_fabric::DeviceProfile;
 
@@ -91,7 +92,10 @@ fn parse_args() -> Result<Cli, String> {
             "--pipeline-depth" => {
                 cli.opts.pipeline_depth = value()?
                     .parse()
-                    .map_err(|e| format!("--pipeline-depth: {e}"))?
+                    .map_err(|e| format!("--pipeline-depth: {e}"))?;
+                if cli.opts.pipeline_depth == 0 {
+                    return Err("--pipeline-depth must be at least 1".to_owned());
+                }
             }
             "--skip-out-loads" => cli.opts.skip_out_page_load = true,
             other => return Err(format!("unknown flag '{other}'")),
@@ -121,13 +125,22 @@ fn main() -> ExitCode {
     );
 
     let (sw, report) = match cli.workload.as_str() {
-        "adpcm" => {
-            let run = adpcm_vim(cli.size_kb, &cli.opts);
-            (run.sw, run.report)
-        }
-        "idea" => {
-            let run = idea_vim(cli.size_kb, &cli.opts);
-            (run.sw, run.report)
+        "adpcm" | "idea" => {
+            let kind = if cli.workload == "adpcm" {
+                AppKind::Adpcm
+            } else {
+                AppKind::Idea
+            };
+            match Harness::try_new(kind, cli.size_kb, &cli.opts) {
+                Ok(mut harness) => {
+                    let run = harness.run();
+                    (run.sw, run.report)
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
         "matmul" => {
             let n = if cli.n == 0 { 64 } else { cli.n };

@@ -138,10 +138,39 @@ impl Harness {
     ///
     /// Panics if the system rejects the canonical setup (a model bug).
     pub fn new(kind: AppKind, input_kb: usize, opts: &ExperimentOptions) -> Self {
-        let job = kind.synthetic_job(input_kb * 1024);
+        Harness::try_new(kind, input_kb, opts).expect("the canonical setup")
+    }
+
+    /// [`Harness::new`], returning what the system rejects instead of
+    /// panicking.
+    ///
+    /// `FPGA_MAP_OBJECT` checks only the objects' sizes, so the request
+    /// is first mapped (and unmapped) with zero-filled objects of those
+    /// sizes: a request too large for user SDRAM fails before its input
+    /// and software reference are generated.
+    ///
+    /// # Errors
+    ///
+    /// What `FPGA_LOAD` or `FPGA_MAP_OBJECT` rejects, such as an input
+    /// that does not fit user SDRAM.
+    pub fn try_new(
+        kind: AppKind,
+        input_kb: usize,
+        opts: &ExperimentOptions,
+    ) -> Result<Self, Error> {
         let mut system = opts.build_system(kind.cp_freq(), kind.imu_freq());
-        kind.load(&mut system).expect("load the canonical core");
-        Harness { system, job }
+        kind.load(&mut system)?;
+        let probe = kind.request(vec![0; input_kb * 1024]).objects;
+        let ids: Vec<_> = probe.iter().map(|o| o.id).collect();
+        let mapped = probe
+            .into_iter()
+            .try_for_each(|o| system.fpga_map_object(o.id, o.data, o.elem, o.direction, o.hints));
+        for id in ids {
+            system.take_object(id);
+        }
+        mapped?;
+        let job = kind.synthetic_job(input_kb * 1024);
+        Ok(Harness { system, job })
     }
 
     /// Re-tunes the paging knobs for the next [`Harness::run`].

@@ -325,6 +325,16 @@ impl Bitstream {
     }
 }
 
+/// Word `i` of the synthetic payload of `len` bytes (see
+/// [`BitstreamBuilder::synthetic_payload`]).
+fn synthetic_word(len: usize, i: usize) -> u64 {
+    let seed = 0x2545_F491_4F6C_DD1D ^ len as u64;
+    let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Builder for [`Bitstream`].
 #[derive(Debug, Clone)]
 pub struct BitstreamBuilder {
@@ -362,17 +372,22 @@ impl BitstreamBuilder {
 
     /// Generates a deterministic pseudo-random payload of `len` bytes,
     /// convenient for sizing the load-time model in benchmarks.
+    ///
+    /// Byte `k` is byte `k % 8` (little-endian) of word `k / 8`, and
+    /// word `i` is the SplitMix64 finaliser of the `i + 1`-th step of a
+    /// Weyl sequence seeded by `len`. No word depends on another, so the
+    /// payload is generated at the speed of memory, not of a serial
+    /// generator chain.
     pub fn synthetic_payload(mut self, len: usize) -> Self {
-        let mut state = 0x2545_F491_4F6C_DD1Du64 ^ len as u64;
-        self.payload = (0..len)
-            .map(|_| {
-                // xorshift64*
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
-            })
-            .collect();
+        let mut payload = vec![0; len];
+        let mut words = payload.chunks_exact_mut(8);
+        for (i, word) in (&mut words).enumerate() {
+            word.copy_from_slice(&synthetic_word(len, i).to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        let n = tail.len();
+        tail.copy_from_slice(&synthetic_word(len, len / 8).to_le_bytes()[..n]);
+        self.payload = payload;
         self
     }
 
@@ -514,10 +529,23 @@ mod tests {
 
     #[test]
     fn synthetic_payload_deterministic() {
-        let a = Bitstream::builder("x").synthetic_payload(64).build();
-        let b = Bitstream::builder("x").synthetic_payload(64).build();
-        assert_eq!(a.payload(), b.payload());
-        assert_eq!(a.payload().len(), 64);
+        // Every length up to two words and a tail, and one long payload:
+        // byte `k` is byte `k % 8` of word `k / 8`, a partial last word
+        // included.
+        for len in (0..=17).chain([64]) {
+            let a = Bitstream::builder("x").synthetic_payload(len).build();
+            let b = Bitstream::builder("x").synthetic_payload(len).build();
+            assert_eq!(a.payload(), b.payload(), "len {len}");
+            assert_eq!(a.payload().len(), len);
+            for (k, &byte) in a.payload().iter().enumerate() {
+                let word = synthetic_word(len, k / 8).to_le_bytes();
+                assert_eq!(byte, word[k % 8], "len {len} byte {k}");
+            }
+        }
+        // The seed depends on the length.
+        let short = Bitstream::builder("x").synthetic_payload(16).build();
+        let long = Bitstream::builder("x").synthetic_payload(17).build();
+        assert_ne!(short.payload(), &long.payload()[..16]);
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub enum Error {
         budget: u64,
     },
     /// A baseline run could not fit its data in the interface memory
-    /// (the "exceeds available memory" condition of Fig. 9).
+    /// (the "exceeds available memory" condition of Fig. 9), or a
+    /// partitioned multi-tenant system has too few frames to give every
+    /// tenant the 2 it needs.
     ExceedsMemory {
         /// Bytes the workload needs resident.
         required: usize,

@@ -500,13 +500,15 @@ impl MultiSystem {
     /// # Errors
     ///
     /// Propagates [`vcop_fabric::loader::LoadError`] for a bad or
-    /// incompatible bitstream.
+    /// incompatible bitstream. With partitioning, returns
+    /// [`Error::ExceedsMemory`] when admitting the tenant would leave a
+    /// tenant fewer than 2 frames; the system is then unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `imu_freq` is not an integer multiple of `cp_freq`
     /// (same contract as the single-tenant builder), or if more than
-    /// `u16::MAX - 1` tenants are admitted.
+    /// `u16::MAX` tenants are admitted.
     pub fn add_tenant(
         &mut self,
         name: &str,
@@ -516,6 +518,14 @@ impl MultiSystem {
         bitstream_bytes: &[u8],
         core: Box<dyn Coprocessor>,
     ) -> Result<Asid, Error> {
+        let n = self.tenants.len() + 1;
+        if self.partition && self.frames / n < 2 {
+            let page = self.device.page_bytes;
+            return Err(Error::ExceedsMemory {
+                required: 2 * n * page,
+                available: self.frames * page,
+            });
+        }
         let sync_edges = cdc_sync_edges(cp_freq, imu_freq);
         let mut ctl = ConfigController::new(self.device);
         let (loaded, passes) = self.engine.load(&mut ctl, bitstream_bytes)?;
@@ -524,7 +534,7 @@ impl MultiSystem {
         let load_time = loaded.load_time * u64::from(passes);
         self.config_time += load_time;
         self.cpu_free_at += load_time;
-        let asid = Asid(u16::try_from(self.tenants.len() + 1).expect("tenant count fits u16"));
+        let asid = Asid(u16::try_from(n).expect("tenant count fits u16"));
         self.scheduler.admit(asid, weight);
         self.tenants.push(Tenant {
             name: name.to_owned(),
@@ -544,12 +554,7 @@ impl MultiSystem {
         });
         if self.partition {
             let frames = self.frames;
-            let n = self.tenants.len();
             let chunk = frames / n;
-            assert!(
-                chunk >= 2,
-                "partitioning needs at least 2 frames per tenant"
-            );
             let ranges: Vec<(Asid, core::ops::Range<usize>)> = self
                 .tenants
                 .iter()

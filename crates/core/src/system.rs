@@ -320,12 +320,8 @@ impl System {
     /// paging configurations without paying `FPGA_LOAD` again. The next
     /// execution behaves exactly as on a freshly built system: the
     /// replacement policy restarts from scratch and the DMA engine is
-    /// rebuilt for the requested channel count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if DMA transfers are still in flight (never the case
-    /// between `fpga_execute` calls).
+    /// rebuilt for the requested channel count. Transfers a failed
+    /// `fpga_execute` left in flight are cancelled.
     pub fn reconfigure_paging(
         &mut self,
         policy: PolicyKind,
@@ -333,9 +329,10 @@ impl System {
         overlap: bool,
         dma_channels: usize,
     ) {
-        self.engine
+        let engine = &mut self.engine;
+        engine
             .vim
-            .reconfigure_paging(policy, prefetch, overlap, dma_channels);
+            .reconfigure_paging(&mut engine.imu, policy, prefetch, overlap, dma_channels);
     }
 
     /// `FPGA_EXECUTE`: passes the scalar `params`, launches the

@@ -139,11 +139,6 @@ impl ConfigController {
         self.current.as_ref()
     }
 
-    /// Whether the fabric is configured and owned.
-    pub fn is_configured(&self) -> bool {
-        self.current.is_some()
-    }
-
     /// Validates `bytes`, checks device/resource compatibility and
     /// exclusivity, then programs the fabric.
     ///
@@ -231,10 +226,10 @@ mod tests {
         let loaded = ctl.load(&bs("idea").to_bytes()).unwrap();
         assert_eq!(loaded.name, "idea");
         assert!(loaded.load_time > SimTime::ZERO);
-        assert!(ctl.is_configured());
+        assert!(ctl.current().is_some());
         assert_eq!(ctl.current().unwrap().name(), "idea");
         ctl.release();
-        assert!(!ctl.is_configured());
+        assert!(ctl.current().is_none());
     }
 
     #[test]
@@ -255,7 +250,7 @@ mod tests {
             ctl.load(&bs.to_bytes()),
             Err(LoadError::WrongDevice { .. })
         ));
-        assert!(!ctl.is_configured());
+        assert!(ctl.current().is_none());
     }
 
     #[test]
@@ -311,7 +306,7 @@ mod tests {
             .load_with_faults(&bs("idea").to_bytes(), &mut inj, 3)
             .unwrap_err();
         assert_eq!(err, LoadError::ConfigurationFault { attempts: 3 });
-        assert!(!ctl.is_configured());
+        assert!(ctl.current().is_none());
 
         // A disabled injector is invisible: one attempt, normal load.
         let mut ctl = ConfigController::new(DeviceProfile::epxa1());

@@ -38,38 +38,6 @@ impl Resources {
     pub fn fits_in(&self, capacity: &Resources) -> bool {
         self.logic_elements <= capacity.logic_elements && self.memory_bits <= capacity.memory_bits
     }
-
-    /// Component-wise saturating remainder `capacity - self`.
-    pub fn headroom_in(&self, capacity: &Resources) -> Resources {
-        Resources {
-            logic_elements: capacity.logic_elements.saturating_sub(self.logic_elements),
-            memory_bits: capacity.memory_bits.saturating_sub(self.memory_bits),
-        }
-    }
-
-    /// Utilisation of the dominant resource class as a fraction of
-    /// `capacity` (0.0–1.0+; >1.0 means it does not fit).
-    pub fn utilisation_in(&self, capacity: &Resources) -> f64 {
-        let le = if capacity.logic_elements == 0 {
-            if self.logic_elements == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            f64::from(self.logic_elements) / f64::from(capacity.logic_elements)
-        };
-        let mb = if capacity.memory_bits == 0 {
-            if self.memory_bits == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            f64::from(self.memory_bits) / f64::from(capacity.memory_bits)
-        };
-        le.max(mb)
-    }
 }
 
 impl Add for Resources {
@@ -109,30 +77,6 @@ mod tests {
         assert!(!Resources::new(101, 0).fits_in(&cap));
         assert!(!Resources::new(0, 1001).fits_in(&cap));
         assert!(Resources::ZERO.fits_in(&cap));
-    }
-
-    #[test]
-    fn headroom_saturates() {
-        let cap = Resources::new(100, 1000);
-        let used = Resources::new(150, 400);
-        let hr = used.headroom_in(&cap);
-        assert_eq!(hr, Resources::new(0, 600));
-    }
-
-    #[test]
-    fn utilisation_is_dominant_axis() {
-        let cap = Resources::new(100, 1000);
-        assert!((Resources::new(50, 100).utilisation_in(&cap) - 0.5).abs() < 1e-12);
-        assert!((Resources::new(10, 900).utilisation_in(&cap) - 0.9).abs() < 1e-12);
-        assert!(Resources::new(200, 0).utilisation_in(&cap) > 1.0);
-    }
-
-    #[test]
-    fn utilisation_zero_capacity() {
-        assert_eq!(Resources::ZERO.utilisation_in(&Resources::ZERO), 0.0);
-        assert!(Resources::new(1, 0)
-            .utilisation_in(&Resources::ZERO)
-            .is_infinite());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!    default [`ImuConfig`] reproduces exactly,
 //! 3. performs the dual-port RAM access on the final cycle and completes
 //!    the port transaction (raising `CP_TLBHIT`), and
-//! 4. on a CAM miss, stalls the coprocessor, latches the faulting access
-//!    in `AR`, sets `SR.fault` and raises the interrupt so the VIM can
-//!    repair the mapping and [`Imu::resume`] the translation.
+//! 4. on a CAM miss, stalls the coprocessor, records the faulting access
+//!    as a [`FaultCause`], sets `SR.fault` and raises the interrupt so
+//!    the VIM can repair the mapping and [`Imu::resume`] the translation.
 
 use vcop_fabric::port::{AccessKind, AccessRequest, CoprocessorPort, ObjectId, PortLink};
 use vcop_sim::mem::{DualPortRam, PageIndex, Port};
@@ -21,7 +21,7 @@ use vcop_sim::sched::Wake;
 use vcop_sim::time::SimTime;
 use vcop_sim::trace::{SignalId, SignalValue, TraceSink};
 
-use crate::registers::{AddressRegister, ControlRegister, StatusRegister};
+use crate::registers::{ControlRegister, StatusRegister};
 use crate::tlb::{Asid, Tlb, VirtualPage};
 
 /// Element size of a mapped object in bytes (1, 2 or 4).
@@ -129,8 +129,10 @@ pub enum ImuEvent {
     Done,
 }
 
-/// Why a fault was raised — the OS reads this through `AR`/`SR`, but the
-/// model also exposes it in typed form for the fault handler.
+/// Why a fault was raised and, for a miss, at which virtual page. The
+/// modeled OS reads this (with `SR.fault`) to repair the mapping; it
+/// takes the place of the paper's address register `AR`, which on the
+/// board holds the address of the faulting access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultCause {
     /// No valid CAM entry matched the access.
@@ -226,7 +228,6 @@ struct TraceIds {
 pub struct ImuExecContext {
     state: State,
     inflight: Vec<Inflight>,
-    ar: AddressRegister,
     sr: StatusRegister,
     fault_cause: Option<FaultCause>,
     needs_reresolve: bool,
@@ -240,18 +241,13 @@ impl ImuExecContext {
     pub fn asid(&self) -> Asid {
         self.asid
     }
-
-    /// Whether the saved tenant was stalled on an unserviced fault.
-    pub fn is_faulted(&self) -> bool {
-        self.state == State::Faulted
-    }
 }
 
 /// The IMU.
 ///
 /// Drive it with one [`Imu::step`] per IMU clock rising edge; interact
 /// from the OS side with the register-style methods
-/// ([`Imu::status`], [`Imu::address_register`], [`Imu::write_control`],
+/// ([`Imu::status`], [`Imu::fault_cause`], [`Imu::write_control`],
 /// [`Imu::tlb_mut`], …).
 #[derive(Debug)]
 pub struct Imu {
@@ -259,7 +255,6 @@ pub struct Imu {
     state: State,
     tlb: Tlb,
     inflight: Vec<Inflight>,
-    ar: AddressRegister,
     sr: StatusRegister,
     fault_cause: Option<FaultCause>,
     param_frame: Option<PageIndex>,
@@ -311,7 +306,6 @@ impl Imu {
             state: State::Idle,
             tlb: Tlb::new(config.tlb_entries),
             inflight: Vec::new(),
-            ar: AddressRegister::default(),
             sr: StatusRegister::default(),
             fault_cause: None,
             param_frame: None,
@@ -342,12 +336,6 @@ impl Imu {
     /// The status register as the OS reads it.
     pub fn status(&self) -> StatusRegister {
         self.sr
-    }
-
-    /// The address register (most recent access; the faulting one while
-    /// `SR.fault` is set).
-    pub fn address_register(&self) -> AddressRegister {
-        self.ar
     }
 
     /// Typed fault cause, available while `SR.fault` is set.
@@ -662,7 +650,6 @@ impl Imu {
             return false;
         }
         let issue_stamp = self.prev_edge_time;
-        self.ar = AddressRegister::capture(req.obj, req.index);
         // Same lookup statistics the stepped acceptance records; the
         // classification above is the CAM match.
         if matches!(resolution, Resolution::Hit { .. }) {
@@ -748,7 +735,6 @@ impl Imu {
                 .outstanding()
                 .nth(self.inflight.len())
                 .expect("length checked");
-            self.ar = AddressRegister::capture(req.obj, req.index);
             let resolution = self.resolve(&req);
             self.inflight.push(Inflight {
                 remaining: self.config.total_latency(),
@@ -772,8 +758,6 @@ impl Imu {
                 .saturating_sub(self.config.miss_detect_edges);
             if head.remaining <= detect_at {
                 if let Resolution::Fault(cause) = head.resolution {
-                    let req = *link.pending_request().expect("head in flight");
-                    self.ar = AddressRegister::capture(req.obj, req.index);
                     self.sr.fault = true;
                     self.fault_cause = Some(cause);
                     self.state = State::Faulted;
@@ -875,7 +859,6 @@ impl Imu {
         let ctx = ImuExecContext {
             state: self.state,
             inflight: std::mem::take(&mut self.inflight),
-            ar: self.ar,
             sr: self.sr,
             fault_cause: self.fault_cause.take(),
             needs_reresolve: self.needs_reresolve,
@@ -884,7 +867,6 @@ impl Imu {
             asid: self.current_asid,
         };
         self.state = State::Idle;
-        self.ar = AddressRegister::default();
         self.sr = StatusRegister::default();
         self.needs_reresolve = false;
         ctx
@@ -899,7 +881,6 @@ impl Imu {
         self.state = ctx.state;
         self.needs_reresolve = ctx.needs_reresolve || !ctx.inflight.is_empty();
         self.inflight = ctx.inflight;
-        self.ar = ctx.ar;
         self.sr = ctx.sr;
         self.fault_cause = ctx.fault_cause;
         self.param_frame = ctx.param_frame;
@@ -1098,11 +1079,9 @@ mod tests {
         }
         assert!(fault_seen);
         assert!(b.imu.status().fault);
-        let ar = b.imu.address_register();
-        assert_eq!(ar.obj, 0);
-        assert_eq!(ar.index, 1024);
         match b.imu.fault_cause() {
             Some(FaultCause::TlbMiss { vpage, is_write }) => {
+                assert_eq!(vpage.obj, ObjectId(0));
                 assert_eq!(vpage.page, 2);
                 assert!(!is_write);
             }
@@ -1365,7 +1344,7 @@ mod tests {
         }
         assert!(b.imu.status().fault);
         let ctx_a = b.imu.save_context();
-        assert!(ctx_a.is_faulted());
+        assert_eq!(ctx_a.state, State::Faulted);
         assert_eq!(ctx_a.asid(), Asid(1));
         assert!(!b.imu.status().fault, "datapath is clean after save");
 

@@ -6,12 +6,11 @@
 //! dual-port RAM addresses, stalls the coprocessor on a miss, and
 //! requests OS service through an interrupt.
 //!
-//! * [`registers`] — the processor-visible `AR`/`SR`/`CR` registers;
+//! * [`registers`] — the processor-visible `SR`/`CR` registers;
 //! * [`tlb`] — the CAM translation table with validity and dirtiness;
 //! * [`imu`] — the multi-cycle translation datapath ([`imu::Imu`]),
-//!   including the pipelined variant used by the ablation benches;
-//! * [`mmio`] — the memory-mapped register window a driver would
-//!   program the IMU through.
+//!   including the pipelined variant used by the ablation benches, and
+//!   the typed [`imu::FaultCause`] through which the OS reads a fault.
 //!
 //! # Examples
 //!
@@ -66,10 +65,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod imu;
-pub mod mmio;
 pub mod registers;
 pub mod tlb;
 
 pub use imu::{ElemSize, FaultCause, Imu, ImuConfig, ImuEvent, ImuExecContext};
-pub use registers::{AddressRegister, ControlRegister, StatusRegister};
+pub use registers::{ControlRegister, StatusRegister};
 pub use tlb::{Asid, Tlb, TlbEntry, TlbHit, VirtualPage};

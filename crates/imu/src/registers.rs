@@ -1,64 +1,16 @@
-//! The IMU's processor-visible registers.
+//! The IMU's processor-visible status and control registers.
 //!
 //! Fig. 4 of the paper shows three registers accessible by the main
 //! processor: the *address register* `AR`, which "holds the address of
 //! the coprocessor memory access performed most recently" so the OS can
 //! determine which access faulted; a *status register* `SR`; and a
-//! *control register* `CR`. This module gives them concrete bit layouts
-//! (the paper does not publish one, so the encoding is ours, documented
-//! per field).
+//! *control register* `CR`. `SR` and `CR` are modeled here as the
+//! fields the VIM reads and writes. `AR` is not: the modeled OS learns
+//! the faulting access from [`crate::imu::Imu::fault_cause`]. No bus
+//! encoding is modeled, since the VIM reaches these registers through
+//! the typed [`crate::imu::Imu`] API.
 
 use core::fmt;
-
-use vcop_fabric::port::ObjectId;
-
-/// The address register: object id and element index of the most recent
-/// coprocessor access.
-///
-/// Packed layout: bits `[31:24]` object id, bits `[23:0]` element index.
-/// Indices therefore address up to 16 M elements per object, far beyond
-/// any dataset in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AddressRegister {
-    /// `CP_OBJ` of the latest access.
-    pub obj: u8,
-    /// `CP_ADDR` of the latest access (24 bits retained).
-    pub index: u32,
-}
-
-impl AddressRegister {
-    /// Builds from an access.
-    pub fn capture(obj: ObjectId, index: u32) -> Self {
-        AddressRegister {
-            obj: obj.0,
-            index: index & 0x00FF_FFFF,
-        }
-    }
-
-    /// Packs into the 32-bit bus representation.
-    pub fn pack(self) -> u32 {
-        (u32::from(self.obj) << 24) | (self.index & 0x00FF_FFFF)
-    }
-
-    /// Decodes the 32-bit bus representation.
-    pub fn unpack(raw: u32) -> Self {
-        AddressRegister {
-            obj: (raw >> 24) as u8,
-            index: raw & 0x00FF_FFFF,
-        }
-    }
-
-    /// The object id as a typed handle.
-    pub fn object(self) -> ObjectId {
-        ObjectId(self.obj)
-    }
-}
-
-impl fmt::Display for AddressRegister {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AR{{{}[{}]}}", self.object(), self.index)
-    }
-}
 
 /// Status register bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,36 +27,6 @@ pub struct StatusRegister {
     pub running: bool,
 }
 
-impl StatusRegister {
-    const FAULT: u32 = 1 << 0;
-    const DONE: u32 = 1 << 1;
-    const PARAM_FREED: u32 = 1 << 2;
-    const RUNNING: u32 = 1 << 3;
-
-    /// Packs into the 32-bit bus representation.
-    pub fn pack(self) -> u32 {
-        (u32::from(self.fault) * Self::FAULT)
-            | (u32::from(self.done) * Self::DONE)
-            | (u32::from(self.param_freed) * Self::PARAM_FREED)
-            | (u32::from(self.running) * Self::RUNNING)
-    }
-
-    /// Decodes the 32-bit bus representation.
-    pub fn unpack(raw: u32) -> Self {
-        StatusRegister {
-            fault: raw & Self::FAULT != 0,
-            done: raw & Self::DONE != 0,
-            param_freed: raw & Self::PARAM_FREED != 0,
-            running: raw & Self::RUNNING != 0,
-        }
-    }
-
-    /// Whether any OS-service condition is pending.
-    pub fn needs_service(self) -> bool {
-        self.fault || self.done
-    }
-}
-
 impl fmt::Display for StatusRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -118,8 +40,8 @@ impl fmt::Display for StatusRegister {
     }
 }
 
-/// Control register commands (write-one-to-trigger semantics on the
-/// modelled bus; the struct form is what the VIM manipulates).
+/// Control register commands, as the VIM writes them through
+/// [`crate::imu::Imu::write_control`]; each set field is a strobe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ControlRegister {
     /// Assert `CP_START` and begin the operation.
@@ -130,31 +52,6 @@ pub struct ControlRegister {
     pub reset: bool,
     /// Enable the `INT_PLD` interrupt line.
     pub irq_enable: bool,
-}
-
-impl ControlRegister {
-    const START: u32 = 1 << 0;
-    const RESUME: u32 = 1 << 1;
-    const RESET: u32 = 1 << 2;
-    const IRQ_ENABLE: u32 = 1 << 3;
-
-    /// Packs into the 32-bit bus representation.
-    pub fn pack(self) -> u32 {
-        (u32::from(self.start) * Self::START)
-            | (u32::from(self.resume) * Self::RESUME)
-            | (u32::from(self.reset) * Self::RESET)
-            | (u32::from(self.irq_enable) * Self::IRQ_ENABLE)
-    }
-
-    /// Decodes the 32-bit bus representation.
-    pub fn unpack(raw: u32) -> Self {
-        ControlRegister {
-            start: raw & Self::START != 0,
-            resume: raw & Self::RESUME != 0,
-            reset: raw & Self::RESET != 0,
-            irq_enable: raw & Self::IRQ_ENABLE != 0,
-        }
-    }
 }
 
 impl fmt::Display for ControlRegister {
@@ -175,59 +72,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ar_pack_unpack() {
-        let ar = AddressRegister::capture(ObjectId(0x2A), 0x00_1234);
-        assert_eq!(ar.pack(), 0x2A00_1234);
-        assert_eq!(AddressRegister::unpack(0x2A00_1234), ar);
-        assert_eq!(ar.object(), ObjectId(0x2A));
-    }
-
-    #[test]
-    fn ar_index_truncates_to_24_bits() {
-        let ar = AddressRegister::capture(ObjectId(1), 0xFFFF_FFFF);
-        assert_eq!(ar.index, 0x00FF_FFFF);
-    }
-
-    #[test]
-    fn sr_roundtrip_all_combinations() {
-        for raw in 0..16u32 {
-            let sr = StatusRegister::unpack(raw);
-            assert_eq!(sr.pack(), raw);
-        }
-    }
-
-    #[test]
-    fn sr_needs_service() {
-        assert!(StatusRegister {
-            fault: true,
-            ..Default::default()
-        }
-        .needs_service());
-        assert!(StatusRegister {
-            done: true,
-            ..Default::default()
-        }
-        .needs_service());
-        assert!(!StatusRegister {
-            param_freed: true,
-            running: true,
-            ..Default::default()
-        }
-        .needs_service());
-    }
-
-    #[test]
-    fn cr_roundtrip_all_combinations() {
-        for raw in 0..16u32 {
-            let cr = ControlRegister::unpack(raw);
-            assert_eq!(cr.pack(), raw);
-        }
-    }
-
-    #[test]
     fn displays() {
-        let ar = AddressRegister::capture(ObjectId(2), 7);
-        assert_eq!(ar.to_string(), "AR{obj[2][7]}");
         assert!(StatusRegister::default().to_string().starts_with("SR{"));
         assert!(ControlRegister::default().to_string().starts_with("CR{"));
     }

@@ -39,13 +39,6 @@ impl SlaveProfile {
         first_beat_wait: 5,
         next_beat_wait: 0,
     };
-
-    /// IMU register file: a peripheral slave with one wait state.
-    pub const IMU_REGS: SlaveProfile = SlaveProfile {
-        name: "imu-regs",
-        first_beat_wait: 1,
-        next_beat_wait: 1,
-    };
 }
 
 impl fmt::Display for SlaveProfile {
@@ -82,24 +75,16 @@ pub enum BurstKind {
 #[derive(Debug, Clone, Copy)]
 pub struct AhbBus {
     freq: Frequency,
-    /// Cycles of arbitration + address phase per transaction.
-    arbitration: u32,
 }
 
 impl AhbBus {
+    /// Cycles of arbitration + address phase per transaction.
+    const ARBITRATION: u64 = 1;
+
     /// Creates a bus model at the given clock with a one-cycle
     /// arbitration/address phase.
     pub fn new(freq: Frequency) -> Self {
-        AhbBus {
-            freq,
-            arbitration: 1,
-        }
-    }
-
-    /// Overrides the arbitration cost (cycles per transaction).
-    pub fn with_arbitration(mut self, cycles: u32) -> Self {
-        self.arbitration = cycles;
-        self
+        AhbBus { freq }
     }
 
     /// The bus clock.
@@ -118,8 +103,8 @@ impl AhbBus {
         match kind {
             BurstKind::Single => {
                 // Per word: arbitration + address phase overlap modelled as
-                // `arbitration`, then 1 data cycle + first-beat waits.
-                words * (u64::from(self.arbitration) + 1 + u64::from(slave.first_beat_wait))
+                // `ARBITRATION`, then 1 data cycle + first-beat waits.
+                words * (Self::ARBITRATION + 1 + u64::from(slave.first_beat_wait))
             }
             BurstKind::Incr16 => {
                 let full = words / 16;
@@ -128,7 +113,7 @@ impl AhbBus {
                     if beats == 0 {
                         return 0;
                     }
-                    u64::from(self.arbitration)
+                    Self::ARBITRATION
                         + (1 + u64::from(slave.first_beat_wait))
                         + (beats - 1) * (1 + u64::from(slave.next_beat_wait))
                 };
@@ -226,24 +211,6 @@ mod tests {
                 BurstKind::Single
             ),
             r + w
-        );
-    }
-
-    #[test]
-    fn custom_arbitration() {
-        let b = bus().with_arbitration(3);
-        assert_eq!(
-            b.transfer_cycles(1, SlaveProfile::DPRAM, BurstKind::Single),
-            4
-        );
-    }
-
-    #[test]
-    fn imu_regs_slower_than_dpram() {
-        let b = bus();
-        assert!(
-            b.transfer_cycles(4, SlaveProfile::IMU_REGS, BurstKind::Single)
-                > b.transfer_cycles(4, SlaveProfile::DPRAM, BurstKind::Single)
         );
     }
 }

@@ -54,16 +54,6 @@ impl ClockDomain {
         }
     }
 
-    /// Creates a clock whose first rising edge is at `phase`.
-    pub fn with_phase(freq: Frequency, phase: SimTime) -> Self {
-        ClockDomain {
-            freq,
-            period: freq.period(),
-            next_edge: phase,
-            edges_seen: 0,
-        }
-    }
-
     /// The clock frequency.
     pub fn frequency(&self) -> Frequency {
         self.freq
@@ -262,13 +252,6 @@ mod tests {
             ]
         );
         assert_eq!(clk.edges_seen(), 4);
-    }
-
-    #[test]
-    fn phase_offsets_first_edge() {
-        let mut clk = ClockDomain::with_phase(Frequency::from_mhz(40), SimTime::from_ns(10));
-        assert_eq!(clk.advance(), SimTime::from_ns(10));
-        assert_eq!(clk.advance(), SimTime::from_ns(35));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use crate::bus::{AhbBus, BurstKind, SlaveProfile};
-use crate::time::SimTime;
 
 /// Static costs of programming the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,19 +110,6 @@ impl DmaEngine {
                 + bus.transfer_cycles(words, to, BurstKind::Incr16),
         }
     }
-
-    /// Convenience: the blocking wall-clock time of a transfer at the
-    /// bus clock (CPU and bus share the clock on the modelled board).
-    pub fn transfer_time(
-        &self,
-        bus: &AhbBus,
-        bytes: usize,
-        from: SlaveProfile,
-        to: SlaveProfile,
-    ) -> SimTime {
-        let cost = self.transfer_cost(bus, bytes, from, to);
-        bus.frequency().cycles(cost.total_cycles())
-    }
 }
 
 /// Identifier of a transfer queued on an [`AsyncDmaEngine`].
@@ -158,8 +144,6 @@ struct Unit {
 #[derive(Debug, Clone)]
 struct Transfer {
     id: TransferId,
-    words_total: u64,
-    words_done: u64,
     bus_cycles_total: u64,
     bus_cycles_done: u64,
     units: VecDeque<Unit>,
@@ -234,16 +218,6 @@ impl AsyncDmaEngine {
         self.channels.iter().any(|c| !c.queue.is_empty())
     }
 
-    /// Words moved so far / words total for an in-flight transfer, or
-    /// `None` once it has completed (or never existed).
-    pub fn progress(&self, id: TransferId) -> Option<(u64, u64)> {
-        self.channels
-            .iter()
-            .flat_map(|c| c.queue.iter())
-            .find(|t| t.id == id)
-            .map(|t| (t.words_done, t.words_total))
-    }
-
     /// Queues a transfer of `bytes` from `from` to `to`, returning its id.
     ///
     /// The plan is one descriptor-fetch unit followed by one unit per
@@ -285,8 +259,6 @@ impl AsyncDmaEngine {
         self.next_id += 1;
         let transfer = Transfer {
             id,
-            words_total: words,
-            words_done: 0,
             bus_cycles_total: total,
             bus_cycles_done: 0,
             units,
@@ -327,7 +299,6 @@ impl AsyncDmaEngine {
             unit.overhead_left -= 1;
         } else {
             unit.beats_left -= 1;
-            transfer.words_done += 1;
         }
         if unit.overhead_left == 0 && unit.beats_left == 0 {
             transfer.units.pop_front();
@@ -405,6 +376,16 @@ mod tests {
     use super::*;
     use crate::time::Frequency;
 
+    /// Words an in-flight transfer has still to move, or `None` once it
+    /// has completed (or never existed).
+    fn words_left(dma: &AsyncDmaEngine, id: TransferId) -> Option<u64> {
+        dma.channels
+            .iter()
+            .flat_map(|c| c.queue.iter())
+            .find(|t| t.id == id)
+            .map(|t| t.units.iter().map(|u| u.beats_left).sum())
+    }
+
     fn rig() -> (AhbBus, DmaEngine) {
         (
             AhbBus::new(Frequency::from_mhz(133)),
@@ -450,14 +431,6 @@ mod tests {
         assert_eq!(cost.bus_cycles, 8);
     }
 
-    #[test]
-    fn transfer_time_uses_bus_clock() {
-        let (bus, dma) = rig();
-        let cost = dma.transfer_cost(&bus, 2048, SlaveProfile::SDRAM, SlaveProfile::DPRAM);
-        let t = dma.transfer_time(&bus, 2048, SlaveProfile::SDRAM, SlaveProfile::DPRAM);
-        assert_eq!(t, Frequency::from_mhz(133).cycles(cost.total_cycles()));
-    }
-
     fn async_rig(channels: usize) -> (AhbBus, AsyncDmaEngine) {
         (
             AhbBus::new(Frequency::from_mhz(133)),
@@ -486,7 +459,7 @@ mod tests {
         };
         assert_eq!(done.id, survivor, "only the survivor retires");
         assert!(!dma.busy());
-        assert!(dma.progress(victim).is_none());
+        assert!(words_left(&dma, victim).is_none());
     }
 
     #[test]
@@ -546,9 +519,10 @@ mod tests {
         let (bus, mut dma) = async_rig(1);
         let id = dma.submit(&bus, 256, SlaveProfile::DPRAM, SlaveProfile::DPRAM);
         let mut last = 0u64;
-        let total = dma.progress(id).unwrap().1;
+        let total = words_left(&dma, id).unwrap();
         assert_eq!(total, 256 / 4);
-        while let Some((done_words, _)) = dma.progress(id) {
+        while let Some(left) = words_left(&dma, id) {
+            let done_words = total - left;
             assert!(
                 done_words == last || done_words == last + 1,
                 "words advanced by more than one per cycle: {last} -> {done_words}"
@@ -573,7 +547,7 @@ mod tests {
         while done < 2 {
             let fired = dma.tick();
             for (slot, id) in [(0usize, a), (1usize, b)] {
-                let now = dma.progress(id).map(|(w, _)| w).unwrap_or(prev[slot]);
+                let now = words_left(&dma, id).map_or(prev[slot], |l| 2048 / 4 - l);
                 for _ in prev[slot]..now {
                     words.push(id);
                 }
@@ -647,7 +621,7 @@ mod tests {
         dropped.sort_unstable();
         assert_eq!(dropped, vec![a, b]);
         assert!(!dma.busy());
-        assert_eq!(dma.progress(a), None);
+        assert_eq!(words_left(&dma, a), None);
         for _ in 0..1000 {
             assert_eq!(dma.tick(), None, "no completion after cancellation");
         }

@@ -37,7 +37,6 @@ impl fmt::Display for IrqLine {
 pub struct InterruptController {
     pending: Vec<bool>,
     enabled: Vec<bool>,
-    raised: Vec<u64>,
     delivered: Vec<u64>,
 }
 
@@ -47,14 +46,8 @@ impl InterruptController {
         InterruptController {
             pending: vec![false; lines],
             enabled: vec![false; lines],
-            raised: vec![0; lines],
             delivered: vec![0; lines],
         }
-    }
-
-    /// Number of lines.
-    pub fn line_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Returns the handle of line `n`, if it exists.
@@ -78,19 +71,10 @@ impl InterruptController {
         self.enabled[i] = true;
     }
 
-    /// Masks a line. Pending state is retained.
-    pub fn disable(&mut self, line: IrqLine) {
-        let i = self.check(line);
-        self.enabled[i] = false;
-    }
-
     /// Asserts a line (idempotent while already pending).
     pub fn raise(&mut self, line: IrqLine) {
         let i = self.check(line);
-        if !self.pending[i] {
-            self.pending[i] = true;
-            self.raised[i] += 1;
-        }
+        self.pending[i] = true;
     }
 
     /// Deasserts a line after the handler serviced the device.
@@ -102,11 +86,6 @@ impl InterruptController {
         }
     }
 
-    /// Whether a line is pending (regardless of mask).
-    pub fn is_pending(&self, line: IrqLine) -> bool {
-        self.pending[self.check(line)]
-    }
-
     /// Highest-priority (lowest-numbered) pending *and enabled* line.
     pub fn next_pending(&self) -> Option<IrqLine> {
         self.pending
@@ -114,11 +93,6 @@ impl InterruptController {
             .zip(&self.enabled)
             .position(|(&p, &e)| p && e)
             .map(IrqLine)
-    }
-
-    /// Times the line has been asserted.
-    pub fn raised_count(&self, line: IrqLine) -> u64 {
-        self.raised[self.check(line)]
     }
 
     /// Times the line has been serviced (acknowledged).
@@ -136,7 +110,6 @@ mod tests {
         let mut ic = InterruptController::new(2);
         let l0 = ic.line(0).unwrap();
         ic.raise(l0);
-        assert!(ic.is_pending(l0));
         assert_eq!(ic.next_pending(), None);
         ic.enable(l0);
         assert_eq!(ic.next_pending(), Some(l0));
@@ -162,11 +135,11 @@ mod tests {
         ic.raise(l);
         ic.raise(l);
         ic.raise(l);
-        assert_eq!(ic.raised_count(l), 1);
         ic.acknowledge(l);
+        assert_eq!(ic.next_pending(), None);
         assert_eq!(ic.delivered_count(l), 1);
         ic.raise(l);
-        assert_eq!(ic.raised_count(l), 2);
+        assert_eq!(ic.next_pending(), Some(l));
     }
 
     #[test]
@@ -182,18 +155,5 @@ mod tests {
         let ic = InterruptController::new(2);
         assert!(ic.line(1).is_some());
         assert!(ic.line(2).is_none());
-    }
-
-    #[test]
-    fn disable_retains_pending() {
-        let mut ic = InterruptController::new(1);
-        let l = ic.line(0).unwrap();
-        ic.enable(l);
-        ic.raise(l);
-        ic.disable(l);
-        assert_eq!(ic.next_pending(), None);
-        assert!(ic.is_pending(l));
-        ic.enable(l);
-        assert_eq!(ic.next_pending(), Some(l));
     }
 }

@@ -116,25 +116,6 @@ impl DualPortRam {
         self.bytes.len() / self.page_size
     }
 
-    /// Byte offset of the start of page `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn page_base(&self, page: PageIndex) -> usize {
-        assert!(page.0 < self.page_count(), "page {page} out of range");
-        page.0 * self.page_size
-    }
-
-    /// Page containing byte `addr`, if in range.
-    pub fn page_of(&self, addr: usize) -> Option<PageIndex> {
-        if addr < self.bytes.len() {
-            Some(PageIndex(addr / self.page_size))
-        } else {
-            None
-        }
-    }
-
     fn check(&self, addr: usize, len: usize) -> Result<(), SimError> {
         if addr
             .checked_add(len)
@@ -278,18 +259,6 @@ impl DualPortRam {
         &self.bytes[range]
     }
 
-    /// Fills page `page` with zeroes (without counting port traffic; this
-    /// models hardware page clear, used only by tests and initialisation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn clear_page(&mut self, page: PageIndex) {
-        let base = self.page_base(page);
-        let ps = self.page_size;
-        self.bytes[base..base + ps].fill(0);
-    }
-
     /// Total reads performed through `port`.
     pub fn reads(&self, port: Port) -> u64 {
         self.reads[Self::port_idx(port)]
@@ -311,7 +280,6 @@ mod tests {
         assert_eq!(ram.size(), 16 * 1024);
         assert_eq!(ram.page_size(), 2 * 1024);
         assert_eq!(ram.page_count(), 8);
-        assert_eq!(ram.page_base(PageIndex(3)), 6 * 1024);
     }
 
     #[test]
@@ -379,18 +347,6 @@ mod tests {
         assert_eq!(back, data);
         assert_eq!(ram.writes(Port::Cpu), 64); // 256 bytes = 64 words
         assert_eq!(ram.reads(Port::Pld), 64);
-    }
-
-    #[test]
-    fn page_helpers() {
-        let mut ram = DualPortRam::epxa1();
-        assert_eq!(ram.page_of(0), Some(PageIndex(0)));
-        assert_eq!(ram.page_of(2047), Some(PageIndex(0)));
-        assert_eq!(ram.page_of(2048), Some(PageIndex(1)));
-        assert_eq!(ram.page_of(16 * 1024), None);
-        ram.write_word(Port::Cpu, 4096, 0xFFFF_FFFF).unwrap();
-        ram.clear_page(PageIndex(2));
-        assert_eq!(ram.read_word(Port::Cpu, 4096).unwrap(), 0);
     }
 
     #[test]

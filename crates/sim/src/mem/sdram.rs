@@ -67,8 +67,6 @@ impl SdramConfig {
 pub struct SdramModel {
     config: SdramConfig,
     open_row: Option<usize>,
-    row_hits: u64,
-    row_misses: u64,
 }
 
 impl SdramModel {
@@ -77,24 +75,12 @@ impl SdramModel {
         SdramModel {
             config,
             open_row: None,
-            row_hits: 0,
-            row_misses: 0,
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SdramConfig {
         &self.config
-    }
-
-    /// Row hits observed so far.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
-    }
-
-    /// Row misses (activations) observed so far.
-    pub fn row_misses(&self) -> u64 {
-        self.row_misses
     }
 
     /// Forgets the open row (e.g. after a refresh or a long idle period).
@@ -128,10 +114,7 @@ impl SdramModel {
             let row = a / self.config.row_bytes;
             let row_end = (row + 1) * self.config.row_bytes;
             let words_in_row = ((row_end - a) / 4).min(remaining);
-            if self.open_row == Some(row) {
-                self.row_hits += 1;
-            } else {
-                self.row_misses += 1;
+            if self.open_row != Some(row) {
                 if self.open_row.is_some() {
                     cycles += u64::from(self.config.t_rp);
                 }
@@ -178,7 +161,6 @@ mod tests {
         let mut m = model();
         // No open row: tRCD + CL = 3 + 3.
         assert_eq!(m.access_cycles(0, 1), 6);
-        assert_eq!(m.row_misses(), 1);
     }
 
     #[test]
@@ -187,7 +169,6 @@ mod tests {
         m.access_cycles(0, 1);
         // Open row: just CL.
         assert_eq!(m.access_cycles(4, 1), 3);
-        assert_eq!(m.row_hits(), 1);
     }
 
     #[test]
@@ -212,14 +193,12 @@ mod tests {
         // row 0: 3 + 3 + 255 = 261; row 1 (switch, already open row 0):
         // 3 + 3 + 3 + 255 = 264; total 525.
         assert_eq!(m.access_cycles(0, 512), 525);
-        assert_eq!(m.row_misses(), 2);
     }
 
     #[test]
     fn zero_words_free() {
         let mut m = model();
         assert_eq!(m.access_cycles(0, 0), 0);
-        assert_eq!(m.row_misses(), 0);
     }
 
     #[test]

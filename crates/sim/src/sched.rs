@@ -35,24 +35,6 @@ pub enum Wake {
 }
 
 impl Wake {
-    /// The number of upcoming edges at which the component is guaranteed
-    /// idle (`In(n)` ⇒ `n - 1` skippable edges; `Never` ⇒ unbounded).
-    pub fn idle_edges(self) -> Option<u64> {
-        match self {
-            Wake::In(n) => Some(n.max(1) - 1),
-            Wake::Never => None,
-        }
-    }
-
-    /// The earlier (more conservative) of two wake hints, where the two
-    /// hints count edges of the *same* clock.
-    pub fn sooner(self, other: Wake) -> Wake {
-        match (self, other) {
-            (Wake::Never, w) | (w, Wake::Never) => w,
-            (Wake::In(a), Wake::In(b)) => Wake::In(a.max(1).min(b.max(1))),
-        }
-    }
-
     /// Converts the hint into an absolute wake instant, given the time of
     /// the clock's next edge and its period.
     pub fn at(self, next_edge: SimTime, period: SimTime) -> Option<SimTime> {
@@ -116,22 +98,6 @@ impl EventKernel {
 mod tests {
     use super::*;
     use crate::time::Frequency;
-
-    #[test]
-    fn wake_idle_edges() {
-        assert_eq!(Wake::In(1).idle_edges(), Some(0));
-        assert_eq!(Wake::In(0).idle_edges(), Some(0));
-        assert_eq!(Wake::In(6).idle_edges(), Some(5));
-        assert_eq!(Wake::Never.idle_edges(), None);
-    }
-
-    #[test]
-    fn wake_sooner_is_min() {
-        assert_eq!(Wake::In(3).sooner(Wake::In(7)), Wake::In(3));
-        assert_eq!(Wake::Never.sooner(Wake::In(7)), Wake::In(7));
-        assert_eq!(Wake::In(2).sooner(Wake::Never), Wake::In(2));
-        assert_eq!(Wake::Never.sooner(Wake::Never), Wake::Never);
-    }
 
     #[test]
     fn horizon_is_min_over_sources() {

@@ -225,12 +225,6 @@ impl Frequency {
         Frequency::new(mhz * 1_000_000)
     }
 
-    /// Creates a frequency from kilohertz.
-    #[inline]
-    pub const fn from_khz(khz: u64) -> Self {
-        Frequency::new(khz * 1_000)
-    }
-
     /// Frequency in hertz.
     #[inline]
     pub const fn hz(self) -> u64 {
@@ -247,20 +241,6 @@ impl Frequency {
     #[inline]
     pub const fn cycles(self, n: u64) -> SimTime {
         SimTime::from_ps((1_000_000_000_000 / self.hz) * n)
-    }
-
-    /// Number of whole cycles of this clock that fit in `span`
-    /// (i.e. `span` rounded *down* to cycles).
-    #[inline]
-    pub const fn cycles_in(self, span: SimTime) -> u64 {
-        span.as_ps() / (1_000_000_000_000 / self.hz)
-    }
-
-    /// Number of cycles needed to *cover* `span` (rounded up).
-    #[inline]
-    pub const fn cycles_covering(self, span: SimTime) -> u64 {
-        let p = 1_000_000_000_000 / self.hz;
-        span.as_ps().div_ceil(p)
     }
 }
 
@@ -292,9 +272,7 @@ mod tests {
     fn cycles_roundtrip() {
         let f = Frequency::from_mhz(40);
         assert_eq!(f.cycles(1), f.period());
-        assert_eq!(f.cycles_in(f.cycles(17)), 17);
-        assert_eq!(f.cycles_covering(f.cycles(17)), 17);
-        assert_eq!(f.cycles_covering(f.cycles(17) + SimTime::from_ps(1)), 18);
+        assert_eq!(f.cycles(17).as_ps() / f.period().as_ps(), 17);
     }
 
     #[test]
@@ -305,7 +283,7 @@ mod tests {
         assert_eq!(SimTime::from_ms(3).to_string(), "3.000 ms");
         assert_eq!(SimTime::ZERO.to_string(), "0 ps");
         assert_eq!(Frequency::from_mhz(40).to_string(), "40 MHz");
-        assert_eq!(Frequency::from_khz(32).to_string(), "32 kHz");
+        assert_eq!(Frequency::new(32_000).to_string(), "32 kHz");
     }
 
     #[test]

@@ -130,21 +130,6 @@ impl WaveTracer {
         self.signals[signal.0].value_at(t)
     }
 
-    /// Number of recorded transitions for `signal`.
-    pub fn change_count(&self, signal: SignalId) -> usize {
-        self.signals[signal.0].changes.len()
-    }
-
-    /// Times at which `signal` transitioned to exactly `value`.
-    pub fn times_of(&self, signal: SignalId, value: SignalValue) -> Vec<SimTime> {
-        self.signals[signal.0]
-            .changes
-            .iter()
-            .filter(|(_, v)| *v == value)
-            .map(|(t, _)| *t)
-            .collect()
-    }
-
     /// Serialises the trace as a Value Change Dump (VCD) document with a
     /// 1 ps timescale.
     pub fn to_vcd(&self, module: &str) -> String {
@@ -272,16 +257,16 @@ impl TraceSink {
             tr.record(t, signal, value);
         }
     }
-
-    /// Consumes the sink, returning the tracer if one was enabled.
-    pub fn into_tracer(self) -> Option<WaveTracer> {
-        self.tracer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of recorded transitions for `signal`.
+    fn change_count(tr: &WaveTracer, signal: SignalId) -> usize {
+        tr.signals[signal.0].changes.len()
+    }
 
     fn simple_trace() -> (WaveTracer, SignalId, SignalId) {
         let mut tr = WaveTracer::new();
@@ -322,7 +307,7 @@ mod tests {
         tr.record(SimTime::ZERO, s, SignalValue::Bit(true));
         tr.record(SimTime::from_ns(1), s, SignalValue::Bit(true));
         tr.record(SimTime::from_ns(2), s, SignalValue::Bit(true));
-        assert_eq!(tr.change_count(s), 1);
+        assert_eq!(change_count(&tr, s), 1);
     }
 
     #[test]
@@ -331,7 +316,7 @@ mod tests {
         let s = tr.add_signal("s", 4);
         tr.record(SimTime::ZERO, s, SignalValue::Bus(1));
         tr.record(SimTime::ZERO, s, SignalValue::Bus(2));
-        assert_eq!(tr.change_count(s), 1);
+        assert_eq!(change_count(&tr, s), 1);
         assert_eq!(tr.value_at(s, SimTime::ZERO), SignalValue::Bus(2));
     }
 
@@ -367,26 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn times_of_finds_rising_edges() {
-        let (tr, clk, _) = simple_trace();
-        assert_eq!(
-            tr.times_of(clk, SignalValue::Bit(true)),
-            vec![SimTime::from_ns(10)]
-        );
-    }
-
-    #[test]
     fn sink_record_respects_mode() {
         let mut off = TraceSink::disabled();
         // Recording into a disabled sink is a no-op, not an error.
         off.record(SimTime::ZERO, SignalId(0), SignalValue::Bit(true));
-        assert!(off.into_tracer().is_none());
+        assert!(off.tracer().is_none());
 
         let mut on = TraceSink::enabled();
         let id = on.tracer_mut().unwrap().add_signal("x", 1);
         on.record(SimTime::ZERO, id, SignalValue::Bit(true));
         on.record(SimTime::from_ns(1), id, SignalValue::Bit(false));
-        assert_eq!(on.into_tracer().unwrap().change_count(id), 2);
+        assert_eq!(change_count(on.tracer().unwrap(), id), 2);
     }
 
     #[test]
@@ -398,7 +374,6 @@ mod tests {
         sink.tracer_mut()
             .unwrap()
             .record(SimTime::ZERO, id, SignalValue::Bit(true));
-        let tr = sink.into_tracer().unwrap();
-        assert_eq!(tr.change_count(id), 1);
+        assert_eq!(change_count(sink.tracer().unwrap(), id), 1);
     }
 }

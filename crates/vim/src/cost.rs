@@ -55,7 +55,8 @@ impl TransferMode {
 pub struct OsOverheads {
     /// Interrupt entry + exit (mode switch, register save/restore).
     pub irq_entry_exit: u64,
-    /// Reading `SR`/`AR` and decoding the faulting access.
+    /// Reading `SR` and the faulting address (`AR` on the board) and
+    /// decoding the faulting access.
     pub fault_decode: u64,
     /// Writing one TLB entry through the register interface.
     pub tlb_update: u64,
@@ -213,7 +214,8 @@ impl OsCostModel {
         }
     }
 
-    /// Time for interrupt entry/exit plus fault decode (`SR`/`AR` reads).
+    /// Time for interrupt entry/exit plus fault decode (the board's
+    /// `SR`/`AR` reads).
     pub fn fault_entry_time(&self) -> SimTime {
         self.t(self.overheads.irq_entry_exit + self.overheads.fault_decode)
     }
@@ -256,11 +258,6 @@ impl OsCostModel {
     /// Whether `len` bytes at user address `addr` fit the SDRAM.
     pub fn fits_user_memory(&self, addr: usize, len: usize) -> bool {
         self.sdram.check_range(addr, len).is_ok()
-    }
-
-    /// SDRAM row-hit statistics accumulated by page copies (diagnostics).
-    pub fn sdram_stats(&self) -> (u64, u64) {
-        (self.sdram.row_hits(), self.sdram.row_misses())
     }
 
     /// Forgets the SDRAM open-row state. Called between operations:
@@ -325,14 +322,6 @@ mod tests {
         let m = OsCostModel::epxa1();
         assert!(m.param_setup_time(8) > m.param_setup_time(1));
         assert_eq!(m.param_setup_time(0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn sdram_stats_accumulate() {
-        let mut m = OsCostModel::epxa1();
-        m.page_move_time(0, 2048);
-        let (_hits, misses) = m.sdram_stats();
-        assert!(misses > 0);
     }
 
     #[test]

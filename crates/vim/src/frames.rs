@@ -157,14 +157,6 @@ impl FrameTable {
             .map(PageIndex)
     }
 
-    /// Number of free frames.
-    pub fn free_count(&self) -> usize {
-        self.frames
-            .iter()
-            .filter(|s| **s == FrameState::Free)
-            .count()
-    }
-
     /// Marks `frame` as holding page `vpage` of `obj`.
     ///
     /// # Panics
@@ -387,6 +379,11 @@ impl FrameTable {
 mod tests {
     use super::*;
 
+    /// Number of free frames.
+    fn free_count(ft: &FrameTable) -> usize {
+        ft.frames.iter().filter(|s| **s == FrameState::Free).count()
+    }
+
     #[test]
     fn only_the_state_machine_edges_are_legal() {
         let r = Resident {
@@ -441,7 +438,7 @@ mod tests {
     fn fresh_table_is_all_free() {
         let ft = FrameTable::new(8);
         assert_eq!(ft.len(), 8);
-        assert_eq!(ft.free_count(), 8);
+        assert_eq!(free_count(&ft), 8);
         assert_eq!(ft.find_free(), Some(PageIndex(0)));
     }
 
@@ -453,7 +450,7 @@ mod tests {
         assert_eq!(r.loaded_seq, 0);
         assert_eq!(ft.frame_of(Asid::SINGLE, ObjectId(2), 7), Some(f));
         assert_eq!(ft.frame_of(Asid::SINGLE, ObjectId(2), 8), None);
-        assert_eq!(ft.free_count(), 3);
+        assert_eq!(free_count(&ft), 3);
         assert_eq!(ft.residents().len(), 1);
     }
 
@@ -471,7 +468,7 @@ mod tests {
         ft.install(PageIndex(1), Asid::SINGLE, ObjectId(0), 3);
         let r = ft.evict(PageIndex(1)).unwrap();
         assert_eq!(r.vpage, 3);
-        assert_eq!(ft.free_count(), 2);
+        assert_eq!(free_count(&ft), 2);
         assert_eq!(ft.evict(PageIndex(1)), None);
     }
 
@@ -494,7 +491,7 @@ mod tests {
         assert_eq!(ft.state(PageIndex(0)), FrameState::Params(Asid::SINGLE));
         assert!(ft.release_params(PageIndex(0)));
         assert!(!ft.release_params(PageIndex(0)));
-        assert_eq!(ft.free_count(), 2);
+        assert_eq!(free_count(&ft), 2);
     }
 
     #[test]
@@ -503,7 +500,7 @@ mod tests {
         ft.install(PageIndex(0), Asid::SINGLE, ObjectId(0), 0);
         ft.reserve_params(PageIndex(1), Asid::SINGLE);
         ft.clear();
-        assert_eq!(ft.free_count(), 3);
+        assert_eq!(free_count(&ft), 3);
     }
 
     #[test]
@@ -537,7 +534,7 @@ mod tests {
         let mut ft = FrameTable::new(1);
         ft.begin_load(PageIndex(0), Asid::SINGLE, ObjectId(0), 0);
         assert!(ft.cancel_load(PageIndex(0)).is_some());
-        assert_eq!(ft.free_count(), 1);
+        assert_eq!(free_count(&ft), 1);
         assert_eq!(ft.finish_load(PageIndex(0)), None);
     }
 
@@ -556,7 +553,7 @@ mod tests {
             .unwrap();
         assert!(incoming.loaded_seq > victim.loaded_seq);
         assert_eq!(ft.state(PageIndex(0)), FrameState::Loading(incoming));
-        assert_eq!(ft.free_count(), 1);
+        assert_eq!(free_count(&ft), 1);
         ft.finish_load(PageIndex(0)).unwrap();
         assert_eq!(
             ft.frame_of(Asid::SINGLE, ObjectId(2), 1),
@@ -571,7 +568,7 @@ mod tests {
         ft.begin_evict(PageIndex(0)).unwrap();
         let gone = ft.finish_evict(PageIndex(0)).unwrap();
         assert_eq!(gone.obj, ObjectId(0));
-        assert_eq!(ft.free_count(), 1);
+        assert_eq!(free_count(&ft), 1);
         assert_eq!(ft.finish_evict(PageIndex(0)), None);
     }
 

@@ -292,10 +292,6 @@ pub struct Vim {
     /// by default, in which case every injection path is a single
     /// branch.
     faults: FaultInjector,
-    /// Bounded retry budget for one page transfer before the fault
-    /// escalates ([`VimError::TransferFault`] on synchronous paths, a
-    /// lost transfer on overlapped ones).
-    max_transfer_retries: u32,
     /// A synchronous transfer exhausted its retries; surfaced as
     /// [`VimError::TransferFault`] by the service that triggered it.
     transfer_failure: Option<(ObjectId, u32)>,
@@ -307,6 +303,11 @@ pub struct Vim {
 }
 
 impl Vim {
+    /// Bounded retry budget for one page transfer before the fault
+    /// escalates ([`VimError::TransferFault`] on synchronous paths, a
+    /// lost transfer on overlapped ones).
+    const MAX_TRANSFER_RETRIES: u32 = 3;
+
     /// Creates a VIM for the given geometry and cost model.
     ///
     /// # Panics
@@ -339,7 +340,6 @@ impl Vim {
             in_flight: Vec::new(),
             deferred_demand: VecDeque::new(),
             faults: FaultInjector::disabled(),
-            max_transfer_retries: 3,
             transfer_failure: None,
             done_dirty: Vec::new(),
         }
@@ -393,23 +393,17 @@ impl Vim {
     /// without being rebuilt. The replacement policy is re-created from
     /// scratch and the DMA engine is rebuilt to match `overlap` /
     /// `dma_channels`, so the next execution behaves exactly as on a
-    /// freshly built system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while DMA transfers are in flight (i.e. during
-    /// an execution).
+    /// freshly built system. Transfers a failed execution left in flight
+    /// are cancelled first, as the next execution's set-up would.
     pub fn reconfigure_paging(
         &mut self,
+        imu: &mut Imu,
         policy: PolicyKind,
         prefetch: PrefetchMode,
         overlap: bool,
         dma_channels: usize,
     ) {
-        assert!(
-            self.in_flight.is_empty(),
-            "reconfigure_paging with DMA transfers in flight"
-        );
+        self.cancel_in_flight(imu);
         self.config.policy = policy;
         self.config.prefetch = prefetch;
         self.config.overlap = overlap;
@@ -477,12 +471,6 @@ impl Vim {
     /// whole stack.
     pub fn fault_injector_mut(&mut self) -> &mut FaultInjector {
         &mut self.faults
-    }
-
-    /// Bounds how often one page transfer is retried after an injected
-    /// corruption or timeout before the fault escalates (default 3).
-    pub fn set_max_transfer_retries(&mut self, retries: u32) {
-        self.max_transfer_retries = retries;
     }
 
     /// Changes whenever the manager serviced a fault or moved a page in
@@ -555,7 +543,7 @@ impl Vim {
         let mut attempts = 0u32;
         while self.faults.roll_tagged(FaultSite::DmaCorrupt, asid.0) {
             attempts += 1;
-            if attempts > self.max_transfer_retries {
+            if attempts > Self::MAX_TRANSFER_RETRIES {
                 self.transfer_failure = Some((obj, vpage));
                 return total;
             }
@@ -1227,7 +1215,7 @@ impl Vim {
     /// entry is marked lost, which a demand-side watchdog will notice.
     fn retry_completion(&mut self, idx: usize, dpram: &mut DualPortRam) {
         let e = self.in_flight[idx];
-        if e.attempts >= self.max_transfer_retries {
+        if e.attempts >= Self::MAX_TRANSFER_RETRIES {
             self.in_flight[idx].lost = true;
             self.counts.dma_lost += 1;
             self.times.sw_imu += self.cost.dma_completion_time();
@@ -1418,11 +1406,6 @@ impl Vim {
     /// coprocessor execution and the lean transaction engine stands down.
     pub fn overlap_active(&self) -> bool {
         self.dma.is_some()
-    }
-
-    /// Number of frames pinned by in-flight transfers.
-    pub fn pinned_frames(&self) -> usize {
-        self.frames.pinned_count()
     }
 
     /// Checks the manager's structural invariants against `imu` and
@@ -2366,14 +2349,14 @@ mod tests {
         let svc = rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
         assert!(svc.pending, "demand movement went to the DMA engine");
         assert!(rig.vim.dma_busy());
-        assert_eq!(rig.vim.pinned_frames(), 1);
+        assert_eq!(rig.vim.frames.pinned_count(), 1);
         // The coprocessor stays stalled while the transfer is in flight.
         for _ in 0..4 {
             assert_eq!(rig.step(), None);
         }
         let ready = rig.pump_dma_until_ready(100_000);
         assert!(ready.at > SimTime::ZERO);
-        assert_eq!(rig.vim.pinned_frames(), 0, "arrival unpins the frame");
+        assert_eq!(rig.vim.frames.pinned_count(), 0, "arrival unpins the frame");
         assert!(!rig.vim.dma_busy());
         rig.imu.resume();
         let got = rig.step_until_complete(16);
@@ -2415,7 +2398,7 @@ mod tests {
         );
         assert_eq!(rig.vim.counters().page_writeback, 1);
         assert_eq!(rig.vim.counters().eviction, 1);
-        assert_eq!(rig.vim.pinned_frames(), 1);
+        assert_eq!(rig.vim.frames.pinned_count(), 1);
         rig.pump_dma_until_ready(200_000);
         rig.imu.resume();
         rig.step_until_complete(32);
@@ -2469,7 +2452,7 @@ mod tests {
             "with all frames warm, speculation stole clean cold frames"
         );
         assert_eq!(c.page_writeback, 0, "speculation never pays a write-back");
-        assert_eq!(rig.vim.pinned_frames(), 0);
+        assert_eq!(rig.vim.frames.pinned_count(), 0);
     }
 
     /// Services one overlapped demand fault with `plan` armed and pumps
@@ -2502,7 +2485,7 @@ mod tests {
         assert_eq!(got, want, "the re-submitted page carries the right data");
         assert_eq!(rig.vim.counters().timeout_resubmit, 1);
         assert_eq!(rig.vim.counters().transfer_retry, 1);
-        assert_eq!(rig.vim.pinned_frames(), 0);
+        assert_eq!(rig.vim.frames.pinned_count(), 0);
         assert!(!rig.vim.demand_lost_for(Asid::SINGLE));
         // Detection costs one nominal transfer time: the deadline fires
         // when the dropped transfer would have completed, and the
@@ -2515,7 +2498,6 @@ mod tests {
     #[test]
     fn lost_transfer_spends_the_retry_budget_then_stays_lost() {
         let mut rig = Rig::new(overlap_config());
-        rig.vim.set_max_transfer_retries(2);
         rig.vim.set_fault_injector(FaultInjector::new(
             vcop_sim::fault::FaultPlan::new(1).rate(FaultSite::DmaTimeout, 1.0),
         ));
@@ -2536,10 +2518,17 @@ mod tests {
             }
         }
         assert!(!rig.vim.dma_busy());
-        assert_eq!(rig.vim.counters().timeout_resubmit, 2);
+        assert_eq!(
+            rig.vim.counters().timeout_resubmit,
+            u64::from(Vim::MAX_TRANSFER_RETRIES)
+        );
         assert_eq!(rig.vim.counters().dma_lost, 1);
         assert!(rig.vim.demand_lost_for(Asid::SINGLE));
-        assert_eq!(rig.vim.pinned_frames(), 1, "the lost page keeps its frame");
+        assert_eq!(
+            rig.vim.frames.pinned_count(),
+            1,
+            "the lost page keeps its frame"
+        );
     }
 
     #[test]
@@ -2559,7 +2548,7 @@ mod tests {
         assert!(svc.pending);
         assert!(rig.vim.dma_busy());
         assert_eq!(
-            rig.vim.pinned_frames(),
+            rig.vim.frames.pinned_count(),
             3,
             "demand + two prefetches in flight"
         );
@@ -2569,7 +2558,7 @@ mod tests {
             .prepare_execute(&mut rig.imu, &mut rig.dpram, &[], Scope::Table)
             .unwrap();
         assert!(!rig.vim.dma_busy());
-        assert_eq!(rig.vim.pinned_frames(), 0);
+        assert_eq!(rig.vim.frames.pinned_count(), 0);
         assert_eq!(rig.vim.counters().dma_cancelled, 3);
         assert_eq!(rig.vim.counters().install_committed, 0);
         let far = rig.now + SimTime::from_ms(10);

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: full applications through the complete
 //! platform (fabric + IMU + VIM + syscalls).
 
-use vcop::{Direction, ElemSize, Error, MapHints, PrefetchMode, SystemBuilder};
+use vcop::{Direction, ElemSize, Error, MapHints, PolicyKind, PrefetchMode, SystemBuilder};
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT as ADPCM_IN, OBJ_OUTPUT as ADPCM_OUT};
 use vcop_apps::idea::cipher as idea;
@@ -652,6 +652,27 @@ fn hung_coprocessor_times_out() {
     assert!(matches!(err, Error::Timeout { budget: 10_000 }));
     // The caller's sleep ends at the failure.
     assert!(system.caller_sleep_time() > SimTime::ZERO);
+}
+
+#[test]
+fn reconfigure_paging_after_a_failed_overlapped_execute_cancels_its_transfers() {
+    // This budget runs out while prefetches are still in flight.
+    let kind = AppKind::Adpcm;
+    let mut system = SystemBuilder::epxa1()
+        .clocks(kind.cp_freq(), kind.imu_freq())
+        .overlap(true)
+        .prefetch(PrefetchMode::NextPage { degree: 2 })
+        .edge_budget(131_043)
+        .build();
+    kind.load(&mut system).expect("load");
+    let job = kind.synthetic_job(32 * 1024);
+    job.map(&mut system).expect("map");
+    let err = system.fpga_execute(&job.request.params).unwrap_err();
+    assert!(matches!(err, Error::Timeout { .. }), "{err}");
+    assert!(system.vim().dma_busy(), "the failed execute left transfers");
+    system.reconfigure_paging(PolicyKind::Fifo, PrefetchMode::None, false, 2);
+    assert!(!system.vim().dma_busy());
+    assert_eq!(system.vim().check_invariants(system.imu()), Ok(()));
 }
 
 #[test]

@@ -117,6 +117,38 @@ fn partitioned_frames_produce_reference_outputs() {
 }
 
 #[test]
+fn partition_too_small_for_another_tenant_is_an_error_that_changes_nothing() {
+    // Four frames give two tenants two each; a third would get one.
+    let builder = || MultiSystemBuilder::epxa4().partition(true).frame_limit(4);
+    let (mut sys, adpcm, idea) = mixed_system_from(builder());
+    let page = sys.device().page_bytes;
+    match AppKind::Idea.admit(&mut sys, "third") {
+        Err(vcop::Error::ExceedsMemory {
+            required,
+            available,
+        }) => assert_eq!((required, available), (3 * 2 * page, 4 * page)),
+        other => panic!("third tenant admitted into one frame: {other:?}"),
+    }
+
+    let run = |sys: &mut MultiSystem| {
+        let (areq, aexp) = adpcm_request(512, 0);
+        let (ireq, iexp) = idea_request(512, 0);
+        sys.submit(adpcm, areq);
+        sys.submit(idea, ireq);
+        let report = sys.run().expect("both tenants still serve");
+        assert_eq!(output_bytes(sys, adpcm), vec![aexp]);
+        assert_eq!(output_bytes(sys, idea), vec![iexp]);
+        report.config_time
+    };
+    let two_loads = run(&mut mixed_system_from(builder()).0);
+    assert_eq!(
+        run(&mut sys),
+        two_loads,
+        "the rejected tenant was never loaded"
+    );
+}
+
+#[test]
 fn single_tenant_never_context_switches_mid_run() {
     // Preemption happens only at stall boundaries, and a lone tenant is
     // re-picked at every boundary: the IMU context is loaded exactly

@@ -175,9 +175,8 @@ impl<K> Builder<K> {
             dma_channels: self.dma_channels,
             ..paging
         };
-        let mut irq = InterruptController::new(1);
+        let irq = InterruptController::new(1);
         let pld_irq = irq.line(0).expect("one line");
-        irq.enable(pld_irq);
         let recovery = self
             .recovery
             .or_else(|| self.faults.as_ref().map(|_| RecoveryPolicy::default()));

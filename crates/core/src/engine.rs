@@ -253,7 +253,6 @@ impl Engine {
     ) -> Result<SimTime, Error> {
         let reset = ControlRegister {
             reset: true,
-            irq_enable: true,
             ..Default::default()
         };
         self.imu.write_control(reset, &mut PortLink::new(port));
@@ -316,19 +315,25 @@ impl Engine {
                     };
                 }
             }
-            // Lean transaction engine: in the common synchronous steady
-            // state (no DMA engine, non-pipelined IMU) the whole
+            // Lean transaction engine: with a non-pipelined IMU the whole
             // accept→translate→complete span of a hitting access is
             // deterministic, so it runs as one fused transaction instead
             // of five-plus scheduler iterations, and a computing
             // coprocessor burst runs as one skip-plus-step round. Any
             // milestone the span cannot prove idle — a fault, `CP_FIN`,
             // param-done, pipelining, a blocked pair, budget proximity —
-            // drops back to the generic event loop below.
-            if self.kernel == Kernel::EventDriven
-                && seg.stalls.demand_start.is_none()
-                && !self.vim.overlap_active()
-            {
+            // drops back to the generic event loop below. The span runs
+            // the same in every paging mode: `Vim::advance_dma` applies
+            // each completion at its own bus-edge time when the next edge
+            // is popped; the loop exits on every fault, before the VIM
+            // can submit a transfer; and a fused hit needs a valid TLB
+            // entry, which no transfer in flight can create or remove,
+            // because loading and evicting frames are pinned and
+            // unmapped. One completion effect reads what a hit writes: a
+            // retried deferred demand picks its victim by usage and dirty
+            // bits, so the kernels could differ on a demand deferred
+            // while another tenant runs (no known run defers one).
+            if self.kernel == Kernel::EventDriven && seg.stalls.demand_start.is_none() {
                 let (imu_clock, cp_clock) = seg.clocks.pair_mut(imu_clk, cp_clk);
                 loop {
                     if !self.imu.lean_ready() || port.fin_pending() || port.param_done_pending() {

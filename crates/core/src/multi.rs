@@ -508,7 +508,8 @@ impl MultiSystem {
     ///
     /// Panics if `imu_freq` is not an integer multiple of `cp_freq`
     /// (same contract as the single-tenant builder), or if more than
-    /// `u16::MAX` tenants are admitted.
+    /// `u16::MAX` tenants are admitted; either panic fires before the
+    /// core is loaded.
     pub fn add_tenant(
         &mut self,
         name: &str,
@@ -526,6 +527,7 @@ impl MultiSystem {
                 available: self.frames * page,
             });
         }
+        let asid = Asid(u16::try_from(n).expect("tenant count fits u16"));
         let sync_edges = cdc_sync_edges(cp_freq, imu_freq);
         let mut ctl = ConfigController::new(self.device);
         let (loaded, passes) = self.engine.load(&mut ctl, bitstream_bytes)?;
@@ -534,7 +536,6 @@ impl MultiSystem {
         let load_time = loaded.load_time * u64::from(passes);
         self.config_time += load_time;
         self.cpu_free_at += load_time;
-        let asid = Asid(u16::try_from(n).expect("tenant count fits u16"));
         self.scheduler.admit(asid, weight);
         self.tenants.push(Tenant {
             name: name.to_owned(),

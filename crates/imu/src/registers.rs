@@ -50,19 +50,16 @@ pub struct ControlRegister {
     pub resume: bool,
     /// Clear `done`/`fault` status and reset the datapath.
     pub reset: bool,
-    /// Enable the `INT_PLD` interrupt line.
-    pub irq_enable: bool,
 }
 
 impl fmt::Display for ControlRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "CR{{start={} resume={} reset={} irq_en={}}}",
+            "CR{{start={} resume={} reset={}}}",
             u8::from(self.start),
             u8::from(self.resume),
-            u8::from(self.reset),
-            u8::from(self.irq_enable)
+            u8::from(self.reset)
         )
     }
 }

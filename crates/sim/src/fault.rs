@@ -112,7 +112,7 @@ impl fmt::Display for FaultSite {
 /// let plan = FaultPlan::new(7)
 ///     .rate(FaultSite::DmaCorrupt, 0.05)
 ///     .once(FaultSite::DmaTimeout, 2); // the 2nd submission is lost
-/// assert!(!plan.is_noop());
+/// assert_ne!(plan, FaultPlan::new(7));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -171,12 +171,6 @@ impl FaultPlan {
     pub fn irq_delay_edges(mut self, edges: u64) -> Self {
         self.irq_delay_edges = edges;
         self
-    }
-
-    /// `true` when the plan can never fire (all rates zero, no
-    /// one-shots).
-    pub fn is_noop(&self) -> bool {
-        self.rates.iter().all(|&r| r <= 0.0) && self.one_shots.is_empty()
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The IMU raises `INT_PLD` towards the ARM stripe when OS service is
 //! required (translation fault or end of coprocessor operation). The
-//! controller model keeps level-sensitive pending state per line, an
-//! enable mask, and counts deliveries — the VIM uses it to decide when a
-//! fault handler invocation must be charged.
+//! controller model keeps level-sensitive pending state per line and
+//! counts deliveries — the VIM uses it to decide when a fault handler
+//! invocation must be charged.
 
 use core::fmt;
 
@@ -27,25 +27,21 @@ impl fmt::Display for IrqLine {
 ///
 /// let mut ic = InterruptController::new(4);
 /// let pld = ic.line(0).expect("line 0 exists");
-/// ic.enable(pld);
 /// ic.raise(pld);
-/// assert_eq!(ic.next_pending(), Some(pld));
 /// ic.acknowledge(pld);
-/// assert_eq!(ic.next_pending(), None);
+/// assert_eq!(ic.delivered_count(pld), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterruptController {
     pending: Vec<bool>,
-    enabled: Vec<bool>,
     delivered: Vec<u64>,
 }
 
 impl InterruptController {
-    /// Creates a controller with `lines` lines, all masked and idle.
+    /// Creates a controller with `lines` lines, all idle.
     pub fn new(lines: usize) -> Self {
         InterruptController {
             pending: vec![false; lines],
-            enabled: vec![false; lines],
             delivered: vec![0; lines],
         }
     }
@@ -58,17 +54,6 @@ impl InterruptController {
     fn check(&self, line: IrqLine) -> usize {
         assert!(line.0 < self.pending.len(), "{line} out of range");
         line.0
-    }
-
-    /// Unmasks a line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line` is out of range (all `IrqLine` handles obtained
-    /// from [`InterruptController::line`] are in range).
-    pub fn enable(&mut self, line: IrqLine) {
-        let i = self.check(line);
-        self.enabled[i] = true;
     }
 
     /// Asserts a line (idempotent while already pending).
@@ -86,15 +71,6 @@ impl InterruptController {
         }
     }
 
-    /// Highest-priority (lowest-numbered) pending *and enabled* line.
-    pub fn next_pending(&self) -> Option<IrqLine> {
-        self.pending
-            .iter()
-            .zip(&self.enabled)
-            .position(|(&p, &e)| p && e)
-            .map(IrqLine)
-    }
-
     /// Times the line has been serviced (acknowledged).
     pub fn delivered_count(&self, line: IrqLine) -> u64 {
         self.delivered[self.check(line)]
@@ -106,40 +82,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn masked_lines_do_not_deliver() {
-        let mut ic = InterruptController::new(2);
-        let l0 = ic.line(0).unwrap();
-        ic.raise(l0);
-        assert_eq!(ic.next_pending(), None);
-        ic.enable(l0);
-        assert_eq!(ic.next_pending(), Some(l0));
-    }
-
-    #[test]
-    fn priority_is_lowest_line_first() {
-        let mut ic = InterruptController::new(3);
-        for n in 0..3 {
-            let l = ic.line(n).unwrap();
-            ic.enable(l);
-        }
-        ic.raise(ic.line(2).unwrap());
-        ic.raise(ic.line(1).unwrap());
-        assert_eq!(ic.next_pending(), Some(IrqLine(1)));
-    }
-
-    #[test]
     fn raise_is_level_sensitive() {
         let mut ic = InterruptController::new(1);
         let l = ic.line(0).unwrap();
-        ic.enable(l);
         ic.raise(l);
         ic.raise(l);
         ic.raise(l);
         ic.acknowledge(l);
-        assert_eq!(ic.next_pending(), None);
         assert_eq!(ic.delivered_count(l), 1);
+        ic.acknowledge(l);
+        assert_eq!(ic.delivered_count(l), 1, "one delivery per assertion");
         ic.raise(l);
-        assert_eq!(ic.next_pending(), Some(l));
+        ic.acknowledge(l);
+        assert_eq!(ic.delivered_count(l), 2);
     }
 
     #[test]

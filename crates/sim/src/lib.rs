@@ -35,7 +35,7 @@
 //!                              BurstKind::Single);
 //! let cpu = ArmCpu::epxa1();
 //! let t = cpu.cycles_to_time(cycles);
-//! assert!(t.as_ns() > 0);
+//! assert!(t.as_ps() > 0);
 //! ```
 
 #![warn(missing_docs)]

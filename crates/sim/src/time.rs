@@ -64,12 +64,6 @@ impl SimTime {
         self.0
     }
 
-    /// Time as (truncated) nanoseconds.
-    #[inline]
-    pub const fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Time as fractional milliseconds (the unit of the paper's figures).
     #[inline]
     pub fn as_ms_f64(self) -> f64 {

@@ -63,7 +63,7 @@ pub enum FrameState {
 /// use vcop_vim::frames::FrameTable;
 ///
 /// let mut ft = FrameTable::new(8);
-/// let frame = ft.find_free().expect("all free initially");
+/// let frame = ft.find_free_in(0..8).expect("all free initially");
 /// ft.install(frame, Asid::SINGLE, ObjectId(0), 0);
 /// assert_eq!(ft.frame_of(Asid::SINGLE, ObjectId(0), 0), Some(frame));
 /// ```
@@ -138,14 +138,6 @@ impl FrameTable {
     /// Panics if `frame` is out of range.
     pub fn state(&self, frame: PageIndex) -> FrameState {
         self.frames[frame.0]
-    }
-
-    /// Lowest-numbered free frame, if any.
-    pub fn find_free(&self) -> Option<PageIndex> {
-        self.frames
-            .iter()
-            .position(|s| *s == FrameState::Free)
-            .map(PageIndex)
     }
 
     /// Lowest-numbered free frame within `range` (a tenant's partition
@@ -439,13 +431,13 @@ mod tests {
         let ft = FrameTable::new(8);
         assert_eq!(ft.len(), 8);
         assert_eq!(free_count(&ft), 8);
-        assert_eq!(ft.find_free(), Some(PageIndex(0)));
+        assert_eq!(ft.find_free_in(0..8), Some(PageIndex(0)));
     }
 
     #[test]
     fn install_and_lookup() {
         let mut ft = FrameTable::new(4);
-        let f = ft.find_free().unwrap();
+        let f = ft.find_free_in(0..4).unwrap();
         let r = ft.install(f, Asid::SINGLE, ObjectId(2), 7);
         assert_eq!(r.loaded_seq, 0);
         assert_eq!(ft.frame_of(Asid::SINGLE, ObjectId(2), 7), Some(f));
@@ -485,7 +477,7 @@ mod tests {
         let mut ft = FrameTable::new(2);
         ft.reserve_params(PageIndex(0), Asid::SINGLE);
         assert_eq!(ft.state(PageIndex(0)), FrameState::Params(Asid::SINGLE));
-        assert_eq!(ft.find_free(), Some(PageIndex(1)));
+        assert_eq!(ft.find_free_in(0..2), Some(PageIndex(1)));
         // Params frames are not evictable.
         assert_eq!(ft.evict(PageIndex(0)), None);
         assert_eq!(ft.state(PageIndex(0)), FrameState::Params(Asid::SINGLE));
@@ -516,7 +508,7 @@ mod tests {
         assert_eq!(r.vpage, 4);
         assert_eq!(ft.pinned_count(), 1);
         // Pinned frames are invisible to allocation, lookup and eviction.
-        assert_eq!(ft.find_free(), Some(PageIndex(1)));
+        assert_eq!(ft.find_free_in(0..2), Some(PageIndex(1)));
         assert_eq!(ft.frame_of(Asid::SINGLE, ObjectId(1), 4), None);
         assert!(ft.residents().is_empty());
         assert_eq!(ft.evict(PageIndex(0)), None);

@@ -265,6 +265,9 @@ pub struct Vim {
     /// per-process names, so two tenants can both map an `ObjectId(0)`.
     objects: BTreeMap<(u16, u8), MappedObject>,
     frames: FrameTable,
+    /// Per frame: its page arrived on the DMA engine as a demand page
+    /// (see [`FrameView::awaited`]).
+    demand_arrived: Vec<bool>,
     policy: Box<dyn ReplacementPolicy>,
     cost: OsCostModel,
     counts: VimCounts,
@@ -324,6 +327,7 @@ impl Vim {
             .then(|| ClockDomain::new(cost.bus().frequency()));
         Vim {
             frames: FrameTable::new(config.frame_count),
+            demand_arrived: vec![false; config.frame_count],
             policy: config.policy.build(),
             config,
             objects: BTreeMap::new(),
@@ -752,6 +756,7 @@ impl Vim {
                     loaded_seq: r.loaded_seq,
                     accesses: usage.accesses,
                     last_access: usage.last_access,
+                    awaited: self.demand_arrived[frame.0] && usage.accesses == 0,
                     sticky,
                 }
             })
@@ -937,6 +942,7 @@ impl Vim {
     ) {
         out.dp += self.load_page(asid, obj, vpage, frame, dpram);
         self.frames.install(frame, asid, obj, vpage);
+        self.demand_arrived[frame.0] = false;
         imu.tlb_mut().set_entry(
             frame.0,
             TlbEntry {
@@ -1273,6 +1279,7 @@ impl Vim {
                 self.frames
                     .finish_load(entry.frame)
                     .expect("completed load frame was Loading");
+                self.demand_arrived[entry.frame.0] = demand;
                 imu.tlb_mut().set_entry(
                     entry.frame.0,
                     TlbEntry {
@@ -1399,13 +1406,6 @@ impl Vim {
         } else {
             None
         }
-    }
-
-    /// Whether overlapped paging (an asynchronous DMA engine) is
-    /// configured — if so, paging traffic can progress concurrently with
-    /// coprocessor execution and the lean transaction engine stands down.
-    pub fn overlap_active(&self) -> bool {
-        self.dma.is_some()
     }
 
     /// Checks the manager's structural invariants against `imu` and

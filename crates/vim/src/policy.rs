@@ -25,6 +25,9 @@ pub struct FrameView {
     pub accesses: u64,
     /// IMU edge stamp of the most recent access (0 = never referenced).
     pub last_access: u64,
+    /// A demand page that arrived on the DMA engine and has not been
+    /// accessed since: its tenant is parked or about to resume on it.
+    pub awaited: bool,
     /// The page belongs to an object mapped with the `sticky` hint.
     pub sticky: bool,
 }
@@ -92,7 +95,7 @@ impl ReplacementPolicy for Lru {
 
     fn choose_victim(&mut self, candidates: &[FrameView]) -> usize {
         preferring_unsticky(candidates)
-            .min_by_key(|c| (c.last_access, c.loaded_seq))
+            .min_by_key(|c| (c.awaited, c.last_access, c.loaded_seq))
             .expect("nonempty candidates")
             .frame
     }
@@ -323,6 +326,7 @@ mod tests {
             loaded_seq: loaded,
             accesses,
             last_access: last,
+            awaited: false,
             sticky: false,
         }
     }

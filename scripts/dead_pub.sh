@@ -3,17 +3,18 @@
 # non-test part of a file under crates/*/src (the lines before its first
 # `#[cfg(test)]`, as scripts/loc.sh counts them), it counts the name's
 # whole-word occurrences in every `.rs` file of the repository, build
-# output under `target/` excluded. Occurrences in the defining file's own
-# test module and the definition itself do not count; everything else
-# does: doc comments, other files' tests, `tests/`, benches, examples
-# and `perfbench/`. Prints `file: name` for each function left with no
-# occurrence and exits 1 if there is one, 0 otherwise.
+# output under `target/` excluded, after cutting each line at its first
+# `//`. Comments, doc comments and their examples included, therefore
+# never count; nor do the defining file's own test module and the
+# definition itself. Everything else does: other files' tests, `tests/`,
+# benches, examples and `perfbench/`. Prints `file: name` for each
+# function left with no occurrence and exits 1 if there is one, 0
+# otherwise.
 #
 # The count is by name, not by resolved path, so the check is blind to a
-# dead function whose name also appears elsewhere: in a comment, as a
-# field or local, or as another type's method of the same name (a dead
-# `Wake::sooner` would be missed while a comment in dma.rs says
-# "sooner").
+# dead function whose name also appears elsewhere in code: as a field or
+# local, or as another type's method of the same name. A `//` inside a
+# string literal cuts the rest of that line too.
 #
 # Usage: scripts/dead_pub.sh
 set -euo pipefail
@@ -32,6 +33,7 @@ dead=$(awk '
             defs[FILENAME SUBSEP def]++
         }
         line = $0
+        sub(/\/\/.*/, "", line)
         gsub(/[^A-Za-z0-9_]+/, " ", line)
         n = split(line, words, " ")
         for (i = 1; i <= n; i++) {

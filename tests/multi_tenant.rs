@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use vcop::{
-    FaultPlan, FaultSite, Kernel, MultiReport, MultiSystem, MultiSystemBuilder, SchedulerKind,
+    Error, FaultPlan, FaultSite, Kernel, MultiReport, MultiSystem, MultiSystemBuilder, PolicyKind,
+    SchedulerKind,
 };
 use vcop_bench::app::{adpcm_fallback, AppKind};
 use vcop_bench::serving::{adpcm_request, idea_request};
@@ -17,6 +18,7 @@ use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
 use vcop_imu::tlb::Asid;
+use vcop_vim::VimError;
 
 fn mixed_system(scheduler: SchedulerKind, partition: bool) -> (MultiSystem, Asid, Asid) {
     mixed_system_with(scheduler, partition, None)
@@ -433,66 +435,158 @@ proptest! {
     }
 }
 
-/// Runs a two-tenant mix on `kernel`: `sizes_a` adpcm and `sizes_i`
-/// IDEA requests submitted alternately. Returns the run report and
-/// each tenant's outputs.
-fn run_mix_on(
+/// A multi-tenant run's report and each tenant's output streams.
+type Served = (MultiReport, Vec<Vec<Vec<u8>>>);
+
+/// Four tenants, admitted as adpcm, IDEA, adpcm, IDEA, share a pool of
+/// `frames` frames (split evenly when `partition`) replaced by
+/// `policy`; each is sent two 1 KiB requests, round by round. Returns
+/// the run report and each tenant's outputs (checked against the
+/// software references), or the run's typed error.
+fn four_tenants(
     kernel: Kernel,
     scheduler: SchedulerKind,
+    policy: PolicyKind,
+    frames: usize,
     partition: bool,
-    sizes_a: &[usize],
-    sizes_i: &[usize],
-) -> (MultiReport, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let (mut sys, adpcm, idea) = mixed_system_from(
-        MultiSystemBuilder::epxa4()
-            .scheduler(scheduler)
-            .partition(partition)
-            .kernel(kernel),
-    );
-    for k in 0..sizes_a.len().max(sizes_i.len()) {
-        if let Some(&size) = sizes_a.get(k) {
-            sys.submit(adpcm, adpcm_request(size, k).0);
-        }
-        if let Some(&size) = sizes_i.get(k) {
-            sys.submit(idea, idea_request(size, k).0);
+) -> Result<Served, Error> {
+    let mut sys = MultiSystemBuilder::epxa4()
+        .kernel(kernel)
+        .scheduler(scheduler)
+        .policy(policy)
+        .frame_limit(frames)
+        .partition(partition)
+        .build();
+    let kinds = [AppKind::Adpcm, AppKind::Idea, AppKind::Adpcm, AppKind::Idea];
+    let mut tenants = Vec::new();
+    for kind in kinds {
+        tenants.push(kind.admit(&mut sys, kind.name()).expect("admit tenant"));
+    }
+    let mut expect = vec![Vec::new(); kinds.len()];
+    for round in 0..2 {
+        for (t, kind) in kinds.into_iter().enumerate() {
+            let request = match kind {
+                AppKind::Adpcm => adpcm_request,
+                AppKind::Idea => idea_request,
+            };
+            let (req, exp) = request(1024, 4 * round + t);
+            sys.submit(tenants[t], req);
+            expect[t].push(exp);
         }
     }
-    let report = sys.run().expect("mixed run completes");
-    (
-        report,
-        output_bytes(&mut sys, adpcm),
-        output_bytes(&mut sys, idea),
-    )
+    let report = sys.run()?;
+    let outputs: Vec<_> = tenants
+        .iter()
+        .map(|&asid| output_bytes(&mut sys, asid))
+        .collect();
+    assert_eq!(outputs, expect, "outputs match the software references");
+    Ok((report, outputs))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+/// Runs [`four_tenants`] on the stepped reference kernel and on the
+/// event-driven one and asserts that both give the same report and
+/// output bytes, or the same typed error. Returns the event kernel's
+/// outcome.
+fn kernels_agree_on_four_tenants(
+    scheduler: SchedulerKind,
+    policy: PolicyKind,
+    frames: usize,
+    partition: bool,
+) -> Result<MultiReport, Error> {
+    let case = format!("{scheduler:?}, {policy:?}, {frames} frames, partition {partition}");
+    let stepped = four_tenants(Kernel::Stepped, scheduler, policy, frames, partition);
+    let event = four_tenants(Kernel::EventDriven, scheduler, policy, frames, partition);
+    match (&stepped, &event) {
+        (Ok(s), Ok(e)) => assert!(s == e, "{case}: reports or outputs differ"),
+        (Err(s), Err(e)) => assert_eq!(format!("{s:?}"), format!("{e:?}"), "{case}"),
+        (s, e) => panic!(
+            "{case}: stepped {:?}, event {:?}",
+            s.as_ref().map(|r| &r.0),
+            e.as_ref().map(|r| &r.0)
+        ),
+    }
+    event.map(|(report, _)| report)
+}
 
-    /// The stepped reference kernel and the event-driven one produce
-    /// identical multi-tenant reports and output bytes under both
-    /// schedulers, with shared and with partitioned frames.
-    #[test]
-    fn stepped_and_event_kernels_agree_multi_tenant(
-        sizes_a in proptest::collection::vec(
-            (1usize..3).prop_map(|kb| kb * 1024), 1..3),
-        sizes_i in proptest::collection::vec(
-            (1usize..3).prop_map(|kb| kb * 1024), 1..3),
-    ) {
-        for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::DeficitRoundRobin] {
-            for partition in [false, true] {
-                let stepped = run_mix_on(Kernel::Stepped, scheduler, partition, &sizes_a, &sizes_i);
-                let event =
-                    run_mix_on(Kernel::EventDriven, scheduler, partition, &sizes_a, &sizes_i);
-                prop_assert_eq!(&stepped.0, &event.0, "{:?}, partition {}", scheduler, partition);
-                prop_assert_eq!(&stepped.1, &event.1);
-                prop_assert_eq!(&stepped.2, &event.2);
-                for (k, (size, out)) in sizes_a.iter().zip(&event.1).enumerate() {
-                    prop_assert_eq!(out, &adpcm_request(*size, k).1);
-                }
-                for (k, (size, out)) in sizes_i.iter().zip(&event.2).enumerate() {
-                    prop_assert_eq!(out, &idea_request(*size, k).1);
+/// The stepped reference kernel and the event-driven one agree with
+/// four tenants on a shared pool small enough that they steal each
+/// other's frames, on a larger one and on a partitioned one, under
+/// FIFO and LRU replacement and both schedulers. Fused TLB hits then
+/// run beside other tenants' transfers.
+#[test]
+fn stepped_and_event_kernels_agree_multi_tenant() {
+    let mut steals = 0;
+    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::DeficitRoundRobin] {
+        for policy in [PolicyKind::Fifo, PolicyKind::Lru] {
+            for (frames, partition) in [(6, false), (8, false), (8, true)] {
+                let outcome = kernels_agree_on_four_tenants(scheduler, policy, frames, partition);
+                if let Ok(report) = outcome {
+                    steals += report.cross_asid_steals;
                 }
             }
         }
     }
+    assert!(steals > 0, "some case steals frames across tenants");
+}
+
+/// Under LRU, a demand page that arrived for a parked tenant used to
+/// look never referenced, so tenants stole each other's arrived pages
+/// forever and round robin never returned. Every pool size now ends in
+/// `Ok` or a typed error, the same on both kernels.
+#[test]
+fn lru_on_a_shared_pool_terminates_with_four_tenants() {
+    for frames in [4, 6, 8] {
+        let outcome = kernels_agree_on_four_tenants(
+            SchedulerKind::RoundRobin,
+            PolicyKind::Lru,
+            frames,
+            false,
+        );
+        match outcome {
+            Ok(_) | Err(Error::Vim(VimError::NoFrameAvailable)) => {}
+            Err(e) => panic!("{frames} frames: {e:?}"),
+        }
+    }
+}
+
+/// ASIDs are 16-bit, so the 65 536th admission panics. It does so
+/// before the core is loaded: no configuration time is charged and the
+/// bitstream-load fault site is not rolled.
+#[test]
+fn the_65536th_tenant_is_refused_before_anything_is_loaded() {
+    let kind = AppKind::Adpcm;
+    let bitstream = Bitstream::builder("adpcmdecode")
+        .device(DeviceKind::Epxa4)
+        .resources(Resources::new(100, 614))
+        .core_clock(kind.cp_freq())
+        .build()
+        .to_bytes();
+    let mut sys = MultiSystemBuilder::epxa4()
+        .faults(FaultPlan::new(1))
+        .build();
+    let admit = |sys: &mut MultiSystem| {
+        sys.add_tenant(
+            "t",
+            1,
+            kind.cp_freq(),
+            kind.imu_freq(),
+            &bitstream,
+            kind.core(),
+        )
+    };
+    for _ in 0..u16::MAX {
+        admit(&mut sys).expect("admit tenant");
+    }
+    let rolls = sys.fault_injector().opportunities(FaultSite::BitstreamLoad);
+    let config_time = sys.run().expect("nothing to serve").config_time;
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| admit(&mut sys)));
+    assert!(refused.is_err(), "a 65 536th ASID does not exist");
+    assert_eq!(
+        sys.fault_injector().opportunities(FaultSite::BitstreamLoad),
+        rolls
+    );
+    assert_eq!(
+        sys.run().expect("nothing to serve").config_time,
+        config_time
+    );
 }

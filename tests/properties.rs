@@ -436,6 +436,7 @@ proptest! {
                 loaded_seq: loaded,
                 accesses: acc,
                 last_access: last,
+                awaited: acc == 0,
                 sticky: false,
             })
             .collect();

@@ -7,16 +7,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use vcop_bench::experiments::{adpcm_vim, ExperimentOptions};
+use vcop::SystemBuilder;
+use vcop_bench::experiments::adpcm_vim;
 
 fn bench_fig8(c: &mut Criterion) {
-    let opts = ExperimentOptions::default();
     let mut group = c.benchmark_group("fig8_adpcmdecode");
     group.sample_size(10);
     for kb in [2usize, 4, 8] {
         group.throughput(Throughput::Bytes((kb * 1024) as u64));
         group.bench_with_input(BenchmarkId::new("vim", format!("{kb}KB")), &kb, |b, &kb| {
-            b.iter(|| black_box(adpcm_vim(kb, &opts).report.total()))
+            b.iter(|| black_box(adpcm_vim(kb, SystemBuilder::epxa1()).report.total()))
         });
     }
     group.finish();

@@ -6,18 +6,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use vcop::Kernel;
+use vcop::{Kernel, SystemBuilder};
 use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{idea_vim, typical, ExperimentOptions, Harness};
+use vcop_bench::experiments::{idea_vim, typical, Harness};
 
 fn bench_fig9(c: &mut Criterion) {
-    let opts = ExperimentOptions::default();
     let mut group = c.benchmark_group("fig9_idea");
     group.sample_size(10);
     for kb in [4usize, 8, 16, 32] {
         group.throughput(Throughput::Bytes((kb * 1024) as u64));
         group.bench_with_input(BenchmarkId::new("vim", format!("{kb}KB")), &kb, |b, &kb| {
-            b.iter(|| black_box(idea_vim(kb, &opts).report.total()))
+            b.iter(|| black_box(idea_vim(kb, SystemBuilder::epxa1()).report.total()))
         });
     }
     for kb in [4usize, 8] {
@@ -40,11 +39,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.sample_size(10);
     let mut stepped_cycles = None;
     for (name, kernel) in [("stepped", Kernel::Stepped), ("event", Kernel::EventDriven)] {
-        let opts = ExperimentOptions {
-            kernel,
-            ..Default::default()
-        };
-        let mut harness = Harness::new(AppKind::Idea, 32, &opts);
+        let mut harness = Harness::new(AppKind::Idea, 32, SystemBuilder::epxa1().kernel(kernel));
         let warm = harness.run().report;
         let cycles = warm.imu_edges + warm.cp_cycles;
         assert_eq!(

@@ -15,21 +15,17 @@
 
 use std::env;
 
-use vcop::{ExecutionReport, PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{adpcm_vim, idea_vim, matmul_vim, ExperimentOptions, Harness};
+use vcop::{PolicyKind, PrefetchMode, SystemBuilder, TransferMode};
+use vcop_bench::experiments::{adpcm_vim, idea_vim, matmul_vim, Run};
 use vcop_bench::table::{ms, speedup, Table};
 use vcop_fabric::DeviceProfile;
+use vcop_vim::OsOverheads;
 
 fn pipeline() {
     println!("== abl-pipe: pipelined IMU (IDEA workload, 8 KB) ==\n");
     let mut table = Table::new(vec!["IMU", "HW", "VIM total", "speedup"]);
     for (name, depth) in [("prototype (depth 1)", 1usize), ("pipelined (depth 4)", 4)] {
-        let opts = ExperimentOptions {
-            pipeline_depth: depth,
-            ..Default::default()
-        };
-        let run = idea_vim(8, &opts);
+        let run = idea_vim(8, SystemBuilder::epxa1().pipeline_depth(depth));
         table.row(vec![
             name.to_owned(),
             ms(run.report.hw),
@@ -46,27 +42,17 @@ fn pipeline() {
 fn transfer() {
     println!("== abl-xfer: page transfer strategy (adpcmdecode 8 KB) ==\n");
     let mut table = Table::new(vec!["VIM copies", "SW (DP)", "VIM total", "speedup"]);
-    let variants: [(&str, ExperimentOptions); 4] = [
-        ("double (prototype)", ExperimentOptions::default()),
-        (
-            "single",
-            ExperimentOptions {
-                transfer: TransferMode::Single,
-                ..Default::default()
-            },
-        ),
-        ("single + skip OUT loads", ExperimentOptions::improved()),
-        (
-            "DMA + skip OUT loads",
-            ExperimentOptions {
-                transfer: TransferMode::Dma,
-                skip_out_page_load: true,
-                ..Default::default()
-            },
-        ),
+    let variants = [
+        ("double (prototype)", TransferMode::Double, false),
+        ("single", TransferMode::Single, false),
+        ("single + skip OUT loads", TransferMode::Single, true),
+        ("DMA + skip OUT loads", TransferMode::Dma, true),
     ];
-    for (name, opts) in variants {
-        let run = adpcm_vim(8, &opts);
+    for (name, transfer, skip_out_loads) in variants {
+        let builder = SystemBuilder::epxa1()
+            .transfer(transfer)
+            .skip_out_page_load(skip_out_loads);
+        let run = adpcm_vim(8, builder);
         table.row(vec![
             name.to_owned(),
             ms(run.report.sw_dp),
@@ -90,12 +76,7 @@ fn policy() {
             ("none", PrefetchMode::None),
             ("next-page", PrefetchMode::NextPage { degree: 1 }),
         ] {
-            let opts = ExperimentOptions {
-                policy: kind,
-                prefetch,
-                ..Default::default()
-            };
-            let run = idea_vim(32, &opts);
+            let run = idea_vim(32, SystemBuilder::epxa1().policy(kind).prefetch(prefetch));
             table.row(vec![
                 kind.to_string(),
                 pname.to_owned(),
@@ -122,12 +103,7 @@ fn policy() {
             ("none", PrefetchMode::None),
             ("next-page", PrefetchMode::NextPage { degree: 1 }),
         ] {
-            let opts = ExperimentOptions {
-                policy: kind,
-                prefetch,
-                ..Default::default()
-            };
-            let run = matmul_vim(64, &opts);
+            let run = matmul_vim(64, SystemBuilder::epxa1().policy(kind).prefetch(prefetch));
             table.row(vec![
                 kind.to_string(),
                 pname.to_owned(),
@@ -177,9 +153,9 @@ const OVERLAP_CONFIGS: [(&str, PrefetchMode, bool, usize); 7] = [
     ),
 ];
 
-/// Sweeps the overlap configurations through one warmed-up system,
-/// `point` re-running the workload after each reconfiguration.
-fn overlap_app(label: &str, mut point: impl FnMut(&ExperimentOptions) -> (ExecutionReport, f64)) {
+/// Runs `point` once per overlap configuration, each on a system built
+/// for it.
+fn overlap_app(label: &str, point: fn(SystemBuilder) -> Run) {
     println!("{label}:\n");
     let mut table = Table::new(vec![
         "VIM",
@@ -191,13 +167,13 @@ fn overlap_app(label: &str, mut point: impl FnMut(&ExperimentOptions) -> (Execut
         "speedup",
     ]);
     for (name, prefetch, overlap_on, channels) in OVERLAP_CONFIGS {
-        let opts = ExperimentOptions {
-            prefetch,
-            overlap: overlap_on,
-            dma_channels: channels,
-            ..Default::default()
-        };
-        let (report, sp) = point(&opts);
+        let run = point(
+            SystemBuilder::epxa1()
+                .prefetch(prefetch)
+                .overlap(overlap_on)
+                .dma_channels(channels),
+        );
+        let report = &run.report;
         table.row(vec![
             name.to_owned(),
             report.faults.to_string(),
@@ -205,7 +181,7 @@ fn overlap_app(label: &str, mut point: impl FnMut(&ExperimentOptions) -> (Execut
             ms(report.cpu_and_hw_time()),
             ms(report.overlap_saved()),
             ms(report.dma_hidden),
-            speedup(sp),
+            speedup(run.speedup()),
         ]);
     }
     println!("{}", table.render());
@@ -218,26 +194,10 @@ fn overlap() {
     println!("movements run on a multi-channel DMA engine raising completion");
     println!("interrupts; prefetches and coalesced write-backs proceed under");
     println!("coprocessor execution (adpcm 8 KB / IDEA 32 KB, next-page");
-    println!("prefetch). Each workload reuses one warmed-up system across");
-    println!("the configurations.\n");
+    println!("prefetch).\n");
 
-    let base = ExperimentOptions::default();
-
-    let mut adpcm = Harness::new(AppKind::Adpcm, 8, &base);
-    overlap_app("adpcm 8 KB", |opts| {
-        adpcm.reconfigure(opts);
-        let run = adpcm.run();
-        let sp = run.speedup();
-        (run.report, sp)
-    });
-
-    let mut idea = Harness::new(AppKind::Idea, 32, &base);
-    overlap_app("IDEA 32 KB", |opts| {
-        idea.reconfigure(opts);
-        let run = idea.run();
-        let sp = run.speedup();
-        (run.report, sp)
-    });
+    overlap_app("adpcm 8 KB", |builder| adpcm_vim(8, builder));
+    overlap_app("IDEA 32 KB", |builder| idea_vim(32, builder));
 }
 
 fn device() {
@@ -250,11 +210,7 @@ fn device() {
         DeviceProfile::epxa4(),
         DeviceProfile::epxa10(),
     ] {
-        let opts = ExperimentOptions {
-            device: dev,
-            ..Default::default()
-        };
-        let run = idea_vim(32, &opts);
+        let run = idea_vim(32, SystemBuilder::new(dev));
         table.row(vec![
             dev.kind.to_string(),
             format!("{} KB", dev.dpram_bytes / 1024),
@@ -283,14 +239,11 @@ fn pagesize() {
             "total",
         ]);
         for page_bytes in [512usize, 1024, 2048, 4096] {
-            let opts = ExperimentOptions {
-                device: DeviceProfile::epxa1().with_page_bytes(page_bytes),
-                ..Default::default()
-            };
+            let builder = SystemBuilder::new(DeviceProfile::epxa1().with_page_bytes(page_bytes));
             let report = if runner == 0 {
-                idea_vim(32, &opts).report
+                idea_vim(32, builder).report
             } else {
-                matmul_vim(64, &opts).report
+                matmul_vim(64, builder).report
             };
             table.row(vec![
                 format!("{page_bytes} B"),
@@ -314,13 +267,23 @@ fn sensitivity() {
         "adpcm 8KB speedup",
         "IDEA 32KB speedup",
     ]);
-    for pct in [50u32, 100, 200, 400] {
-        let opts = ExperimentOptions {
-            os_overhead_pct: pct,
-            ..Default::default()
-        };
-        let a = adpcm_vim(8, &opts);
-        let i = idea_vim(32, &opts);
+    for pct in [50u64, 100, 200, 400] {
+        // Every fixed OS overhead constant scaled to `pct` percent.
+        let scale = |v: u64| v * pct / 100;
+        let base = OsOverheads::paper_era();
+        let builder = SystemBuilder::epxa1().os_overheads(OsOverheads {
+            irq_entry_exit: scale(base.irq_entry_exit),
+            fault_decode: scale(base.fault_decode),
+            tlb_update: scale(base.tlb_update),
+            resume: scale(base.resume),
+            page_loop: scale(base.page_loop),
+            wake_process: scale(base.wake_process),
+            syscall: scale(base.syscall),
+            param_word: scale(base.param_word),
+            ctx_switch: scale(base.ctx_switch),
+        });
+        let a = adpcm_vim(8, builder.clone());
+        let i = idea_vim(32, builder);
         table.row(vec![
             format!("{pct}%"),
             speedup(a.speedup()),

@@ -3,7 +3,8 @@
 //! inputs. Points are independent simulations and run one per worker
 //! thread. Takes no arguments.
 
-use vcop_bench::experiments::{adpcm_vim, ExperimentOptions};
+use vcop::SystemBuilder;
+use vcop_bench::experiments::adpcm_vim;
 use vcop_bench::runner::parallel_map;
 use vcop_bench::table::{ms, speedup, BarChart, Table};
 
@@ -12,7 +13,6 @@ fn main() {
         eprintln!("fig8 takes no arguments");
         std::process::exit(2);
     }
-    let opts = ExperimentOptions::default();
     let mut table = Table::new(vec![
         "input",
         "SW",
@@ -27,7 +27,9 @@ fn main() {
     println!("paper: speedups 1.5x / 1.5x / 1.6x; SW(IMU) <= 2.5% of total\n");
     let mut chart = BarChart::new(64);
 
-    let points = parallel_map(vec![2usize, 4, 8], |kb| (kb, adpcm_vim(kb, &opts)));
+    let points = parallel_map(vec![2usize, 4, 8], |kb| {
+        (kb, adpcm_vim(kb, SystemBuilder::epxa1()))
+    });
     for (kb, run) in &points {
         let r = &run.report;
         chart.bar(format!("{kb} KB SW"), vec![("pure SW", run.sw)]);

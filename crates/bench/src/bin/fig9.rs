@@ -3,9 +3,9 @@
 //! 4/8/16/32 KB inputs. Points are independent simulations and run one
 //! per worker thread. Takes no arguments.
 
-use vcop::Error;
+use vcop::{Error, SystemBuilder};
 use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{idea_vim, typical, ExperimentOptions};
+use vcop_bench::experiments::{idea_vim, typical};
 use vcop_bench::runner::parallel_map;
 use vcop_bench::table::{ms, speedup, BarChart, Table};
 
@@ -14,7 +14,6 @@ fn main() {
         eprintln!("fig9 takes no arguments");
         std::process::exit(2);
     }
-    let opts = ExperimentOptions::default();
     let mut table = Table::new(vec![
         "input",
         "SW",
@@ -32,7 +31,11 @@ fn main() {
     let mut chart = BarChart::new(64);
 
     let points = parallel_map(vec![4usize, 8, 16, 32], |kb| {
-        (kb, idea_vim(kb, &opts), typical(AppKind::Idea, kb))
+        (
+            kb,
+            idea_vim(kb, SystemBuilder::epxa1()),
+            typical(AppKind::Idea, kb),
+        )
     });
     for (kb, run, typical) in &points {
         let r = &run.report;

@@ -12,12 +12,12 @@
 //! runs once through the IMU and once on the direct (manually managed)
 //! interface; the hardware-time difference is what translation costs.
 
+use vcop::SystemBuilder;
 use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{adpcm_vim, idea_vim, typical, ExperimentOptions};
+use vcop_bench::experiments::{adpcm_vim, idea_vim, typical};
 use vcop_bench::table::Table;
 
 fn main() {
-    let opts = ExperimentOptions::default();
     let mut table = Table::new(vec![
         "experiment",
         "IMU mgmt %",
@@ -29,9 +29,9 @@ fn main() {
 
     // Points where the direct version also fits the dual-port memory,
     // so the translation overhead can be measured pairwise.
-    let adpcm = adpcm_vim(2, &opts);
+    let adpcm = adpcm_vim(2, SystemBuilder::epxa1());
     let adpcm_direct = typical(AppKind::Adpcm, 2).expect("2 KB fits the dual-port RAM");
-    let idea = idea_vim(4, &opts);
+    let idea = idea_vim(4, SystemBuilder::epxa1());
     let idea_direct = typical(AppKind::Idea, 4).expect("4 KB fits the dual-port RAM");
 
     for (name, run_hw, run, direct_hw) in [
@@ -55,8 +55,11 @@ fn main() {
 
     // Larger points (direct version no longer fits): management shares.
     for (name, report) in [
-        ("adpcmdecode 8KB", adpcm_vim(8, &opts).report),
-        ("IDEA 32KB", idea_vim(32, &opts).report),
+        (
+            "adpcmdecode 8KB",
+            adpcm_vim(8, SystemBuilder::epxa1()).report,
+        ),
+        ("IDEA 32KB", idea_vim(32, SystemBuilder::epxa1()).report),
     ] {
         table.row(vec![
             name.to_owned(),

@@ -16,9 +16,9 @@
 use std::env;
 use std::process::ExitCode;
 
-use vcop::{PolicyKind, PrefetchMode, TransferMode};
+use vcop::{PolicyKind, PrefetchMode, SystemBuilder, TransferMode};
 use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{matmul_vim, ExperimentOptions, Harness};
+use vcop_bench::experiments::{matmul_vim, Harness};
 use vcop_bench::table::ms;
 use vcop_fabric::DeviceProfile;
 
@@ -27,17 +27,43 @@ struct Cli {
     workload: String,
     size_kb: usize,
     n: usize,
-    opts: ExperimentOptions,
+    /// The configuration every flag below the workload sets.
+    builder: SystemBuilder,
+    /// The values the header prints, also set in `builder`.
+    device: DeviceProfile,
+    policy: PolicyKind,
+    transfer: TransferMode,
+    pipeline_depth: usize,
+}
+
+fn parse_device(name: &str) -> Result<DeviceProfile, String> {
+    match name {
+        "epxa1" => Ok(DeviceProfile::epxa1()),
+        "epxa4" => Ok(DeviceProfile::epxa4()),
+        "epxa10" => Ok(DeviceProfile::epxa10()),
+        d => Err(format!("unknown device '{d}'")),
+    }
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut args = env::args().skip(1);
+    let args: Vec<String> = env::args().skip(1).collect();
+    // A builder starts from its device, so the last `--device` is read
+    // before the other flags.
+    let device = match args.iter().rposition(|a| a == "--device") {
+        Some(i) => parse_device(args.get(i + 1).ok_or("--device needs a value")?)?,
+        None => DeviceProfile::epxa1(),
+    };
+    let mut args = args.into_iter();
     let workload = args.next().ok_or("missing workload")?;
     let mut cli = Cli {
         workload,
         size_kb: 8,
         n: 0,
-        opts: ExperimentOptions::default(),
+        builder: SystemBuilder::new(device),
+        device,
+        policy: PolicyKind::Fifo,
+        transfer: TransferMode::Double,
+        pipeline_depth: 1,
     };
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
@@ -50,26 +76,22 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--n" => cli.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
             "--device" => {
-                cli.opts.device = match value()?.as_str() {
-                    "epxa1" => DeviceProfile::epxa1(),
-                    "epxa4" => DeviceProfile::epxa4(),
-                    "epxa10" => DeviceProfile::epxa10(),
-                    d => return Err(format!("unknown device '{d}'")),
-                }
+                value()?;
             }
             "--policy" => {
-                cli.opts.policy = match value()?.as_str() {
+                cli.policy = match value()?.as_str() {
                     "fifo" => PolicyKind::Fifo,
                     "lru" => PolicyKind::Lru,
                     "random" => PolicyKind::Random,
                     "clock" => PolicyKind::Clock,
                     "adaptive" => PolicyKind::Adaptive,
                     p => return Err(format!("unknown policy '{p}'")),
-                }
+                };
+                cli.builder = cli.builder.policy(cli.policy);
             }
             "--prefetch" => {
                 let v = value()?;
-                cli.opts.prefetch = if v == "none" {
+                let prefetch = if v == "none" {
                     PrefetchMode::None
                 } else if v == "hinted" {
                     PrefetchMode::HintedOnly
@@ -79,25 +101,28 @@ fn parse_args() -> Result<Cli, String> {
                     }
                 } else {
                     return Err(format!("unknown prefetch '{v}'"));
-                }
+                };
+                cli.builder = cli.builder.prefetch(prefetch);
             }
             "--transfer" => {
-                cli.opts.transfer = match value()?.as_str() {
+                cli.transfer = match value()?.as_str() {
                     "double" => TransferMode::Double,
                     "single" => TransferMode::Single,
                     "dma" => TransferMode::Dma,
                     t => return Err(format!("unknown transfer '{t}'")),
-                }
+                };
+                cli.builder = cli.builder.transfer(cli.transfer);
             }
             "--pipeline-depth" => {
-                cli.opts.pipeline_depth = value()?
+                cli.pipeline_depth = value()?
                     .parse()
                     .map_err(|e| format!("--pipeline-depth: {e}"))?;
-                if cli.opts.pipeline_depth == 0 {
+                if cli.pipeline_depth == 0 {
                     return Err("--pipeline-depth must be at least 1".to_owned());
                 }
+                cli.builder = cli.builder.pipeline_depth(cli.pipeline_depth);
             }
-            "--skip-out-loads" => cli.opts.skip_out_page_load = true,
+            "--skip-out-loads" => cli.builder = cli.builder.skip_out_page_load(true),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -121,7 +146,7 @@ fn main() -> ExitCode {
 
     println!(
         "workload {} on {} (policy {}, transfer {:?}, pipeline depth {})\n",
-        cli.workload, cli.opts.device, cli.opts.policy, cli.opts.transfer, cli.opts.pipeline_depth
+        cli.workload, cli.device, cli.policy, cli.transfer, cli.pipeline_depth
     );
 
     let (sw, report) = match cli.workload.as_str() {
@@ -131,7 +156,7 @@ fn main() -> ExitCode {
             } else {
                 AppKind::Idea
             };
-            match Harness::try_new(kind, cli.size_kb, &cli.opts) {
+            match Harness::try_new(kind, cli.size_kb, cli.builder) {
                 Ok(mut harness) => {
                     let run = harness.run();
                     (run.sw, run.report)
@@ -144,12 +169,12 @@ fn main() -> ExitCode {
         }
         "matmul" => {
             let n = if cli.n == 0 { 64 } else { cli.n };
-            let run = matmul_vim(n, &cli.opts);
+            let run = matmul_vim(n, cli.builder);
             (run.sw, run.report)
         }
         "vecadd" => {
             let n = if cli.n == 0 { 4096 } else { cli.n };
-            return match run_vecadd(n, &cli.opts) {
+            return match run_vecadd(n, cli.builder) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -175,20 +200,14 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_vecadd(n: usize, opts: &ExperimentOptions) -> Result<(), vcop::Error> {
-    use vcop::{Direction, ElemSize, MapHints, SystemBuilder};
+fn run_vecadd(n: usize, builder: SystemBuilder) -> Result<(), vcop::Error> {
+    use vcop::{Direction, ElemSize, MapHints};
     use vcop_apps::vecadd::{VecAddCoprocessor, OBJ_A, OBJ_B, OBJ_C};
     use vcop_fabric::bitstream::Bitstream;
 
-    let mut system = SystemBuilder::new(opts.device)
-        .policy(opts.policy)
-        .prefetch(opts.prefetch)
-        .transfer(opts.transfer)
-        .pipeline_depth(opts.pipeline_depth)
-        .skip_out_page_load(opts.skip_out_page_load)
-        .build();
+    let mut system = builder.build();
     let bs = Bitstream::builder("vecadd")
-        .device(opts.device.kind)
+        .device(system.device().kind)
         .synthetic_payload(4096)
         .build();
     system.fpga_load(&bs.to_bytes(), Box::new(VecAddCoprocessor::new()))?;

@@ -1,107 +1,15 @@
 //! End-to-end experiment runners for the paper's figures.
 
 use vcop::{
-    run_typical, BaselineReport, Direction, ElemSize, Error, ExecutionReport, Kernel, MapHints,
-    PolicyKind, PrefetchMode, System, SystemBuilder, TransferMode, TypicalConfig, TypicalObject,
+    run_typical, BaselineReport, Direction, ElemSize, Error, ExecutionReport, MapHints, System,
+    SystemBuilder, TypicalConfig, TypicalObject,
 };
 use vcop_apps::vecadd::{VecAddCoprocessor, OBJ_A, OBJ_B, OBJ_C};
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::resources::Resources;
-use vcop_fabric::DeviceProfile;
-use vcop_sim::bus::BurstKind;
 use vcop_sim::time::{Frequency, SimTime};
 
 use crate::app::{AppKind, Job};
-
-/// Knobs shared by all experiments; the default is the paper's
-/// prototype configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentOptions {
-    /// Target device (default EPXA1).
-    pub device: DeviceProfile,
-    /// VIM replacement policy.
-    pub policy: PolicyKind,
-    /// VIM prefetch mode.
-    pub prefetch: PrefetchMode,
-    /// Single or double page transfers.
-    pub transfer: TransferMode,
-    /// AHB burst kind for page copies.
-    pub burst: BurstKind,
-    /// Skip loads of pure-`OUT` pages.
-    pub skip_out_page_load: bool,
-    /// Overlapped paging: page movements run on the asynchronous DMA
-    /// engine underneath coprocessor execution.
-    pub overlap: bool,
-    /// DMA channel count used by overlapped paging.
-    pub dma_channels: usize,
-    /// IMU pipeline depth (1 = prototype).
-    pub pipeline_depth: usize,
-    /// Multiplier (percent) applied to every fixed OS overhead constant
-    /// — the sensitivity-analysis knob (100 = the documented defaults).
-    pub os_overhead_pct: u32,
-    /// Simulation kernel (event-driven by default; stepped is the
-    /// reference loop used for cross-checks and speedup measurements).
-    pub kernel: Kernel,
-}
-
-impl Default for ExperimentOptions {
-    fn default() -> Self {
-        ExperimentOptions {
-            device: DeviceProfile::epxa1(),
-            policy: PolicyKind::Fifo,
-            prefetch: PrefetchMode::None,
-            transfer: TransferMode::Double,
-            burst: BurstKind::Single,
-            skip_out_page_load: false,
-            overlap: false,
-            dma_channels: 2,
-            pipeline_depth: 1,
-            os_overhead_pct: 100,
-            kernel: Kernel::default(),
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// The improved VIM the authors describe working towards: single
-    /// transfers and no useless loads of output pages.
-    pub fn improved() -> Self {
-        ExperimentOptions {
-            transfer: TransferMode::Single,
-            skip_out_page_load: true,
-            ..Default::default()
-        }
-    }
-
-    fn build_system(&self, cp: Frequency, imu: Frequency) -> System {
-        let scale = |v: u64| v * u64::from(self.os_overhead_pct) / 100;
-        let base = vcop_vim::OsOverheads::paper_era();
-        let overheads = vcop_vim::OsOverheads {
-            irq_entry_exit: scale(base.irq_entry_exit),
-            fault_decode: scale(base.fault_decode),
-            tlb_update: scale(base.tlb_update),
-            resume: scale(base.resume),
-            page_loop: scale(base.page_loop),
-            wake_process: scale(base.wake_process),
-            syscall: scale(base.syscall),
-            param_word: scale(base.param_word),
-            ctx_switch: scale(base.ctx_switch),
-        };
-        SystemBuilder::new(self.device)
-            .os_overheads(overheads)
-            .clocks(cp, imu)
-            .policy(self.policy)
-            .prefetch(self.prefetch)
-            .transfer(self.transfer)
-            .burst(self.burst)
-            .skip_out_page_load(self.skip_out_page_load)
-            .overlap(self.overlap)
-            .dma_channels(self.dma_channels)
-            .pipeline_depth(self.pipeline_depth)
-            .kernel(self.kernel)
-            .build()
-    }
-}
 
 /// Result of one experiment point.
 #[derive(Debug, Clone)]
@@ -119,11 +27,11 @@ impl Run {
     }
 }
 
-/// A warmed-up system for one paper kernel: bitstream configured,
-/// request and software reference computed once. [`Harness::run`] can
-/// then be called repeatedly — with [`Harness::reconfigure`] in between
-/// to sweep paging configurations — without paying workload generation,
-/// the software baseline, or `FPGA_LOAD` per data point.
+/// A loaded system for one paper kernel: bitstream configured, request
+/// and software reference computed once. Every [`Harness::run`] measures
+/// the same request on the same configuration without paying workload
+/// generation, the software baseline, or `FPGA_LOAD` again. A different
+/// configuration is a different [`SystemBuilder`] and a new harness.
 #[derive(Debug)]
 pub struct Harness {
     system: System,
@@ -131,14 +39,14 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds the system at `kind`'s clocks, loads its core and prepares
+    /// Builds `builder` at `kind`'s clocks, loads its core and prepares
     /// the request over `input_kb` KB of the synthetic input.
     ///
     /// # Panics
     ///
     /// Panics if the system rejects the canonical setup (a model bug).
-    pub fn new(kind: AppKind, input_kb: usize, opts: &ExperimentOptions) -> Self {
-        Harness::try_new(kind, input_kb, opts).expect("the canonical setup")
+    pub fn new(kind: AppKind, input_kb: usize, builder: SystemBuilder) -> Self {
+        Harness::try_new(kind, input_kb, builder).expect("the canonical setup")
     }
 
     /// [`Harness::new`], returning what the system rejects instead of
@@ -153,12 +61,8 @@ impl Harness {
     ///
     /// What `FPGA_LOAD` or `FPGA_MAP_OBJECT` rejects, such as an input
     /// that does not fit user SDRAM.
-    pub fn try_new(
-        kind: AppKind,
-        input_kb: usize,
-        opts: &ExperimentOptions,
-    ) -> Result<Self, Error> {
-        let mut system = opts.build_system(kind.cp_freq(), kind.imu_freq());
+    pub fn try_new(kind: AppKind, input_kb: usize, builder: SystemBuilder) -> Result<Self, Error> {
+        let mut system = builder.clocks(kind.cp_freq(), kind.imu_freq()).build();
         kind.load(&mut system)?;
         let probe = kind.request(vec![0; input_kb * 1024]).objects;
         let ids: Vec<_> = probe.iter().map(|o| o.id).collect();
@@ -171,12 +75,6 @@ impl Harness {
         mapped?;
         let job = kind.synthetic_job(input_kb * 1024);
         Ok(Harness { system, job })
-    }
-
-    /// Re-tunes the paging knobs for the next [`Harness::run`].
-    pub fn reconfigure(&mut self, opts: &ExperimentOptions) {
-        self.system
-            .reconfigure_paging(opts.policy, opts.prefetch, opts.overlap, opts.dma_channels);
     }
 
     /// Maps the objects, executes, verifies the output bit-exactly and
@@ -208,25 +106,27 @@ impl Harness {
 }
 
 /// Runs the Fig. 8 adpcmdecode point for `input_kb` KB of input through
-/// the full system and verifies the decoded output bit-exactly.
+/// the system `builder` configures and verifies the decoded output
+/// bit-exactly.
 ///
 /// # Panics
 ///
 /// Panics if the system rejects the canonical setup or the coprocessor
 /// output mismatches the software reference (either would be a model
 /// bug, not an experiment outcome).
-pub fn adpcm_vim(input_kb: usize, opts: &ExperimentOptions) -> Run {
-    Harness::new(AppKind::Adpcm, input_kb, opts).run()
+pub fn adpcm_vim(input_kb: usize, builder: SystemBuilder) -> Run {
+    Harness::new(AppKind::Adpcm, input_kb, builder).run()
 }
 
-/// Runs the Fig. 9 IDEA point for `input_kb` KB through the full system
-/// (core at 6 MHz, IMU + memory at 24 MHz) and verifies the ciphertext.
+/// Runs the Fig. 9 IDEA point for `input_kb` KB through the system
+/// `builder` configures (core at 6 MHz, IMU + memory at 24 MHz) and
+/// verifies the ciphertext.
 ///
 /// # Panics
 ///
 /// Panics on setup failure or ciphertext mismatch (model bugs).
-pub fn idea_vim(input_kb: usize, opts: &ExperimentOptions) -> Run {
-    Harness::new(AppKind::Idea, input_kb, opts).run()
+pub fn idea_vim(input_kb: usize, builder: SystemBuilder) -> Run {
+    Harness::new(AppKind::Idea, input_kb, builder).run()
 }
 
 /// The pure-software IDEA baseline for `input_kb` KB.
@@ -271,14 +171,15 @@ pub fn typical(kind: AppKind, input_kb: usize) -> Result<BaselineReport, Error> 
 }
 
 /// Runs the extension matrix-multiply workload (`n × n`, wrapping `u32`)
-/// through the full system and verifies the product bit-exactly. The
+/// through the system `builder` configures, with both PLD clocks at
+/// 40 MHz, and verifies the product bit-exactly. The
 /// column-strided walk over `B` makes this the policy-sensitive workload
 /// of the ablation suite.
 ///
 /// # Panics
 ///
 /// Panics on setup failure or product mismatch (model bugs).
-pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> Run {
+pub fn matmul_vim(n: usize, builder: SystemBuilder) -> Run {
     use vcop_apps::matmul::{self, MatMulCoprocessor, OBJ_A, OBJ_B, OBJ_C};
     let a = matmul::synthetic_matrix(n, 17);
     let b = matmul::synthetic_matrix(n, 23);
@@ -289,9 +190,11 @@ pub fn matmul_vim(n: usize, opts: &ExperimentOptions) -> Run {
         (c, cpu.cycles_to_time(cc.cycles()))
     };
 
-    let mut system = opts.build_system(Frequency::from_mhz(40), Frequency::from_mhz(40));
+    let mut system = builder
+        .clocks(Frequency::from_mhz(40), Frequency::from_mhz(40))
+        .build();
     let bitstream = Bitstream::builder("matmul")
-        .device(opts.device.kind)
+        .device(system.device().kind)
         .resources(Resources::new(2_000, 8_192))
         .synthetic_payload(64 * 1024)
         .build();
@@ -390,7 +293,7 @@ mod tests {
         // Paper, Section 4.1: "for an input data size of 2 KB [...] all
         // data can fit the dual-port RAM and the application execution
         // completes without causing page faults."
-        let run = adpcm_vim(2, &ExperimentOptions::default());
+        let run = adpcm_vim(2, SystemBuilder::epxa1());
         assert_eq!(run.report.faults, 0);
         let s = run.speedup();
         assert!((1.3..=1.9).contains(&s), "speedup {s} outside Fig. 8 band");
@@ -398,7 +301,7 @@ mod tests {
 
     #[test]
     fn adpcm_8kb_pages_and_keeps_speedup() {
-        let run = adpcm_vim(8, &ExperimentOptions::default());
+        let run = adpcm_vim(8, SystemBuilder::epxa1());
         assert!(run.report.faults > 0, "8 KB input must page");
         let s = run.speedup();
         assert!((1.3..=1.9).contains(&s), "speedup {s} outside Fig. 8 band");
@@ -406,31 +309,9 @@ mod tests {
 
     #[test]
     fn idea_point_runs_in_band() {
-        let run = idea_vim(4, &ExperimentOptions::default());
+        let run = idea_vim(4, SystemBuilder::epxa1());
         let s = run.speedup();
         assert!((8.0..=13.0).contains(&s), "speedup {s} outside Fig. 9 band");
-    }
-
-    #[test]
-    fn warmed_harness_matches_fresh_system() {
-        // The ablation runner reuses one warmed-up system per arm; every
-        // data point must still measure exactly what a fresh system
-        // would. Sweep a config change (overlap on/off) through one
-        // harness and compare each report against a freshly built run.
-        let base = ExperimentOptions::default();
-        let overlapped = ExperimentOptions {
-            overlap: true,
-            prefetch: PrefetchMode::NextPage { degree: 1 },
-            ..base
-        };
-        let mut harness = Harness::new(AppKind::Adpcm, 8, &base);
-        for opts in [&base, &overlapped, &base] {
-            harness.reconfigure(opts);
-            let reused = harness.run();
-            let fresh = adpcm_vim(8, opts);
-            assert_eq!(reused.report, fresh.report);
-            assert_eq!(reused.sw, fresh.sw);
-        }
     }
 
     #[test]

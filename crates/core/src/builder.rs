@@ -42,7 +42,7 @@ pub(crate) fn cdc_sync_edges(cp: Frequency, imu: Frequency) -> u32 {
 /// are defined here; `K` carries the front end's own knobs and decides
 /// what `build` returns — see [`SystemBuilder`](crate::SystemBuilder)
 /// and [`MultiSystemBuilder`](crate::MultiSystemBuilder).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Builder<K> {
     pub(crate) device: DeviceProfile,
     policy: PolicyKind,

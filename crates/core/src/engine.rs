@@ -234,12 +234,8 @@ impl Engine {
         ctl: &mut ConfigController,
         bytes: &[u8],
     ) -> Result<(LoadedCore, u32), Error> {
-        Ok(if self.vim.fault_injector().is_enabled() {
-            let max = self.recovery.unwrap_or_default().max_load_attempts;
-            ctl.load_with_faults(bytes, self.vim.fault_injector_mut(), max)?
-        } else {
-            (ctl.load(bytes)?, 1)
-        })
+        let max = self.recovery.unwrap_or_default().max_load_attempts;
+        Ok(ctl.load_with_faults(bytes, self.vim.fault_injector_mut(), max)?)
     }
 
     /// The setup half of `FPGA_EXECUTE` for the context in the IMU:

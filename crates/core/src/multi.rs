@@ -53,6 +53,7 @@ use vcop_sim::trace::TraceSink;
 use vcop_vim::manager::{DemandReady, Scope, ServiceTimes, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
 use vcop_vim::prefetch::PrefetchMode;
+use vcop_vim::VimError;
 
 use crate::builder::{cdc_sync_edges, Builder};
 use crate::engine::{self, Engine, Segment, Yield};
@@ -631,7 +632,10 @@ impl MultiSystem {
     ///
     /// # Errors
     ///
-    /// * [`Error::Vim`] for coprocessor protocol violations;
+    /// * [`Error::Vim`] for coprocessor protocol violations, or
+    ///   [`VimError::NoFrameAvailable`] when requests still wait but no
+    ///   tenant is running or parked and none has a free frame for its
+    ///   parameter page;
     /// * [`Error::Timeout`] if the edge budget is exhausted or no
     ///   tenant can make progress.
     pub fn run(&mut self) -> Result<MultiReport, Error> {
@@ -647,15 +651,25 @@ impl MultiSystem {
                     self.serve_queue_in_software(idx)?;
                 }
             }
+            // A new request needs a free frame for its parameter page,
+            // so a ready tenant waits until its allocation range has one.
+            let vim = &self.engine.vim;
             let runnable: Vec<Asid> = self
                 .tenants
                 .iter()
-                .filter(|t| matches!(t.state, TenantState::Ready | TenantState::Resumable { .. }))
+                .filter(|t| match t.state {
+                    TenantState::Ready => vim.has_free_frame(t.asid),
+                    TenantState::Resumable { .. } => true,
+                    _ => false,
+                })
                 .map(|t| t.asid)
                 .collect();
             if runnable.is_empty() {
                 let parked = |t: &Tenant| matches!(t.state, TenantState::Parked { .. });
                 if !self.tenants.iter().any(parked) {
+                    if self.tenants.iter().any(|t| t.state == TenantState::Ready) {
+                        return Err(VimError::NoFrameAvailable.into());
+                    }
                     break; // every queue drained
                 }
                 // Recovery: a parked tenant whose demand transfer spent

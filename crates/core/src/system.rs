@@ -14,7 +14,7 @@
 //! With [`SystemBuilder::faults`] the platform additionally injects
 //! deterministic hardware faults (corrupted or lost DMA transfers, bus
 //! stalls, dropped or delayed interrupts, TLB parity upsets, failed
-//! configuration passes), and a [`RecoveryPolicy`] governs how
+//! configuration passes), and a [`RecoveryPolicy`](crate::RecoveryPolicy) governs how
 //! `FPGA_EXECUTE` recovers: lost work recovered in place (a lost
 //! transfer re-submitted at its deadline, a miss whose interrupt was
 //! dropped found by the no-progress watchdog's status-register poll),
@@ -32,14 +32,13 @@ use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::{TraceSink, WaveTracer};
 use vcop_vim::manager::{Scope, Vim, VimConfig};
 use vcop_vim::object::{Direction, MapHints};
-use vcop_vim::policy::PolicyKind;
 use vcop_vim::prefetch::PrefetchMode;
 
 use crate::builder::{cdc_sync_edges, Builder};
 use crate::engine::{self, Engine, Segment, Yield};
 pub use crate::engine::{Kernel, DEFAULT_EDGE_BUDGET};
 use crate::error::Error;
-use crate::fallback::{RecoveryPolicy, SoftwareFallback};
+use crate::fallback::SoftwareFallback;
 use crate::report::ExecutionReport;
 
 /// Builder for a [`System`].
@@ -58,7 +57,7 @@ use crate::report::ExecutionReport;
 pub type SystemBuilder = Builder<SingleTenant>;
 
 /// The knobs only the single-tenant [`System`] has.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SingleTenant {
     cp_freq: Frequency,
     imu_freq: Frequency,
@@ -247,11 +246,6 @@ impl System {
         self.engine.vim.fault_injector()
     }
 
-    /// Arms (`Some`) or disarms (`None`) recovery between runs.
-    pub fn set_recovery(&mut self, policy: Option<RecoveryPolicy>) {
-        self.engine.recovery = policy;
-    }
-
     /// Registers the software implementation `FPGA_EXECUTE` falls back
     /// to when hardware recovery is exhausted. The fallback computes
     /// over the same mapped objects, so `take_object` returns the same
@@ -315,31 +309,11 @@ impl System {
         self.engine.vim.take_object(id).map(|o| o.into_data())
     }
 
-    /// Re-tunes the VIM paging knobs between executions, so a warmed-up
-    /// system (bitstream configured, coprocessor loaded) can sweep
-    /// paging configurations without paying `FPGA_LOAD` again. The next
-    /// execution behaves exactly as on a freshly built system: the
-    /// replacement policy restarts from scratch and the DMA engine is
-    /// rebuilt for the requested channel count. Transfers a failed
-    /// `fpga_execute` left in flight are cancelled.
-    pub fn reconfigure_paging(
-        &mut self,
-        policy: PolicyKind,
-        prefetch: PrefetchMode,
-        overlap: bool,
-        dma_channels: usize,
-    ) {
-        let engine = &mut self.engine;
-        engine
-            .vim
-            .reconfigure_paging(&mut engine.imu, policy, prefetch, overlap, dma_channels);
-    }
-
     /// `FPGA_EXECUTE`: passes the scalar `params`, launches the
     /// coprocessor, services faults until end of operation, writes dirty
     /// data back, and returns the full time decomposition.
     ///
-    /// With a [`RecoveryPolicy`] armed (implied by
+    /// With a [`RecoveryPolicy`](crate::RecoveryPolicy) armed (implied by
     /// [`SystemBuilder::faults`]) the service additionally recovers from
     /// hardware faults. A miss whose interrupt was dropped is served in
     /// place when the no-progress watchdog polls `SR.fault`, and the VIM

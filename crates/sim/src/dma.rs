@@ -121,8 +121,6 @@ pub type TransferId = u64;
 pub struct DmaCompletion {
     /// The finished transfer.
     pub id: TransferId,
-    /// Channel it ran on.
-    pub channel: usize,
     /// Total bus cycles the transfer occupied (descriptor fetch plus all
     /// bursts). Matches [`DmaEngine::transfer_cost`]'s `bus_cycles` for
     /// the same geometry.
@@ -314,7 +312,6 @@ impl AsyncDmaEngine {
                     .expect("finished transfer at queue head");
                 return Some(DmaCompletion {
                     id: t.id,
-                    channel: ch,
                     bus_cycles: t.bus_cycles_total,
                 });
             }

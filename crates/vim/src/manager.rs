@@ -387,34 +387,15 @@ impl Vim {
         }
     }
 
+    /// Whether tenant `asid`'s allocation range has a free frame, as
+    /// [`Vim::prepare_execute`] needs for the parameter page.
+    pub fn has_free_frame(&self, asid: Asid) -> bool {
+        self.frames.find_free_in(self.alloc_range(asid)).is_some()
+    }
+
     /// The configuration in force.
     pub fn config(&self) -> &VimConfig {
         &self.config
-    }
-
-    /// Re-tunes the paging knobs between executions so a warmed-up
-    /// system (core loaded, objects mapped) can sweep configurations
-    /// without being rebuilt. The replacement policy is re-created from
-    /// scratch and the DMA engine is rebuilt to match `overlap` /
-    /// `dma_channels`, so the next execution behaves exactly as on a
-    /// freshly built system. Transfers a failed execution left in flight
-    /// are cancelled first, as the next execution's set-up would.
-    pub fn reconfigure_paging(
-        &mut self,
-        imu: &mut Imu,
-        policy: PolicyKind,
-        prefetch: PrefetchMode,
-        overlap: bool,
-        dma_channels: usize,
-    ) {
-        self.cancel_in_flight(imu);
-        self.config.policy = policy;
-        self.config.prefetch = prefetch;
-        self.config.overlap = overlap;
-        self.config.dma_channels = dma_channels;
-        self.policy = policy.build();
-        self.dma = overlap.then(|| AsyncDmaEngine::new(*self.cost.dma_config(), dma_channels));
-        self.bus_clock = overlap.then(|| ClockDomain::new(self.cost.bus().frequency()));
     }
 
     /// Event counts since construction (see [`VimCounts`]): `fault`,

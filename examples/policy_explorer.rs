@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example policy_explorer [kb]`
 
-use vcop::{PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::experiments::{idea_vim, ExperimentOptions};
+use vcop::{PolicyKind, PrefetchMode, SystemBuilder, TransferMode};
+use vcop_bench::experiments::idea_vim;
 use vcop_bench::table::{ms, Table};
 use vcop_fabric::DeviceProfile;
 
@@ -28,14 +28,11 @@ fn main() {
                     ("double", TransferMode::Double),
                     ("single", TransferMode::Single),
                 ] {
-                    let opts = ExperimentOptions {
-                        device,
-                        policy,
-                        prefetch,
-                        transfer,
-                        ..Default::default()
-                    };
-                    let run = idea_vim(kb, &opts);
+                    let builder = SystemBuilder::new(device)
+                        .policy(policy)
+                        .prefetch(prefetch)
+                        .transfer(transfer);
+                    let run = idea_vim(kb, builder);
                     table.row(vec![
                         device.kind.to_string(),
                         policy.to_string(),

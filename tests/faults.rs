@@ -38,16 +38,21 @@ fn build_adpcm(job: &Job, plan: Option<FaultPlan>, overlap: bool) -> System {
 
 /// [`build_adpcm`] on a chosen simulation kernel.
 fn build_adpcm_on(job: &Job, plan: Option<FaultPlan>, overlap: bool, kernel: Kernel) -> System {
-    let mut builder = SystemBuilder::epxa1()
-        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
-        .kernel(kernel);
+    let mut builder = SystemBuilder::epxa1().kernel(kernel);
     if overlap {
         builder = builder.overlap(true).dma_channels(2);
     }
     if let Some(plan) = plan {
         builder = builder.faults(plan);
     }
-    let mut system = builder.build();
+    load_adpcm(job, builder)
+}
+
+/// Builds `builder` at the adpcm clocks, loads the core and maps `job`.
+fn load_adpcm(job: &Job, builder: SystemBuilder) -> System {
+    let mut system = builder
+        .clocks(timing::ADPCM_CORE_FREQ, timing::ADPCM_IMU_FREQ)
+        .build();
     let bs = Bitstream::builder("adpcmdecode")
         .synthetic_payload(2048)
         .build();
@@ -289,11 +294,13 @@ fn dropped_fault_irq_is_caught_by_watchdog() {
     // faulted and the OS is never told, until the no-progress watchdog
     // reads the status register, finds the latched miss and serves it.
     let plan = FaultPlan::new(7).once(FaultSite::IrqDrop, 1);
-    let mut sys = build_adpcm(&job, Some(plan), false);
-    sys.set_recovery(Some(RecoveryPolicy {
-        watchdog_edges: Some(20_000),
-        ..RecoveryPolicy::default()
-    }));
+    let builder = SystemBuilder::epxa1()
+        .faults(plan)
+        .recovery(RecoveryPolicy {
+            watchdog_edges: Some(20_000),
+            ..RecoveryPolicy::default()
+        });
+    let mut sys = load_adpcm(&job, builder);
     let report = sys
         .fpga_execute(&job.request.params)
         .expect("recovered run");

@@ -18,7 +18,6 @@ use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
 use vcop_imu::tlb::Asid;
-use vcop_vim::VimError;
 
 fn mixed_system(scheduler: SchedulerKind, partition: bool) -> (MultiSystem, Asid, Asid) {
     mixed_system_with(scheduler, partition, None)
@@ -484,69 +483,70 @@ fn four_tenants(
 }
 
 /// Runs [`four_tenants`] on the stepped reference kernel and on the
-/// event-driven one and asserts that both give the same report and
-/// output bytes, or the same typed error. Returns the event kernel's
-/// outcome.
+/// event-driven one, requires both to end `Ok`, and asserts that both
+/// give the same report and output bytes. Returns the report.
 fn kernels_agree_on_four_tenants(
     scheduler: SchedulerKind,
     policy: PolicyKind,
     frames: usize,
     partition: bool,
-) -> Result<MultiReport, Error> {
+) -> MultiReport {
     let case = format!("{scheduler:?}, {policy:?}, {frames} frames, partition {partition}");
-    let stepped = four_tenants(Kernel::Stepped, scheduler, policy, frames, partition);
-    let event = four_tenants(Kernel::EventDriven, scheduler, policy, frames, partition);
-    match (&stepped, &event) {
-        (Ok(s), Ok(e)) => assert!(s == e, "{case}: reports or outputs differ"),
-        (Err(s), Err(e)) => assert_eq!(format!("{s:?}"), format!("{e:?}"), "{case}"),
-        (s, e) => panic!(
-            "{case}: stepped {:?}, event {:?}",
-            s.as_ref().map(|r| &r.0),
-            e.as_ref().map(|r| &r.0)
-        ),
-    }
-    event.map(|(report, _)| report)
+    let run = |kernel| {
+        four_tenants(kernel, scheduler, policy, frames, partition)
+            .unwrap_or_else(|e| panic!("{case}, {kernel:?}: {e:?}"))
+    };
+    let (stepped, event) = (run(Kernel::Stepped), run(Kernel::EventDriven));
+    assert!(stepped == event, "{case}: reports or outputs differ");
+    event.0
 }
 
 /// The stepped reference kernel and the event-driven one agree with
-/// four tenants on a shared pool small enough that they steal each
-/// other's frames, on a larger one and on a partitioned one, under
-/// FIFO and LRU replacement and both schedulers. Fused TLB hits then
-/// run beside other tenants' transfers.
-#[test]
-fn stepped_and_event_kernels_agree_multi_tenant() {
+/// four tenants under `scheduler` on shared pools from 4 to 16 frames,
+/// the small ones so full that a new request waits for a free frame,
+/// and on a partitioned one, under FIFO and LRU replacement. Fused TLB
+/// hits then run beside other tenants' transfers.
+fn kernels_agree_multi_tenant(scheduler: SchedulerKind) {
     let mut steals = 0;
-    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::DeficitRoundRobin] {
-        for policy in [PolicyKind::Fifo, PolicyKind::Lru] {
-            for (frames, partition) in [(6, false), (8, false), (8, true)] {
-                let outcome = kernels_agree_on_four_tenants(scheduler, policy, frames, partition);
-                if let Ok(report) = outcome {
-                    steals += report.cross_asid_steals;
-                }
-            }
+    for policy in [PolicyKind::Fifo, PolicyKind::Lru] {
+        for frames in [4, 5, 6, 7, 8, 10, 12, 16] {
+            let report = kernels_agree_on_four_tenants(scheduler, policy, frames, false);
+            steals += report.cross_asid_steals;
         }
+        kernels_agree_on_four_tenants(scheduler, policy, 8, true);
     }
     assert!(steals > 0, "some case steals frames across tenants");
 }
 
+#[test]
+fn stepped_and_event_kernels_agree_multi_tenant() {
+    kernels_agree_multi_tenant(SchedulerKind::RoundRobin);
+}
+
+#[test]
+fn stepped_and_event_kernels_agree_multi_tenant_deficit() {
+    kernels_agree_multi_tenant(SchedulerKind::DeficitRoundRobin);
+}
+
 /// Under LRU, a demand page that arrived for a parked tenant used to
 /// look never referenced, so tenants stole each other's arrived pages
-/// forever and round robin never returned. Every pool size now ends in
-/// `Ok` or a typed error, the same on both kernels.
+/// forever and round robin never returned. Every pool size now ends
+/// `Ok`, the same on both kernels, down to three frames for four
+/// tenants.
 #[test]
 fn lru_on_a_shared_pool_terminates_with_four_tenants() {
     for frames in [4, 6, 8] {
-        let outcome = kernels_agree_on_four_tenants(
-            SchedulerKind::RoundRobin,
-            PolicyKind::Lru,
-            frames,
-            false,
-        );
-        match outcome {
-            Ok(_) | Err(Error::Vim(VimError::NoFrameAvailable)) => {}
-            Err(e) => panic!("{frames} frames: {e:?}"),
-        }
+        kernels_agree_on_four_tenants(SchedulerKind::RoundRobin, PolicyKind::Lru, frames, false);
     }
+    let (report, _) = four_tenants(
+        Kernel::EventDriven,
+        SchedulerKind::RoundRobin,
+        PolicyKind::Lru,
+        3,
+        false,
+    )
+    .expect("three frames serve four tenants");
+    assert_eq!(report.requests, 8);
 }
 
 /// ASIDs are 16-bit, so the 65 536th admission panics. It does so

@@ -2,11 +2,9 @@
 //! claim of the paper to the model (see EXPERIMENTS.md for the full
 //! paper-vs-measured record).
 
-use vcop::Error;
+use vcop::{Error, SystemBuilder};
 use vcop_bench::app::AppKind;
-use vcop_bench::experiments::{
-    adpcm_vim, fig7_waveform, idea_sw_baseline, idea_vim, typical, ExperimentOptions,
-};
+use vcop_bench::experiments::{adpcm_vim, fig7_waveform, idea_sw_baseline, idea_vim, typical};
 
 #[test]
 fn fig7_read_data_on_fourth_rising_edge() {
@@ -36,9 +34,8 @@ fn fig7_read_data_on_fourth_rising_edge() {
 
 #[test]
 fn fig8_speedup_band_and_2kb_no_faults() {
-    let opts = ExperimentOptions::default();
     for (kb, expect_faults) in [(2usize, false), (4, true), (8, true)] {
-        let run = adpcm_vim(kb, &opts);
+        let run = adpcm_vim(kb, SystemBuilder::epxa1());
         let s = run.speedup();
         // Paper: 1.5x / 1.5x / 1.6x.
         assert!(
@@ -57,10 +54,9 @@ fn fig8_speedup_band_and_2kb_no_faults() {
 
 #[test]
 fn fig9_speedups_and_memory_wall() {
-    let opts = ExperimentOptions::default();
     let mut speedups = Vec::new();
     for kb in [4usize, 8, 16, 32] {
-        let run = idea_vim(kb, &opts);
+        let run = idea_vim(kb, SystemBuilder::epxa1());
         let s = run.speedup();
         // Paper band: 11–12× for the VIM-based version.
         assert!((8.0..=14.0).contains(&s), "{kb} KB speedup {s:.2}");
@@ -103,7 +99,7 @@ fn normal_coprocessor_beats_vim_version() {
     // the VIM-based one; the gap is translation + management overhead.
     let sw = idea_sw_baseline(4);
     let direct = typical(AppKind::Idea, 4).expect("fits");
-    let vim = idea_vim(4, &ExperimentOptions::default());
+    let vim = idea_vim(4, SystemBuilder::epxa1());
     let s_typ = sw.as_ps() as f64 / direct.total().as_ps() as f64;
     let s_vim = vim.speedup();
     assert!(s_typ > s_vim, "normal {s_typ:.1}x !> VIM {s_vim:.1}x");
@@ -116,9 +112,8 @@ fn normal_coprocessor_beats_vim_version() {
 #[test]
 fn imu_management_is_a_small_fraction() {
     // Paper: "up to 2.5% of the total execution time".
-    let opts = ExperimentOptions::default();
     for kb in [2usize, 8] {
-        let run = adpcm_vim(kb, &opts);
+        let run = adpcm_vim(kb, SystemBuilder::epxa1());
         assert!(
             run.report.imu_overhead_fraction() < 0.025,
             "adpcm {kb} KB IMU fraction {:.3}",
@@ -126,7 +121,7 @@ fn imu_management_is_a_small_fraction() {
         );
     }
     for kb in [4usize, 32] {
-        let run = idea_vim(kb, &opts);
+        let run = idea_vim(kb, SystemBuilder::epxa1());
         assert!(
             run.report.imu_overhead_fraction() < 0.025,
             "idea {kb} KB IMU fraction {:.3}",
@@ -140,7 +135,7 @@ fn translation_overhead_band() {
     // Paper: "in the IDEA case around 20%" of hardware time. Measured as
     // the HW-time excess over the direct (manually managed) interface.
     let direct = typical(AppKind::Idea, 4).expect("fits");
-    let vim = idea_vim(4, &ExperimentOptions::default());
+    let vim = idea_vim(4, SystemBuilder::epxa1());
     let frac =
         (vim.report.hw.as_ps() as f64 - direct.hw.as_ps() as f64) / vim.report.hw.as_ps() as f64;
     assert!(
@@ -154,6 +149,6 @@ fn translation_overhead_band() {
 fn dp_management_dominates_overheads() {
     // Paper: "The largest fraction of overhead is actually due to
     // managing the dual-port memory."
-    let run = idea_vim(32, &ExperimentOptions::default());
+    let run = idea_vim(32, SystemBuilder::epxa1());
     assert!(run.report.sw_dp > run.report.sw_imu * 5);
 }

@@ -3,8 +3,8 @@
 //! interface tunings — only the "module recompile" (configuration)
 //! changes, and outputs stay bit-identical.
 
-use vcop::{PolicyKind, PrefetchMode, TransferMode};
-use vcop_bench::experiments::{idea_vim, ExperimentOptions};
+use vcop::{PolicyKind, PrefetchMode, SystemBuilder, TransferMode};
+use vcop_bench::experiments::idea_vim;
 use vcop_fabric::DeviceProfile;
 
 #[test]
@@ -18,11 +18,7 @@ fn idea_output_identical_across_devices() {
         DeviceProfile::epxa4(),
         DeviceProfile::epxa10(),
     ] {
-        let opts = ExperimentOptions {
-            device,
-            ..Default::default()
-        };
-        let run = idea_vim(16, &opts);
+        let run = idea_vim(16, SystemBuilder::new(device));
         faults.push(run.report.faults);
     }
     assert!(
@@ -40,12 +36,8 @@ fn idea_output_identical_across_policies() {
         PolicyKind::Random,
         PolicyKind::Clock,
     ] {
-        let opts = ExperimentOptions {
-            policy,
-            ..Default::default()
-        };
         // Internal assertion checks the ciphertext.
-        let run = idea_vim(16, &opts);
+        let run = idea_vim(16, SystemBuilder::epxa1().policy(policy));
         assert!(run.report.total() > vcop_sim::time::SimTime::ZERO);
     }
 }
@@ -55,13 +47,11 @@ fn idea_output_identical_across_tunings() {
     for prefetch in [PrefetchMode::None, PrefetchMode::NextPage { degree: 2 }] {
         for transfer in [TransferMode::Double, TransferMode::Single] {
             for pipeline_depth in [1usize, 4] {
-                let opts = ExperimentOptions {
-                    prefetch,
-                    transfer,
-                    pipeline_depth,
-                    ..Default::default()
-                };
-                let run = idea_vim(8, &opts);
+                let builder = SystemBuilder::epxa1()
+                    .prefetch(prefetch)
+                    .transfer(transfer)
+                    .pipeline_depth(pipeline_depth);
+                let run = idea_vim(8, builder);
                 assert!(run.speedup() > 1.0);
             }
         }
@@ -70,14 +60,8 @@ fn idea_output_identical_across_tunings() {
 
 #[test]
 fn single_transfer_strictly_faster() {
-    let double = idea_vim(16, &ExperimentOptions::default());
-    let single = idea_vim(
-        16,
-        &ExperimentOptions {
-            transfer: TransferMode::Single,
-            ..Default::default()
-        },
-    );
+    let double = idea_vim(16, SystemBuilder::epxa1());
+    let single = idea_vim(16, SystemBuilder::epxa1().transfer(TransferMode::Single));
     assert!(single.report.sw_dp < double.report.sw_dp);
     assert!(single.report.total() < double.report.total());
     // Hardware time is untouched by the copy strategy, up to the
@@ -94,14 +78,8 @@ fn single_transfer_strictly_faster() {
 
 #[test]
 fn pipelined_imu_reduces_hw_time() {
-    let proto = idea_vim(8, &ExperimentOptions::default());
-    let piped = idea_vim(
-        8,
-        &ExperimentOptions {
-            pipeline_depth: 4,
-            ..Default::default()
-        },
-    );
+    let proto = idea_vim(8, SystemBuilder::epxa1());
+    let piped = idea_vim(8, SystemBuilder::epxa1().pipeline_depth(4));
     assert!(
         piped.report.hw < proto.report.hw,
         "pipelined {} !< prototype {}",
@@ -112,13 +90,10 @@ fn pipelined_imu_reduces_hw_time() {
 
 #[test]
 fn prefetch_reduces_faults_on_sequential_workload() {
-    let base = idea_vim(32, &ExperimentOptions::default());
+    let base = idea_vim(32, SystemBuilder::epxa1());
     let pf = idea_vim(
         32,
-        &ExperimentOptions {
-            prefetch: PrefetchMode::NextPage { degree: 1 },
-            ..Default::default()
-        },
+        SystemBuilder::epxa1().prefetch(PrefetchMode::NextPage { degree: 1 }),
     );
     assert!(
         pf.report.faults < base.report.faults,
@@ -134,21 +109,9 @@ fn overlapped_prefetch_hides_copy_time() {
     // processor and coprocessor execution. Results stay bit-exact
     // (checked inside idea_vim) and wall time drops below the serial
     // component sum.
-    let sync = idea_vim(
-        32,
-        &ExperimentOptions {
-            prefetch: PrefetchMode::NextPage { degree: 1 },
-            ..Default::default()
-        },
-    );
-    let overlapped = idea_vim(
-        32,
-        &ExperimentOptions {
-            prefetch: PrefetchMode::NextPage { degree: 1 },
-            overlap: true,
-            ..Default::default()
-        },
-    );
+    let sync_builder = SystemBuilder::epxa1().prefetch(PrefetchMode::NextPage { degree: 1 });
+    let sync = idea_vim(32, sync_builder.clone());
+    let overlapped = idea_vim(32, sync_builder.overlap(true));
     // Without overlap, wall time equals the serial sum exactly.
     assert_eq!(sync.report.total(), sync.report.cpu_and_hw_time());
     assert_eq!(sync.report.overlap_saved(), vcop_sim::time::SimTime::ZERO);
@@ -167,14 +130,8 @@ fn overlap_without_prefetch_still_speeds_demand_paging() {
     // demand path now costs a DMA burst transfer instead of a CPU copy
     // loop: same fault behaviour, bit-exact results (checked inside
     // idea_vim), strictly shorter wall time.
-    let base = idea_vim(16, &ExperimentOptions::default());
-    let overlap_only = idea_vim(
-        16,
-        &ExperimentOptions {
-            overlap: true,
-            ..Default::default()
-        },
-    );
+    let base = idea_vim(16, SystemBuilder::epxa1());
+    let overlap_only = idea_vim(16, SystemBuilder::epxa1().overlap(true));
     assert_eq!(base.report.faults, overlap_only.report.faults);
     assert!(
         overlap_only.report.total() < base.report.total(),
@@ -188,27 +145,15 @@ fn overlap_without_prefetch_still_speeds_demand_paging() {
 fn adaptive_policy_matches_fifo_on_sequential_and_beats_it_on_thrash() {
     use vcop_bench::experiments::matmul_vim;
     // Sequential workload: no thrash, adaptive behaves exactly like FIFO.
-    let fifo_seq = idea_vim(32, &ExperimentOptions::default());
-    let adaptive_seq = idea_vim(
-        32,
-        &ExperimentOptions {
-            policy: PolicyKind::Adaptive,
-            ..Default::default()
-        },
-    );
+    let fifo_seq = idea_vim(32, SystemBuilder::epxa1());
+    let adaptive_seq = idea_vim(32, SystemBuilder::epxa1().policy(PolicyKind::Adaptive));
     assert_eq!(fifo_seq.report.faults, adaptive_seq.report.faults);
 
     // Strided matmul: cyclic over-capacity reuse thrashes FIFO; the
     // adaptive policy detects the refault storm and recovers most of
     // random's advantage.
-    let fifo_mm = matmul_vim(64, &ExperimentOptions::default());
-    let adaptive_mm = matmul_vim(
-        64,
-        &ExperimentOptions {
-            policy: PolicyKind::Adaptive,
-            ..Default::default()
-        },
-    );
+    let fifo_mm = matmul_vim(64, SystemBuilder::epxa1());
+    let adaptive_mm = matmul_vim(64, SystemBuilder::epxa1().policy(PolicyKind::Adaptive));
     assert!(
         (adaptive_mm.report.faults as f64) < fifo_mm.report.faults as f64 * 0.75,
         "adaptive {} !<< fifo {}",
